@@ -19,23 +19,19 @@ from .analytic import (
     sep_peak_interference_oracle,
     sep_rayleigh,
     sep_rayleigh_numeric,
-    sep_rayleigh_osa,
-    sep_rayleigh_sss,
     sep_upper_bound,
 )
-from .detection import FadingSample, derotate, detect_threshold, map_detect_numeric
+from .detection import detect_threshold, map_detect_numeric
 from .mathcore import GaussianMixture, craig_q_numeric, gaussian_q
-from .modulation import ConstellationPoint, ConstellationSpec, PointClass
+from .modulation import ConstellationSpec, PointClass
 from .sensing import Occupancy, SensingModel
-from .simulation import MonteCarloConfig, SepEstimate, run_monte_carlo, run_trial
+from .simulation import MonteCarloConfig, SepEstimate, run_monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstellationPoint",
     "ConstellationSpec",
     "ConstraintSet",
-    "FadingSample",
     "GaussianMixture",
     "MonteCarloConfig",
     "Occupancy",
@@ -46,7 +42,6 @@ __all__ = [
     "SensingModel",
     "SepEstimate",
     "craig_q_numeric",
-    "derotate",
     "detect_threshold",
     "gaussian_q",
     "map_detect_numeric",
@@ -54,7 +49,6 @@ __all__ = [
     "optimize_powers_sss",
     "peak_power_policy",
     "run_monte_carlo",
-    "run_trial",
     "sep_class_conditional",
     "sep_conditional",
     "sep_general_numeric",
@@ -63,7 +57,5 @@ __all__ = [
     "sep_peak_interference_oracle",
     "sep_rayleigh",
     "sep_rayleigh_numeric",
-    "sep_rayleigh_osa",
-    "sep_rayleigh_sss",
     "sep_upper_bound",
 ]

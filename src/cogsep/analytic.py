@@ -6,19 +6,24 @@ averaged bounds over the secondary-to-primary gain, the constrained transmit
 power optimizer, and brute-force quadrature oracles used to certify every
 closed form.
 
+Every closed form has one shape, evaluated by one kernel (``_sep``): per
+sensing branch, weight x (idle posterior x Gaussian term + busy posterior x
+sum_l lambda_l mixture term). Only the term differs between engines.
+
 All per-axis variances follow the pdf convention of
 :class:`~cogsep.mathcore.GaussianMixture`.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import dblquad, quad
-from scipy.special import erfc, erfcx
+from scipy.special import erfcx
 
-from .mathcore import GaussianMixture, QuadratureError
+from .mathcore import GaussianMixture, QuadratureError, gaussian_q
 from .modulation import ConstellationSpec, PointClass
 from .sensing import Occupancy, SensingModel
 
@@ -29,8 +34,6 @@ __all__ = [
     "sep_class_conditional",
     "sep_conditional",
     "sep_rayleigh",
-    "sep_rayleigh_sss",
-    "sep_rayleigh_osa",
     "sep_rayleigh_numeric",
     "sep_upper_bound",
     "sep_general_numeric",
@@ -42,8 +45,6 @@ __all__ = [
     "peak_power_policy",
     "OptimalPowers",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 # Smallest transmit power the optimizer will consider, relative to the peak;
 # the SEP limit as power -> 0+ is finite, but beta blows up at exactly 0.
@@ -126,68 +127,127 @@ class Scenario:
     def m_quadrature(self) -> int:
         return self.spec_idle.m_quadrature
 
-    @property
-    def size(self) -> int:
-        return self.spec_idle.size
-
-    def with_powers(self, p0: float, p1: float | None = None) -> "Scenario":
-        """Copy of this scenario with new transmit powers."""
-        spec_idle = replace(self.spec_idle, power=p0)
-        if self.scheme is Scheme.OSA:
-            return replace(self, spec_idle=spec_idle)
-        if p1 is None:
-            p1 = p0
-        return replace(self, spec_idle=spec_idle,
-                       spec_busy=replace(self.spec_busy, power=p1))
-
     def convolved_interference(self) -> GaussianMixture:
         return self.interference.convolve_with_gaussian(self.noise_variance)
 
 
-def _q(x):
-    """Vectorized Gaussian tail probability."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+# ---------------------------------------------------------------------------
+# The SEP kernel: sensing branches x disturbance variances
+# ---------------------------------------------------------------------------
+
+class _Table(NamedTuple):
+    """Sensing-branch rows and the disturbance variances every row shares.
+
+    ``rows`` holds (weight, post_idle, post_busy, decision) per transmitting
+    branch; ``variances`` is [s0, s0 + s_1, ..., s0 + s_L] for noise variance
+    s0 and mixture variances s_l, whose weights lambda_l are ``lam``.
+    """
+
+    rows: list
+    lam: tuple
+    variances: np.ndarray
 
 
-def _branches(scenario: Scenario):
-    """Yield (weight, post_idle, post_busy, spec) per sensing-decision branch.
+def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
+    """Branch table of a scenario; build it once, outside any hot loop.
 
     For SSS the weights are the sensing-decision probabilities; for OSA only
     the idle decision transmits and the (conditional) weight is 1.
+    ``collapse`` is the peak policy's single row: with P0* = P1* the SSS
+    sensing-decision average collapses by total probability onto the
+    occupancy priors, so error rates do not depend on (P_d, P_f); OSA still
+    conditions on an idle decision.
     """
     s = scenario.sensing
-    if scenario.scheme is Scheme.OSA:
-        yield (1.0,
-               s.posterior(Occupancy.IDLE, Occupancy.IDLE),
-               s.posterior(Occupancy.BUSY, Occupancy.IDLE),
-               scenario.spec_idle)
-        return
-    for decision, spec in ((Occupancy.IDLE, scenario.spec_idle),
-                           (Occupancy.BUSY, scenario.spec_busy)):
-        weight = s.decision_prob(decision)
-        if weight == 0.0:
-            continue
-        yield (weight,
-               s.posterior(Occupancy.IDLE, decision),
-               s.posterior(Occupancy.BUSY, decision),
-               spec)
+    osa = scenario.scheme is Scheme.OSA
+    if collapse and not osa:
+        rows = [(1.0, s.prior_idle, s.prior_busy, Occupancy.IDLE)]
+    else:
+        rows = []
+        for decision in (Occupancy.IDLE,) if osa else tuple(Occupancy):
+            weight = 1.0 if osa else s.decision_prob(decision)
+            if weight != 0.0:
+                rows.append((weight, s.posterior(Occupancy.IDLE, decision),
+                             s.posterior(Occupancy.BUSY, decision), decision))
+    mix, noise = scenario.interference, scenario.noise_variance
+    return _Table(rows, tuple(mix.weights.tolist()),
+                  np.concatenate(([noise], mix.variances + noise)))
+
+
+def _sep(table: _Table, term, x, *args):
+    """sum_b w_b (post_idle_b g(x_b, s0) + post_busy_b sum_l lambda_l g(x_b, s0 + s_l)).
+
+    ``term(x, variance, *args)`` runs once over the whole (row x variance)
+    table. ``x`` holds one entry per row in its first axis; further axes,
+    e.g. a vector of powers, broadcast through. The sums run left to right,
+    so each vector entry equals the scalar evaluation bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    g = term(x[:, None], table.variances.reshape((-1,) + (1,) * (x.ndim - 1)), *args)
+    if g.ndim == 2:
+        g = g.tolist()  # one point: the same IEEE sums run faster on Python floats
+    total = 0.0
+    for (weight, post_idle, post_busy, _), g_row in zip(table.rows, g):
+        busy = 0.0
+        for lam, g_mix in zip(table.lam, g_row[1:]):
+            busy = busy + lam * g_mix
+        total = total + weight * (post_idle * g_row[0] + post_busy * busy)
+    return total
+
+
+def _spec(scenario: Scenario, decision: Occupancy) -> ConstellationSpec:
+    return scenario.spec_busy if decision is Occupancy.BUSY else scenario.spec_idle
+
+
+def _powers(table: _Table, p0, p1):
+    """Per-row transmit powers (first axis): P0 on idle-decision rows, P1 on busy."""
+    return np.stack(np.broadcast_arrays(
+        *(p1 if decision is Occupancy.BUSY else p0 for *_, decision in table.rows)))
+
+
+def _q_term(d2h2, variance, mi: int, mq: int):
+    """Conditional SEP term for one disturbance variance.
+
+    2(2 - 1/M_I - 1/M_Q) Q(a) - 4(1 - 1/M_I)(1 - 1/M_Q) Q^2(a) with
+    a = sqrt(d^2 |h|^2 / (4 v)).
+    """
+    qa = gaussian_q(np.sqrt(d2h2 / (4.0 * variance)))
+    return (2.0 * (2.0 - 1.0 / mi - 1.0 / mq) * qa
+            - 4.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq) * qa * qa)
+
+
+def _rayleigh_term(power, variance, mi: int, mq: int, bound: bool):
+    """Fading average (|h|^2 ~ Exp(1)) of one conditional term.
+
+    With beta = sqrt(1 + 2 K v / (3 P)), K = M_I^2 + M_Q^2 - 2, the Q term
+    averages to (1 - 1/beta)/2 and the Q^2 term to the arctangent expression
+    below. ``bound=True`` drops the (negative) Q^2 contribution, which is
+    exact for PAM since its coefficient vanishes at M_Q = 1.
+    """
+    k_mod = mi * mi + mq * mq - 2
+    beta = np.sqrt(1.0 + 2.0 * k_mod * variance / (3.0 * power))
+    t1 = (2.0 - 1.0 / mi - 1.0 / mq) * (1.0 - 1.0 / beta)
+    if bound:
+        return t1
+    t2 = (2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq)
+          * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5))
+    return t1 - t2
+
+
+def _peak_tail(qpk, variance, mi: int, mq: int, b1: float):
+    """Gain average over y > b1 of one (1 - 1/beta) term at power Q_pk / y.
+
+    e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))),
+    gamma = 3 Q_pk / (2 (M_I^2 + M_Q^2 - 2) v).
+    """
+    gamma = 3.0 * qpk / (2.0 * (mi * mi + mq * mq - 2) * variance)
+    return math.exp(-b1) * (
+        1.0 - np.sqrt(gamma * math.pi) * erfcx(np.sqrt(gamma + b1)))
 
 
 # ---------------------------------------------------------------------------
 # Conditional (given |h|) error probabilities
 # ---------------------------------------------------------------------------
-
-def _g_conditional(d2h2: float, variance, mi: int, mq: int):
-    """Per-branch conditional SEP term for one disturbance variance.
-
-    2(2 - 1/M_I - 1/M_Q) Q(a) - 4(1 - 1/M_I)(1 - 1/M_Q) Q^2(a) with
-    a = sqrt(d^2 |h|^2 / (4 v)).
-    """
-    a = np.sqrt(d2h2 / (4.0 * np.asarray(variance, dtype=float)))
-    qa = _q(a)
-    return (2.0 * (2.0 - 1.0 / mi - 1.0 / mq) * qa
-            - 4.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq) * qa * qa)
-
 
 _CLASS_COEFFS = {
     PointClass.CORNER: (2.0, 1.0),
@@ -211,6 +271,9 @@ def sep_class_conditional(
 ) -> float:
     """Conditional SEP of one point class given the fading magnitude.
 
+    Oracle: the paper's corner/edge/inner form pins ``sep_conditional`` to
+    1e-14, tighter than the 1e-8 of the region quadrature.
+
     ``mix`` must already include the background noise (convolved mixture);
     the Gaussian branch uses ``noise_variance`` alone. ``post_idle`` weighs
     the Gaussian branch, its complement the mixture branch.
@@ -226,12 +289,21 @@ def sep_class_conditional(
     d2h2 = spec.min_distance() ** 2 * magnitude**2
 
     def term(variance: float) -> float:
-        qa = _q(math.sqrt(d2h2 / (4.0 * variance)))
+        qa = gaussian_q(math.sqrt(d2h2 / (4.0 * variance)))
         return c_q * qa - c_q2 * qa * qa
 
     value = post_idle * term(noise_variance)
     value += (1.0 - post_idle) * sum(w * term(v) for w, v in mix.components)
     return float(value)
+
+
+def _conditional(scenario: Scenario):
+    """``sep_conditional`` as a function of |h|, with the table built once."""
+    table = _branches(scenario)
+    d2 = np.array([_spec(scenario, decision).min_distance() ** 2
+                   for *_, decision in table.rows])
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
+    return lambda magnitude: float(_sep(table, _q_term, d2 * magnitude**2, mi, mq))
 
 
 def sep_conditional(scenario: Scenario, magnitude: float) -> float:
@@ -242,89 +314,27 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     mixture disturbances are weighted by the occupancy posteriors. The result
     lies in [0, 1 - 1/M].
     """
-    lam = scenario.interference.weights
-    noise_var = scenario.noise_variance
-    conv = scenario.interference.variances + noise_var
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    total = 0.0
-    for weight, post_idle, post_busy, spec in _branches(scenario):
-        d2h2 = spec.min_distance() ** 2 * magnitude**2
-        g_idle = _g_conditional(d2h2, noise_var, mi, mq)
-        g_busy = float(np.dot(lam, _g_conditional(d2h2, conv, mi, mq)))
-        total += weight * (post_idle * g_idle + post_busy * g_busy)
-    return float(total)
+    return _conditional(scenario)(magnitude)
 
 
 # ---------------------------------------------------------------------------
 # Rayleigh-fading averages (closed forms) and their quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _rayleigh_term(power, variance: float, mi: int, mq: int, bound: bool):
-    """Fading average (|h|^2 ~ Exp(1)) of one conditional branch term.
-
-    With beta = sqrt(1 + 2 K v / (3 P)), K = M_I^2 + M_Q^2 - 2, the Q term
-    averages to (1 - 1/beta)/2 and the Q^2 term to the arctangent expression
-    below. ``bound=True`` drops the (negative) Q^2 contribution, which is
-    exact for PAM since its coefficient vanishes at M_Q = 1.
-    """
-    k_mod = mi * mi + mq * mq - 2
-    power = np.asarray(power, dtype=float)
-    beta = np.sqrt(1.0 + 2.0 * k_mod * variance / (3.0 * power))
-    t1 = (2.0 - 1.0 / mi - 1.0 / mq) * (1.0 - 1.0 / beta)
-    if bound:
-        return t1
-    t2 = (2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq)
-          * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5))
-    return t1 - t2
-
-
-def _sep_rayleigh_powers(scenario: Scenario, p0, p1, bound: bool):
-    """Rayleigh-averaged SEP as a function of transmit powers (vectorized)."""
-    s = scenario.sensing
-    lam = scenario.interference.weights
-    conv = scenario.interference.variances + scenario.noise_variance
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-
-    def branch(post_idle, post_busy, power):
-        g_idle = _rayleigh_term(power, scenario.noise_variance, mi, mq, bound)
-        g_busy = sum(l * _rayleigh_term(power, v, mi, mq, bound)
-                     for l, v in zip(lam, conv))
-        return post_idle * g_idle + post_busy * g_busy
-
-    if scenario.scheme is Scheme.OSA:
-        return branch(s.posterior(Occupancy.IDLE, Occupancy.IDLE),
-                      s.posterior(Occupancy.BUSY, Occupancy.IDLE), p0)
-    total = 0.0
-    for decision, power in ((Occupancy.IDLE, p0), (Occupancy.BUSY, p1)):
-        weight = s.decision_prob(decision)
-        if weight == 0.0:
-            continue
-        total = total + weight * branch(s.posterior(Occupancy.IDLE, decision),
-                                        s.posterior(Occupancy.BUSY, decision),
-                                        power)
-    return total
-
-
-def sep_rayleigh_sss(scenario: Scenario) -> float:
-    """Closed-form unconditional SEP over unit-mean Rayleigh fading (SSS)."""
-    if scenario.scheme is not Scheme.SSS:
-        raise ValueError("scenario scheme must be SSS")
-    return float(_sep_rayleigh_powers(
-        scenario, scenario.spec_idle.power, scenario.spec_busy.power, bound=False))
-
-
-def sep_rayleigh_osa(scenario: Scenario) -> float:
-    """Closed-form unconditional SEP over Rayleigh fading (OSA, idle-sensed)."""
-    if scenario.scheme is not Scheme.OSA:
-        raise ValueError("scenario scheme must be OSA")
-    return float(_sep_rayleigh_powers(
-        scenario, scenario.spec_idle.power, None, bound=False))
+def _sep_rayleigh(scenario: Scenario, bound: bool) -> float:
+    table = _branches(scenario)
+    powers = [_spec(scenario, decision).power for *_, decision in table.rows]
+    return float(_sep(table, _rayleigh_term, powers,
+                      scenario.m_inphase, scenario.m_quadrature, bound))
 
 
 def sep_rayleigh(scenario: Scenario) -> float:
-    if scenario.scheme is Scheme.OSA:
-        return sep_rayleigh_osa(scenario)
-    return sep_rayleigh_sss(scenario)
+    """Closed-form unconditional SEP over unit-mean Rayleigh fading.
+
+    SSS averages over both sensing decisions; OSA conditions on an idle
+    decision (transmission having occurred).
+    """
+    return _sep_rayleigh(scenario, bound=False)
 
 
 def sep_upper_bound(scenario: Scenario) -> float:
@@ -332,18 +342,17 @@ def sep_upper_bound(scenario: Scenario) -> float:
 
     Coincides with the exact closed form whenever M_Q = 1 (PAM).
     """
-    p1 = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else None
-    return float(_sep_rayleigh_powers(
-        scenario, scenario.spec_idle.power, p1, bound=True))
+    return _sep_rayleigh(scenario, bound=True)
 
 
 def sep_rayleigh_numeric(scenario: Scenario) -> float:
     """Fading-average oracle: integrate the conditional SEP against e^{-x}.
 
-    Independent of the closed-form path; used to certify ``sep_rayleigh_*``.
+    Independent of the closed-form path; used to certify ``sep_rayleigh``.
     """
+    conditional = _conditional(scenario)
     value, abserr = quad(
-        lambda x: sep_conditional(scenario, math.sqrt(x)) * math.exp(-x),
+        lambda x: conditional(math.sqrt(x)) * math.exp(-x),
         0.0, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200,
     )
     if abserr > 1e-8:
@@ -396,7 +405,8 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     mixture = scenario.convolved_interference().components
     correct = 0.0
     err_total = 0.0
-    for weight, post_idle, post_busy, spec in _branches(scenario):
+    for weight, post_idle, post_busy, decision in _branches(scenario).rows:
+        spec = _spec(scenario, decision)
         spacing = spec.min_distance() * magnitude
         prior = weight / spec.size
         for q in range(spec.m_quadrature):
@@ -477,7 +487,7 @@ def optimize_powers_sss(
     p_d = sensing.p_detect
     floor = ppk * _POWER_FLOOR_REL
 
-    scenario = Scenario(
+    table = _branches(Scenario(
         scheme=Scheme.SSS,
         spec_idle=spec,
         spec_busy=spec,
@@ -485,10 +495,11 @@ def optimize_powers_sss(
         noise_variance=noise_variance,
         interference=mix,
         constraints=constraints,
-    )
+    ))
 
     def sep_of(p0, p1):
-        return _sep_rayleigh_powers(scenario, p0, p1, bound=False)
+        return _sep(table, _rayleigh_term, _powers(table, p0, p1),
+                    spec.m_inphase, spec.m_quadrature, False)
 
     # Constraint inactive at the corner: both powers at the peak.
     if ppk <= budget:
@@ -549,31 +560,6 @@ def _require_peak(scenario: Scenario) -> tuple[float, float]:
     return c.peak_power, c.peak_interference
 
 
-def _peak_weights(scenario: Scenario) -> tuple[float, float]:
-    """Gaussian/mixture branch weights once the power is decision-independent.
-
-    Under the peak policy P0* = P1*, so for SSS the sensing-decision average
-    collapses by total probability onto the occupancy priors; error rates are
-    then independent of (P_d, P_f). OSA still conditions on an idle decision.
-    """
-    s = scenario.sensing
-    if scenario.scheme is Scheme.SSS:
-        return s.prior_idle, s.prior_busy
-    return (s.posterior(Occupancy.IDLE, Occupancy.IDLE),
-            s.posterior(Occupancy.BUSY, Occupancy.IDLE))
-
-
-def _bound_at_power(scenario: Scenario, power: float, w_idle: float,
-                    w_busy: float) -> float:
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    lam = scenario.interference.weights
-    conv = scenario.interference.variances + scenario.noise_variance
-    g_idle = _rayleigh_term(power, scenario.noise_variance, mi, mq, bound=True)
-    g_busy = sum(l * _rayleigh_term(power, v, mi, mq, bound=True)
-                 for l, v in zip(lam, conv))
-    return float(w_idle * g_idle + w_busy * g_busy)
-
-
 def sep_peak_interference(scenario: Scenario) -> float:
     """Closed-form gain-averaged SEP upper bound under the peak policy.
 
@@ -581,30 +567,37 @@ def sep_peak_interference(scenario: Scenario) -> float:
     (1 - 1/beta) terms integrate against e^{-y} to
     e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))),
     gamma = 3 Q_pk / (2 (M_I^2 + M_Q^2 - 2) v). Exact for PAM.
+
+    The sign of the exponent matters: this form follows from the defining
+    integral int_{b1}^inf (1 - 1/beta(Q_pk/y)) e^{-y} dy (checked against
+    adaptive quadrature to better than 1e-12), while a commonly transcribed
+    variant with e^{+b1} grows without bound. Writing it with ``erfcx`` also
+    stays finite where a literal e^{gamma} Q(...) product would overflow.
     """
     ppk, qpk = _require_peak(scenario)
     b1 = qpk / ppk
-    k_mod = scenario.m_inphase**2 + scenario.m_quadrature**2 - 2
-    w_idle, w_busy = _peak_weights(scenario)
-
-    def tail(variance: float) -> float:
-        gamma = 3.0 * qpk / (2.0 * k_mod * variance)
-        return math.exp(-b1) * (
-            1.0 - math.sqrt(gamma * math.pi) * erfcx(math.sqrt(gamma + b1)))
-
-    coef = 2.0 - 1.0 / scenario.m_inphase - 1.0 / scenario.m_quadrature
-    lam = scenario.interference.weights
-    conv = scenario.interference.variances + scenario.noise_variance
-    capped = (1.0 - math.exp(-b1)) * _bound_at_power(scenario, ppk, w_idle, w_busy)
-    tail_sum = (w_idle * tail(scenario.noise_variance)
-                + w_busy * sum(l * tail(v) for l, v in zip(lam, conv)))
-    return capped + coef * tail_sum
+    table = _branches(scenario, collapse=True)
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
+    capped = (1.0 - math.exp(-b1)) * float(
+        _sep(table, _rayleigh_term, [ppk], mi, mq, True))
+    tail_sum = _sep(table, _peak_tail, [qpk], mi, mq, b1)
+    return float(capped + (2.0 - 1.0 / mi - 1.0 / mq) * tail_sum)
 
 
-def _gain_average(scenario: Scenario, per_power) -> float:
-    """(1 - e^{-b1}) f(P_pk) + int_{b1}^inf f(Q_pk / y) e^{-y} dy."""
+def _gain_average(scenario: Scenario, bound: bool) -> float:
+    """(1 - e^{-b1}) f(P_pk) + int_{b1}^inf f(Q_pk / y) e^{-y} dy.
+
+    f is the Rayleigh SEP (the bound or the exact form) at a
+    decision-independent power, over the collapsed branch table.
+    """
     ppk, qpk = _require_peak(scenario)
     b1 = qpk / ppk
+    table = _branches(scenario, collapse=True)
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
+
+    def per_power(p: float) -> float:
+        return float(_sep(table, _rayleigh_term, [p], mi, mq, bound))
+
     head = (1.0 - math.exp(-b1)) * per_power(ppk)
     tail, abserr = quad(lambda y: per_power(qpk / y) * math.exp(-y),
                         b1, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -617,12 +610,7 @@ def _gain_average(scenario: Scenario, per_power) -> float:
 def sep_peak_interference_oracle(scenario: Scenario) -> float:
     """Quadrature oracle for ``sep_peak_interference``: average the
     power-parameterized upper bound over the gain distribution directly."""
-    w_idle, w_busy = _peak_weights(scenario)
-
-    def bound_at(p: float) -> float:
-        return _bound_at_power(scenario, p, w_idle, w_busy)
-
-    return _gain_average(scenario, bound_at)
+    return _gain_average(scenario, bound=True)
 
 
 def sep_peak_interference_exact(scenario: Scenario) -> float:
@@ -634,15 +622,4 @@ def sep_peak_interference_exact(scenario: Scenario) -> float:
     the same collapsed branch weights as the bound, so SSS results are
     bitwise-independent of the sensing quality.
     """
-    w_idle, w_busy = _peak_weights(scenario)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    lam = scenario.interference.weights
-    conv = scenario.interference.variances + scenario.noise_variance
-
-    def per_power(p: float) -> float:
-        g_idle = _rayleigh_term(p, scenario.noise_variance, mi, mq, bound=False)
-        g_busy = sum(l * _rayleigh_term(p, v, mi, mq, bound=False)
-                     for l, v in zip(lam, conv))
-        return float(w_idle * g_idle + w_busy * g_busy)
-
-    return _gain_average(scenario, per_power)
+    return _gain_average(scenario, bound=False)

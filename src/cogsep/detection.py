@@ -11,7 +11,6 @@ Both detectors accept scalars or 1-D arrays of received samples.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,7 @@ from .modulation import ConstellationSpec
 from .sensing import Occupancy, SensingModel
 
 __all__ = [
-    "FadingSample",
     "DeepFadeError",
-    "derotate",
     "detect_threshold",
     "map_detect_numeric",
 ]
@@ -30,23 +27,6 @@ __all__ = [
 
 class DeepFadeError(ValueError):
     """Detection attempted with zero channel magnitude."""
-
-
-@dataclass(frozen=True)
-class FadingSample:
-    """Polar form of a channel coefficient h = magnitude * e^{j phase}."""
-
-    magnitude: float
-    phase: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
-            raise ValueError("magnitude must be finite and nonnegative")
-
-
-def derotate(y, fading: FadingSample):
-    """Remove the fading phase: y * e^{-j theta_h}. Magnitude-preserving."""
-    return y * np.exp(-1j * fading.phase)
 
 
 def _axis_index(coord, magnitude, levels: int, d: float):

@@ -242,40 +242,41 @@ def parse_config_file(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Return every invariant violation found; empty means runnable."""
+    """Return every invariant violation found; empty means runnable.
+
+    The model objects a run builds check their own fields; their errors are
+    reported here. The checks below them span several fields or concern only
+    the sweep.
+    """
     diags: list[str] = []
 
-    if config.m_inphase < 1 or config.m_quadrature < 1:
-        diags.append("modulation axis sizes must be >= 1")
-    elif config.m_inphase * config.m_quadrature < 2:
-        diags.append("constellation needs at least 2 points")
+    def build(make):
+        try:
+            return make()
+        except (ValueError, ArithmeticError) as exc:
+            diags.append(str(exc))
+            return None
 
-    for name in ("p_detect", "p_false_alarm", "prior_busy"):
-        value = getattr(config, name)
-        if not 0.0 <= value <= 1.0:
-            diags.append(f"{name} must lie in [0, 1], got {value}")
-    if not config.noise_variance > 0:
-        diags.append("noise_variance must be positive")
-
-    w, v = config.mixture_weights, config.mixture_variances
-    if not w or not v:
-        diags.append("mixture weights and variances are required")
-    elif len(w) != len(v):
-        diags.append("mixture weights and variances must have equal length")
-    else:
-        if any(x < 0 for x in w):
-            diags.append("mixture weights must be nonnegative")
-        if abs(sum(w) - 1.0) > 1e-12:
-            diags.append(f"mixture weights must sum to 1 (got {sum(w)!r})")
-        if any(x <= 0 for x in v):
-            diags.append("mixture variances must be positive")
+    sensing = build(lambda: SensingModel(config.p_detect, config.p_false_alarm,
+                                         config.prior_busy))
+    mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
+                                                       config.mixture_variances))
+    # unit power: the grid is checked here, the peak power by ConstraintSet
+    spec = build(lambda: ConstellationSpec(config.m_inphase, config.m_quadrature, 1.0))
+    build(lambda: ConstraintSet(
+        peak_power=db_to_linear(config.p_pk_db),
+        avg_interference=None if config.q_avg_db is None else db_to_linear(config.q_avg_db),
+        peak_interference=None if config.q_pk_db is None else db_to_linear(config.q_pk_db),
+        mean_gain_to_primary=config.mean_gain_to_primary))
+    if None not in (sensing, mixture, spec):
+        build(lambda: Scenario(config.scheme, spec,
+                               spec if config.scheme is Scheme.SSS else None,
+                               sensing, config.noise_variance, mixture))
 
     if config.q_avg_db is None and config.q_pk_db is None:
         diags.append("one of constraints.q_avg_db / q_pk_db is required")
     if config.q_avg_db is not None and config.q_pk_db is not None:
         diags.append("q_avg_db and q_pk_db are mutually exclusive")
-    if not config.mean_gain_to_primary > 0:
-        diags.append("mean_gain_to_primary must be positive")
 
     if config.scheme is Scheme.OSA and config.p1_db is not None:
         diags.append("OSA forbids transmission when sensed busy: P1 = 0, remove p1_db")

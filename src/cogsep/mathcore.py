@@ -106,7 +106,7 @@ class GaussianMixture:
         if np.any(weights < 0):
             raise ValueError("mixture weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
+            raise ValueError(f"mixture weights must sum to 1 (got {float(weights.sum())!r})")
         if np.any(variances <= 0):
             raise ValueError("mixture component variances must be positive")
         self.components = comps
@@ -145,7 +145,11 @@ class GaussianMixture:
         )
 
     def pdf(self, sample):
-        """Joint density of (real, imag) at a complex sample (scalar or array)."""
+        """Joint density of (real, imag) at a complex sample (scalar or array).
+
+        Oracle: the reference density that certifies ``sample``, the Monte
+        Carlo engine's interference draw.
+        """
         z = np.asarray(sample, dtype=complex)
         if not np.all(np.isfinite(z)):
             raise ValueError("pdf requires finite sample")
@@ -157,14 +161,13 @@ class GaussianMixture:
             return float(dens)
         return dens
 
-    def total_variance(self) -> float:
-        """Weight-averaged per-axis variance, sum_l lambda_l * sigma_l^2."""
-        return float(np.dot(self._weights, self._variances))
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw complex samples: component by weight, then circular Gaussian.
 
-        Returns a complex scalar when ``size`` is None, else an array.
+        Returns a complex scalar when ``size`` is None, else an array. The
+        Monte Carlo engine draws its interference here, so the draw order
+        (components, then real, then imaginary normals) is part of its
+        reproducibility contract.
         """
         n = 1 if size is None else int(size)
         idx = rng.choice(len(self.components), size=n, p=self._weights)

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "ConstellationSpec",
-    "ConstellationPoint",
     "PointClass",
     "DegenerateConstellationError",
 ]
@@ -28,13 +27,6 @@ class PointClass(Enum):
     CORNER = "corner"
     EDGE = "edge"
     INNER = "inner"
-
-
-@dataclass(frozen=True)
-class ConstellationPoint:
-    n: int
-    q: int
-    amplitude: complex
 
 
 @dataclass(frozen=True)
@@ -79,20 +71,6 @@ class ConstellationSpec:
         q = np.arange(self.m_quadrature)
         return (2 * q + 1 - self.m_quadrature) * (d / 2.0)
 
-    def amplitude(self, n: int, q: int) -> complex:
-        self._check_indices(n, q)
-        return complex(self.inphase_levels()[n], self.quadrature_levels()[q])
-
-    def build_constellation(self) -> list[ConstellationPoint]:
-        """All M points, flat order q * M_I + n (n varies fastest)."""
-        s_n = self.inphase_levels()
-        s_q = self.quadrature_levels()
-        return [
-            ConstellationPoint(n, q, complex(s_n[n], s_q[q]))
-            for q in range(self.m_quadrature)
-            for n in range(self.m_inphase)
-        ]
-
     def classify_point(self, n: int, q: int) -> PointClass:
         """Geometric class of a grid point.
 
@@ -111,6 +89,7 @@ class ConstellationSpec:
         return PointClass.EDGE
 
     def class_counts(self) -> dict[PointClass, int]:
+        """Points per class; weighs ``sep_class_conditional`` into the full SEP."""
         counts = {PointClass.CORNER: 0, PointClass.EDGE: 0, PointClass.INNER: 0}
         for q in range(self.m_quadrature):
             for n in range(self.m_inphase):

@@ -5,8 +5,6 @@ channel-occupancy priors, and the posteriors the error-rate formulas consume.
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 __all__ = ["Occupancy", "SensingModel", "ConditioningError"]
 
 
@@ -75,15 +73,3 @@ class SensingModel:
             )
         joint = self.prior(true_state) * self.decision_given_state(decision, true_state)
         return joint / denom
-
-    def sample_occupancy_and_decision(
-        self, rng: np.random.Generator
-    ) -> tuple[Occupancy, Occupancy]:
-        """Draw (true state, sensing decision) for one channel use."""
-        busy = rng.random() < self.prior_busy
-        p_busy_decision = self.p_detect if busy else self.p_false_alarm
-        decided_busy = rng.random() < p_busy_decision
-        return (
-            Occupancy.BUSY if busy else Occupancy.IDLE,
-            Occupancy.BUSY if decided_busy else Occupancy.IDLE,
-        )

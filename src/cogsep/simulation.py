@@ -19,13 +19,12 @@ import numpy as np
 
 from .analytic import Scenario, Scheme
 from .detection import _axis_index
+from .modulation import ConstellationSpec
 
 __all__ = [
     "MonteCarloConfig",
     "SepEstimate",
-    "TrialOutcome",
     "InsufficientDataError",
-    "run_trial",
     "run_monte_carlo",
 ]
 
@@ -47,12 +46,6 @@ class MonteCarloConfig:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    error: bool
-    skipped: bool
 
 
 @dataclass(frozen=True)
@@ -125,17 +118,14 @@ def _simulate_chunk(
     noise_std = math.sqrt(scenario.noise_variance)
     disturbance = noise_std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-    mix = scenario.interference
-    comp = rng.choice(len(mix.components), size=n, p=mix.weights)
-    comp_std = np.sqrt(mix.variances[comp])
-    w = comp_std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w = scenario.interference.sample(rng, n)
     disturbance = disturbance + np.where(busy, w, 0.0)
 
     # unit-power amplitudes scaled per trial by sqrt(power)
-    k_mod = mi * mi + mq * mq - 2
-    d_unit = math.sqrt(12.0 / k_mod)
-    amp_n = (2 * np.arange(mi) + 1 - mi) * (d_unit / 2.0)
-    amp_q = (2 * np.arange(mq) + 1 - mq) * (d_unit / 2.0)
+    unit = ConstellationSpec(mi, mq, 1.0)
+    d_unit = unit.min_distance()
+    amp_n = unit.inphase_levels()
+    amp_q = unit.quadrature_levels()
     scale = np.sqrt(power)
     sent = (amp_n[n_true] + 1j * amp_q[q_true]) * scale
 
@@ -154,12 +144,6 @@ def _simulate_chunk(
 
     error = (n_det != n_true) | (q_det != q_true)
     return error & transmit, transmit
-
-
-def run_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
-    """Simulate a single channel use with the caller's random stream."""
-    error, transmit = _simulate_chunk(scenario, rng, 1)
-    return TrialOutcome(error=bool(error[0]), skipped=not bool(transmit[0]))
 
 
 def _chunk_counts(args) -> tuple[int, int]:

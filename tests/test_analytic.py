@@ -23,11 +23,9 @@ from cogsep import (
     sep_peak_interference_oracle,
     sep_rayleigh,
     sep_rayleigh_numeric,
-    sep_rayleigh_osa,
-    sep_rayleigh_sss,
     sep_upper_bound,
 )
-from cogsep.analytic import _sep_rayleigh_powers
+from cogsep.analytic import _branches, _powers, _q_term, _rayleigh_term, _sep
 from cogsep.sensing import Occupancy
 
 from conftest import P_4DB, make_scenario
@@ -103,6 +101,31 @@ class TestSepClassConditional:
         assert total == pytest.approx(sep_conditional(scenario, magnitude), abs=1e-14)
 
 
+class TestSepKernel:
+    @pytest.mark.parametrize("bound", [False, True])
+    @pytest.mark.parametrize("scheme", [Scheme.SSS, Scheme.OSA])
+    def test_power_vector_equals_scalar_points(self, scheme, bound):
+        scenario = make_scenario(scheme, (8, 2))
+        table = _branches(scenario)
+        p0 = np.logspace(-1.5, 1.5, 31)
+        p1 = p0[::-1].copy()
+        vector = _sep(table, _rayleigh_term, _powers(table, p0, p1), 8, 2, bound)
+        closed_form = sep_upper_bound if bound else sep_rayleigh
+        points = [closed_form(make_scenario(scheme, (8, 2), p0=float(a), p1=float(b)))
+                  for a, b in zip(p0, p1)]
+        assert vector.tolist() == points
+
+    def test_magnitude_vector_equals_scalar_points(self):
+        scenario = make_scenario(modulation=(4, 2), p0=P_4DB, p1=0.7)
+        table = _branches(scenario)
+        d2 = np.array([scenario.spec_idle.min_distance() ** 2,
+                       scenario.spec_busy.min_distance() ** 2])
+        magnitudes = np.linspace(0.0, 3.0, 31)
+        vector = _sep(table, _q_term, d2[:, None] * magnitudes**2, 4, 2)
+        points = [sep_conditional(scenario, float(m)) for m in magnitudes]
+        assert vector.tolist() == points
+
+
 class TestSepConditional:
     @pytest.mark.parametrize("modulation", [(2, 1), (2, 2), (8, 2), (4, 4)])
     def test_zero_magnitude_limit(self, modulation):
@@ -162,29 +185,29 @@ class TestSepGeneralNumeric:
 class TestRayleighClosedForms:
     def test_power_to_zero_limit(self):
         scenario = make_scenario(modulation=(2, 2), p0=1e-30, p1=1e-30)
-        assert sep_rayleigh_sss(scenario) == pytest.approx(0.75, abs=1e-6)
+        assert sep_rayleigh(scenario) == pytest.approx(0.75, abs=1e-6)
 
     def test_single_component_equals_gaussian_model(self, gaussian_mix):
         as_mixture = GaussianMixture.from_lists([1.0], [0.5])
-        a = sep_rayleigh_sss(make_scenario(mixture=as_mixture))
-        b = sep_rayleigh_sss(make_scenario(mixture=gaussian_mix))
+        a = sep_rayleigh(make_scenario(mixture=as_mixture))
+        b = sep_rayleigh(make_scenario(mixture=gaussian_mix))
         assert a == b
 
     @pytest.mark.parametrize("modulation", [(2, 1), (4, 1), (2, 2), (8, 2)])
     def test_sss_matches_fading_average_oracle(self, modulation):
         scenario = make_scenario(modulation=modulation, p0=P_4DB, p1=P_4DB)
-        assert sep_rayleigh_sss(scenario) == pytest.approx(
+        assert sep_rayleigh(scenario) == pytest.approx(
             sep_rayleigh_numeric(scenario), abs=1e-6)
 
     def test_osa_matches_oracle_at_default_power(self):
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
-        assert sep_rayleigh_osa(scenario) == pytest.approx(
+        assert sep_rayleigh(scenario) == pytest.approx(
             sep_rayleigh_numeric(scenario), abs=1e-6)
 
     def test_osa_all_false_alarms_still_matches_oracle(self, mixture):
         noisy = SensingModel(0.9, 1.0, 0.4)
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0, sensing=noisy)
-        assert sep_rayleigh_osa(scenario) == pytest.approx(
+        assert sep_rayleigh(scenario) == pytest.approx(
             sep_rayleigh_numeric(scenario), abs=1e-6)
 
     def test_osa_perfect_sensing_is_pure_gaussian_case(self):
@@ -195,17 +218,7 @@ class TestRayleighClosedForms:
         expected = ((2 - 1 / 2 - 1 / 2) * (1 - 1 / beta)
                     - 2 * (1 - 1 / 2) * (1 - 1 / 2)
                     * (2 / math.pi / beta * math.atan(1 / beta) - 1 / beta + 0.5))
-        assert sep_rayleigh_osa(scenario) == pytest.approx(expected, rel=1e-14)
-
-    def test_scheme_dispatch(self):
-        sss = make_scenario()
-        osa = make_scenario(Scheme.OSA)
-        assert sep_rayleigh(sss) == sep_rayleigh_sss(sss)
-        assert sep_rayleigh(osa) == sep_rayleigh_osa(osa)
-        with pytest.raises(ValueError):
-            sep_rayleigh_osa(sss)
-        with pytest.raises(ValueError):
-            sep_rayleigh_sss(osa)
+        assert sep_rayleigh(scenario) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("scheme", [Scheme.SSS, Scheme.OSA])
     def test_monotone_decreasing_in_each_power(self, scheme):
@@ -253,7 +266,7 @@ class TestUpperBound:
 
     def test_eight_by_two_gap_positive(self):
         scenario = make_scenario(modulation=(8, 2), p0=P_4DB, p1=P_4DB)
-        gap = sep_upper_bound(scenario) - sep_rayleigh_sss(scenario)
+        gap = sep_upper_bound(scenario) - sep_rayleigh(scenario)
         assert gap > 0
 
 
@@ -301,10 +314,12 @@ class TestOptimizer:
         budget = constraints.avg_interference / constraints.mean_gain_to_primary
         p_d = scenario.sensing.p_detect
         p = np.linspace(ppk / resolution, ppk, resolution)
+        table = _branches(scenario)
         best = np.inf
         for start in range(0, resolution, 100):
             p0 = p[start:start + 100][:, None]
-            sep = _sep_rayleigh_powers(scenario, p0, p[None, :], bound=False)
+            sep = _sep(table, _rayleigh_term, _powers(table, p0, p[None, :]),
+                       scenario.m_inphase, scenario.m_quadrature, False)
             feasible = (1 - p_d) * p0 + p_d * p[None, :] <= budget
             if feasible.any():
                 best = min(best, float(sep[feasible].min()))
@@ -399,6 +414,6 @@ class TestPeakInterference:
 class TestMixtureVersusGaussian:
     def test_mixture_preset_has_lower_sep(self, mixture, gaussian_mix):
         for p in (0.1, 0.5, 1.0, 2.5):
-            mix_sep = sep_rayleigh_sss(make_scenario(mixture=mixture, p0=p, p1=p))
-            gauss_sep = sep_rayleigh_sss(make_scenario(mixture=gaussian_mix, p0=p, p1=p))
+            mix_sep = sep_rayleigh(make_scenario(mixture=mixture, p0=p, p1=p))
+            gauss_sep = sep_rayleigh(make_scenario(mixture=gaussian_mix, p0=p, p1=p))
             assert mix_sep < gauss_sep

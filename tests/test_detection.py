@@ -5,9 +5,7 @@ import pytest
 
 from cogsep import (
     ConstellationSpec,
-    FadingSample,
     Occupancy,
-    derotate,
     detect_threshold,
     map_detect_numeric,
 )
@@ -16,35 +14,15 @@ from cogsep.detection import DeepFadeError
 MODULATIONS = [(2, 1), (4, 1), (8, 1), (2, 2), (8, 2)]
 
 
-class TestDerotate:
-    def test_identity(self):
-        assert derotate(1 + 0j, FadingSample(1.0, 0.0)) == pytest.approx(1 + 0j)
-
-    def test_quarter_rotation(self):
-        out = derotate(1j, FadingSample(1.0, math.pi / 2))
-        assert out == pytest.approx(1 + 0j, abs=1e-15)
-
-    def test_isometry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            y = complex(rng.normal(), rng.normal())
-            theta = rng.uniform(-math.pi, math.pi)
-            assert abs(derotate(y, FadingSample(1.0, theta))) == pytest.approx(
-                abs(y), abs=1e-12)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            FadingSample(-1.0, 0.0)
-
-
 class TestThresholdDetector:
     def test_exact_points_zero_noise(self):
         for mi, mq in MODULATIONS:
             spec = ConstellationSpec(mi, mq, 1.0)
-            for point in spec.build_constellation():
-                for mag in (0.3, 1.0, 2.5):
-                    n, q = detect_threshold(spec, point.amplitude * mag, mag)
-                    assert (n, q) == (point.n, point.q)
+            for n_sent, s_n in enumerate(spec.inphase_levels()):
+                for q_sent, s_q in enumerate(spec.quadrature_levels()):
+                    for mag in (0.3, 1.0, 2.5):
+                        n, q = detect_threshold(spec, complex(s_n, s_q) * mag, mag)
+                        assert (n, q) == (n_sent, q_sent)
 
     def test_two_pam_sign_threshold(self):
         spec = ConstellationSpec(2, 1, 1.0)

@@ -98,6 +98,17 @@ class TestValidate:
         diags = validate(parse_config(make_text(weights="0.5,0.5")))
         assert any("equal length" in d for d in diags)
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("p_detect", 1.5, "p_detect must lie in [0, 1]"),
+        ("noise_variance", 0.0, "noise_variance must be positive"),
+        ("m_quadrature", 0, "axis sizes"),
+        ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
+        ("p_pk_db", 4000.0, "out of range"),
+    ])
+    def test_model_errors_reported(self, field, value, fragment):
+        config = replace(parse_config(make_text()), **{field: value})
+        assert any(fragment in d for d in validate(config))
+
     def test_osa_with_busy_power(self):
         config = parse_config(make_text(scheme="osa", extra_scenario="p1_db = 0\n"))
         diags = validate(config)

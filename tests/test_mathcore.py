@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from cogsep import GaussianMixture, craig_q_numeric, gaussian_q
+from cogsep.presets import GAUSSIAN_VARIANCE
 
 
 class TestGaussianQ:
@@ -90,8 +91,8 @@ class TestConvolution:
 
     def test_total_variance_additivity(self, mixture):
         out = mixture.convolve_with_gaussian(0.3)
-        assert out.total_variance() == pytest.approx(
-            mixture.total_variance() + 0.3, rel=1e-14)
+        assert total_variance(out) == pytest.approx(
+            total_variance(mixture) + 0.3, rel=1e-14)
 
     def test_repeated_convolution_associative(self, mixture):
         once = mixture.convolve_with_gaussian(0.2).convolve_with_gaussian(0.05)
@@ -133,12 +134,18 @@ class TestMixturePdf:
             assert mix.pdf(complex(z)) == pytest.approx(expected, rel=1e-13)
 
 
+def total_variance(mix):
+    """Weight-averaged per-axis variance, sum_l lambda_l * sigma_l^2."""
+    return float(np.dot(mix.weights, mix.variances))
+
+
 class TestMixtureTotalVariance:
     def test_single(self):
-        assert GaussianMixture.single(0.5).total_variance() == 0.5
+        assert total_variance(GaussianMixture.single(0.5)) == 0.5
 
     def test_equal_weight_mean(self, mixture):
-        assert mixture.total_variance() == pytest.approx(0.5, rel=1e-14)
+        # the presets' Gaussian-equivalent model uses this total directly
+        assert total_variance(mixture) == pytest.approx(GAUSSIAN_VARIANCE, rel=1e-14)
 
 
 class TestMixtureSampling:
@@ -184,6 +191,15 @@ class TestMixtureSampling:
         dep_sigma = dep_b.std(ddof=1) / math.sqrt(batches)
         # theoretical gap: sum(w v^2) - (sum(w v))^2 = 0.05 for the preset
         assert dep_b.mean() > 5 * dep_sigma
+
+    def test_disc_probabilities_match_pdf(self, mixture):
+        # pdf is the reference density for the Monte Carlo interference draw
+        radius = np.abs(mixture.sample(np.random.default_rng(2024), size=self.N))
+        for r in (0.3, 0.7, 1.2, 2.0):
+            expected, _ = quad(
+                lambda rho: 2 * math.pi * rho * mixture.pdf(complex(rho, 0.0)), 0.0, r)
+            sigma = math.sqrt(expected * (1 - expected) / self.N)
+            assert abs(np.mean(radius <= r) - expected) < 4 * sigma
 
     def test_scalar_draw(self, mixture):
         value = mixture.sample(np.random.default_rng(0))

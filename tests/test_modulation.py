@@ -30,25 +30,28 @@ class TestMinDistance:
             ConstellationSpec(2, 2, 0.0)
 
 
+def grid(spec):
+    """All M points as a flat array, n varying fastest."""
+    return (spec.inphase_levels()[None, :]
+            + 1j * spec.quadrature_levels()[:, None]).ravel()
+
+
 class TestBuildConstellation:
     def test_two_pam_amplitudes(self):
-        amps = sorted(p.amplitude.real for p in
-                      ConstellationSpec(2, 1, 1.0).build_constellation())
+        amps = sorted(grid(ConstellationSpec(2, 1, 1.0)).real)
         assert amps == pytest.approx([-1.0, 1.0])
 
     def test_four_qam_grid(self):
-        points = ConstellationSpec(2, 2, 1.0).build_constellation()
-        amps = {p.amplitude for p in points}
+        amps = grid(ConstellationSpec(2, 2, 1.0))
         r = math.sqrt(2.0) / 2.0
         expected = {complex(sr, si) for sr in (-r, r) for si in (-r, r)}
         assert all(any(abs(a - e) < 1e-15 for e in expected) for a in amps)
-        mean_power = np.mean([abs(p.amplitude) ** 2 for p in points])
-        assert mean_power == pytest.approx(1.0, abs=1e-12)
+        assert np.mean(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_four_pam_levels(self):
         spec = ConstellationSpec(4, 1, 1.0)
         d = math.sqrt(12.0 / 15.0)
-        levels = sorted(p.amplitude.real for p in spec.build_constellation())
+        levels = sorted(grid(spec).real)
         assert levels == pytest.approx([-1.5 * d, -0.5 * d, 0.5 * d, 1.5 * d])
         assert 5.0 / 4.0 * d**2 == pytest.approx(1.0, rel=1e-14)
 
@@ -57,22 +60,21 @@ class TestBuildConstellation:
         (4, 4, 7.0), (16, 4, 0.05),
     ])
     def test_mean_power_and_zero_mean(self, mi, mq, power):
-        points = ConstellationSpec(mi, mq, power).build_constellation()
-        amps = np.array([p.amplitude for p in points])
-        assert len(points) == mi * mq
+        amps = grid(ConstellationSpec(mi, mq, power))
+        assert len(amps) == mi * mq
         assert np.mean(np.abs(amps) ** 2) == pytest.approx(power, abs=1e-12 * power)
         assert abs(amps.mean()) < 1e-12
 
     @pytest.mark.parametrize("mi,mq", [(2, 2), (8, 2), (4, 4), (8, 1)])
     def test_nearest_neighbor_distance_is_min_distance(self, mi, mq):
         spec = ConstellationSpec(mi, mq, 1.7)
-        amps = [p.amplitude for p in spec.build_constellation()]
+        amps = grid(spec)
         nearest = min(abs(a - b) for a, b in itertools.combinations(amps, 2))
         assert math.isclose(nearest, spec.min_distance(), rel_tol=1e-12)
 
     @pytest.mark.parametrize("mi,mq", [(2, 2), (8, 2), (4, 1)])
     def test_axis_negation_symmetry(self, mi, mq):
-        amps = {p.amplitude for p in ConstellationSpec(mi, mq, 1.0).build_constellation()}
+        amps = grid(ConstellationSpec(mi, mq, 1.0))
 
         def contains(z):
             return any(abs(z - a) < 1e-12 for a in amps)

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from cogsep import Occupancy, SensingModel
+from cogsep import (
+    GaussianMixture,
+    MonteCarloConfig,
+    Occupancy,
+    Scheme,
+    SensingModel,
+    run_monte_carlo,
+)
 from cogsep.sensing import ConditioningError
+
+from conftest import make_scenario
 
 IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
 
@@ -71,31 +80,35 @@ class TestPosterior:
 
 
 class TestSampling:
+    """The Monte Carlo engine's draw of (true state, sensing decision).
+
+    Under interference of per-axis variance 1e12 and noise of 1e-12, a
+    transmission errs with probability 1/2 (2-PAM) when the channel is truly
+    busy and never when it is idle, so the error and skip counts expose the
+    state and decision of every trial.
+    """
+
+    @staticmethod
+    def _run(scheme, model, trials=20_000, seed=10):
+        scenario = make_scenario(scheme, (2, 1), p0=1.0, sensing=model,
+                                 noise_variance=1e-12,
+                                 mixture=GaussianMixture.single(1e12))
+        return run_monte_carlo(scenario, MonteCarloConfig(trials, seed))
+
     def test_perfect_sensing_decisions_match_state(self):
-        model = SensingModel(1.0, 0.0, 0.5)
-        rng = np.random.default_rng(10)
-        for _ in range(500):
-            state, decision = model.sample_occupancy_and_decision(rng)
-            assert state == decision
+        estimate = self._run(Scheme.OSA, SensingModel(1.0, 0.0, 0.5))
+        assert estimate.errors == 0  # no transmission on a busy channel
+        assert 0.48 < estimate.skip_fraction < 0.52  # every busy one skipped
 
     def test_idle_prior_means_always_idle(self):
-        model = SensingModel(0.9, 0.05, 0.0)
-        rng = np.random.default_rng(11)
-        assert all(model.sample_occupancy_and_decision(rng)[0] == IDLE
-                   for _ in range(300))
+        estimate = self._run(Scheme.SSS, SensingModel(0.9, 0.05, 0.0), seed=11)
+        assert estimate.errors == 0
 
     def test_empirical_joint_frequencies(self, sensing):
         n = 1_000_000
-        rng = np.random.default_rng(12)
-        counts = np.zeros((2, 2))
-        for _ in range(n):
-            state, decision = sensing.sample_occupancy_and_decision(rng)
-            counts[state, decision] += 1
-        busy_decisions = counts[:, BUSY].sum() / n
-        sigma = math.sqrt(0.39 * 0.61 / n)
-        assert abs(busy_decisions - 0.39) < 3 * sigma
-        for state in (IDLE, BUSY):
-            for decision in (IDLE, BUSY):
-                expected = sensing.decision_prob(decision) * sensing.posterior(state, decision)
-                sigma = math.sqrt(expected * (1 - expected) / n)
-                assert abs(counts[state, decision] / n - expected) < 3 * sigma
+        estimate = self._run(Scheme.OSA, sensing, trials=n, seed=12)
+        # skips are the busy decisions; errors are half the (busy, idle-decided) cell
+        missed = sensing.prior(BUSY) * sensing.decision_given_state(IDLE, BUSY)
+        for count, p in ((estimate.skipped, sensing.decision_prob(BUSY)),
+                         (estimate.errors, missed / 2)):
+            assert abs(count / n - p) < 3 * math.sqrt(p * (1 - p) / n)

@@ -9,11 +9,10 @@ from cogsep import (
     Scheme,
     SensingModel,
     run_monte_carlo,
-    run_trial,
     sep_peak_interference_exact,
     sep_rayleigh,
 )
-from cogsep.simulation import InsufficientDataError, _chunk_rng
+from cogsep.simulation import InsufficientDataError, _chunk_rng, _simulate_chunk
 
 from conftest import P_4DB, make_scenario
 
@@ -29,24 +28,25 @@ class TestConfigValidation:
 
 
 class TestRunTrial:
+    """Per-trial outcomes of one chunk: (symbol error, transmitted) masks."""
+
     def test_noiseless_idle_channel_never_errs(self):
         quiet = SensingModel(1.0, 0.0, 0.0)
         scenario = make_scenario(Scheme.SSS, (2, 2), sensing=quiet,
                                  noise_variance=1e-12)
-        rng = np.random.default_rng(21)
-        assert not any(run_trial(scenario, rng).error for _ in range(500))
+        error, _ = _simulate_chunk(scenario, np.random.default_rng(21), 500)
+        assert not error.any()
 
     def test_osa_busy_decision_skips(self):
         always_busy = SensingModel(0.9, 1.0, 0.0)  # idle channel, certain alarm
         scenario = make_scenario(Scheme.OSA, (2, 2), sensing=always_busy)
-        rng = np.random.default_rng(22)
-        outcomes = [run_trial(scenario, rng) for _ in range(200)]
-        assert all(o.skipped and not o.error for o in outcomes)
+        error, transmit = _simulate_chunk(scenario, np.random.default_rng(22), 200)
+        assert not transmit.any() and not error.any()
 
     def test_sss_never_skips(self):
         scenario = make_scenario()
-        rng = np.random.default_rng(23)
-        assert not any(run_trial(scenario, rng).skipped for _ in range(200))
+        _, transmit = _simulate_chunk(scenario, np.random.default_rng(23), 200)
+        assert transmit.all()
 
 
 class TestDeterminism:
