@@ -32,7 +32,8 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--json", dest="json_path", help="JSON mirror output path")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for Monte Carlo chunks")
+                        help="worker processes for the Monte Carlo chunks of all "
+                             "sweep points (>= 1; output does not depend on it)")
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:

@@ -28,7 +28,17 @@ from .analytic import (
 from .mathcore import GaussianMixture
 from .modulation import ConstellationSpec
 from .sensing import SensingModel
-from .simulation import InsufficientDataError, MonteCarloConfig, run_monte_carlo
+from .simulation import (
+    InsufficientDataError,
+    MonteCarloConfig,
+    SepEstimate,
+    _chunk_counts,
+    _chunk_pool,
+    _chunk_sizes,
+    _chunk_tasks,
+    _estimate,
+    run_monte_carlo,
+)
 
 __all__ = [
     "ConfigError",
@@ -44,6 +54,9 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("q_avg_db", "p_pk_db", "p_detect", "p_false_alarm")
+# (config section, key) of every value given in dB
+DB_KEYS = (("constraints", "p_pk_db"), ("constraints", "q_avg_db"),
+           ("constraints", "q_pk_db"), ("scenario", "p0_db"), ("scenario", "p1_db"))
 ENGINES = ("analytic", "bound", "monte_carlo")
 ENGINE_ALIASES = {"a": "analytic", "b": "bound", "mc": "monte_carlo"}
 
@@ -70,6 +83,14 @@ class ConfigError(ValueError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _db_out_of_range(db: float) -> bool:
+    """True when ``db_to_linear(db)`` is not a finite float."""
+    try:
+        return not math.isfinite(db_to_linear(db))
+    except OverflowError:
+        return True
 
 
 @dataclass(frozen=True)
@@ -249,6 +270,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     the sweep.
     """
     diags: list[str] = []
+    for section, key in DB_KEYS:
+        value = getattr(config, key)
+        if value is not None and _db_out_of_range(value):
+            diags.append(f"{section}.{key} = {value:g} dB is out of range")
+    # the power checks below need every dB value in linear units
+    db_in_range = not diags
+    if config.sweep.axis in ("p_pk_db", "q_avg_db"):
+        bad = next((v for v in config.sweep.values() if _db_out_of_range(v)), None)
+        if bad is not None:
+            diags.append(f"sweep value {config.sweep.axis} = {bad:g} dB is out of range")
 
     def build(make):
         try:
@@ -263,11 +294,12 @@ def validate(config: ExperimentConfig) -> list[str]:
                                                        config.mixture_variances))
     # unit power: the grid is checked here, the peak power by ConstraintSet
     spec = build(lambda: ConstellationSpec(config.m_inphase, config.m_quadrature, 1.0))
-    build(lambda: ConstraintSet(
-        peak_power=db_to_linear(config.p_pk_db),
-        avg_interference=None if config.q_avg_db is None else db_to_linear(config.q_avg_db),
-        peak_interference=None if config.q_pk_db is None else db_to_linear(config.q_pk_db),
-        mean_gain_to_primary=config.mean_gain_to_primary))
+    if db_in_range:
+        build(lambda: ConstraintSet(
+            peak_power=db_to_linear(config.p_pk_db),
+            avg_interference=None if config.q_avg_db is None else db_to_linear(config.q_avg_db),
+            peak_interference=None if config.q_pk_db is None else db_to_linear(config.q_pk_db),
+            mean_gain_to_primary=config.mean_gain_to_primary))
     if None not in (sensing, mixture, spec):
         build(lambda: Scenario(config.scheme, spec,
                                spec if config.scheme is Scheme.SSS else None,
@@ -284,7 +316,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("explicit powers for SSS need both p0_db and p1_db")
     if config.p0_db is not None and config.q_pk_db is not None:
         diags.append("explicit powers cannot be combined with the peak policy")
-    if config.p0_db is not None and config.q_pk_db is None:
+    if db_in_range and config.p0_db is not None and config.q_pk_db is None:
         ppk = db_to_linear(config.p_pk_db)
         gain = config.mean_gain_to_primary
         p0 = db_to_linear(config.p0_db)
@@ -388,32 +420,81 @@ def _materialize(config: ExperimentConfig, sweep_value: float):
     return scenario, p0, (p1 if config.scheme is Scheme.SSS else 0.0)
 
 
-def _evaluate_point(config: ExperimentConfig, index: int, sweep_value: float,
-                    workers: int) -> ResultRow:
+def _closed_form_point(config: ExperimentConfig, sweep_value: float):
+    """Resolve one point's powers and closed-form columns.
+
+    Returns (scenario, row) with the Monte Carlo columns still empty.
+    """
     scenario, p0, p1 = _materialize(config, sweep_value)
     peak = config.constraint_mode == "peak"
 
-    sep_analytic = sep_bound = sep_mc = ci = skip = trials = None
+    sep_analytic = sep_bound = None
     if "analytic" in config.engines:
         sep_analytic = (sep_peak_interference_exact(scenario) if peak
                         else sep_rayleigh(scenario))
     if "bound" in config.engines:
         sep_bound = (sep_peak_interference(scenario) if peak
                      else sep_upper_bound(scenario))
-    if "monte_carlo" in config.engines:
-        mc_config = MonteCarloConfig(
-            trials=config.trials,
-            master_seed=config.seed + index,  # distinct stream per sweep point
-            chunk_size=config.chunk_size,
-        )
-        estimate = run_monte_carlo(scenario, mc_config, workers=workers)
-        sep_mc = estimate.sep
-        ci = estimate.ci95_half_width
-        skip = estimate.skip_fraction
-        trials = estimate.trials
+    return scenario, ResultRow(sweep_value, p0, p1, sep_analytic, sep_bound,
+                               None, None, None, None)
 
-    return ResultRow(sweep_value, p0, p1, sep_analytic, sep_bound,
-                     sep_mc, ci, skip, trials)
+
+def _mc_config(config: ExperimentConfig, index: int) -> MonteCarloConfig:
+    return MonteCarloConfig(
+        trials=config.trials,
+        master_seed=config.seed + index,  # distinct stream per sweep point
+        chunk_size=config.chunk_size,
+    )
+
+
+def _with_estimate(row: ResultRow, estimate: SepEstimate) -> ResultRow:
+    return replace(row, sep_mc=estimate.sep, sep_mc_ci95=estimate.ci95_half_width,
+                   skip_fraction=estimate.skip_fraction, trials=estimate.trials)
+
+
+# A point that raises one of these is reported and emitted with empty columns.
+_INFEASIBLE = (ValueError, ArithmeticError, InsufficientDataError)
+
+
+def _serial_points(config: ExperimentConfig, values: list[float]):
+    """Yield each point's row, or its infeasibility error, one point at a time."""
+    for index, value in enumerate(values):
+        try:
+            scenario, outcome = _closed_form_point(config, value)
+            if "monte_carlo" in config.engines:
+                outcome = _with_estimate(outcome,
+                                         run_monte_carlo(scenario, _mc_config(config, index)))
+        except _INFEASIBLE as exc:
+            outcome = exc
+        yield outcome
+
+
+def _pooled_points(config: ExperimentConfig, values: list[float], pool):
+    """Yield each point's row, or its infeasibility error, with Monte Carlo in ``pool``.
+
+    A point's chunks are submitted as soon as its powers and closed forms are
+    resolved, so the workers simulate while this process resolves the next
+    points. Each point's counts are reduced in chunk order, as
+    ``run_monte_carlo`` does, so the rows equal those of one process.
+    """
+    started = []
+    for index, value in enumerate(values):
+        try:
+            scenario, row = _closed_form_point(config, value)
+        except _INFEASIBLE as exc:
+            started.append((exc, None))
+            continue
+        tasks = _chunk_tasks(scenario, _mc_config(config, index))
+        started.append((row, [pool.submit(_chunk_counts, task) for task in tasks]))
+
+    for outcome, futures in started:
+        if futures is not None:
+            try:
+                counts = [future.result() for future in futures]
+                outcome = _with_estimate(outcome, _estimate(counts, config.trials))
+            except _INFEASIBLE as exc:
+                outcome = exc
+        yield outcome
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
@@ -421,22 +502,38 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
 
     Rows appear in sweep order. Infeasible points are reported on stderr and
     emitted with empty engine columns; a RuntimeError is raised afterwards so
-    the CLI can map it to a nonzero exit.
+    the CLI can map it to a nonzero exit. With ``workers > 1`` the Monte Carlo
+    chunks of all points share one pool of up to ``workers`` processes; the
+    rows do not depend on ``workers``.
     """
     diags = validate(config)
+    if workers < 1:
+        diags.append(f"workers must be >= 1, got {workers}")
     if diags:
         raise ConfigError("; ".join(diags))
 
+    values = config.sweep.values()
+    chunks = 0
+    if "monte_carlo" in config.engines:
+        chunks = len(values) * len(_chunk_sizes(_mc_config(config, 0)))
+    pool = _chunk_pool(workers, chunks)
+
     rows: list[ResultRow] = []
     failures: list[str] = []
-    for index, value in enumerate(config.sweep.values()):
-        try:
-            rows.append(_evaluate_point(config, index, value, workers))
-        except (ValueError, ArithmeticError, InsufficientDataError) as exc:
-            failures.append(f"sweep point {value:g}: {exc}")
-            print(f"cogsep: infeasible sweep point {value:g}: {exc}", file=sys.stderr)
+    try:
+        points = (_serial_points(config, values) if pool is None
+                  else _pooled_points(config, values, pool))
+        for value, outcome in zip(values, points):
+            if isinstance(outcome, ResultRow):
+                rows.append(outcome)
+                continue
+            failures.append(f"sweep point {value:g}: {outcome}")
+            print(f"cogsep: infeasible sweep point {value:g}: {outcome}", file=sys.stderr)
             rows.append(ResultRow(value, None, None, None, None, None, None,
                                   None, None))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     if config.output_path:
         write_csv(rows, config.output_path)

@@ -146,10 +146,55 @@ def _simulate_chunk(
     return error & transmit, transmit
 
 
-def _chunk_counts(args) -> tuple[int, int]:
-    scenario, master_seed, chunk_index, size = args
+def _chunk_sizes(config: MonteCarloConfig) -> list[int]:
+    sizes = [config.chunk_size] * (config.trials // config.chunk_size)
+    rem = config.trials % config.chunk_size
+    if rem:
+        sizes.append(rem)
+    return sizes
+
+
+def _chunk_tasks(scenario: Scenario, config: MonteCarloConfig) -> list[tuple]:
+    """One ``_chunk_counts`` argument per chunk, in chunk order."""
+    return [(scenario, config.master_seed, i, size)
+            for i, size in enumerate(_chunk_sizes(config))]
+
+
+def _chunk_counts(task) -> tuple[int, int]:
+    """(errors, transmitted) of one chunk task."""
+    scenario, master_seed, chunk_index, size = task
     error, transmit = _simulate_chunk(scenario, _chunk_rng(master_seed, chunk_index), size)
     return int(error.sum()), int(transmit.sum())
+
+
+def _estimate(counts: list[tuple[int, int]], trials: int) -> SepEstimate:
+    """Reduce per-chunk (errors, transmitted) counts, in chunk order, to an estimate."""
+    errors = sum(c[0] for c in counts)
+    transmitted = sum(c[1] for c in counts)
+    if transmitted == 0:
+        raise InsufficientDataError(
+            "all trials were skipped; cannot estimate a conditional error rate")
+    return SepEstimate(
+        errors=errors,
+        trials=transmitted,
+        sep=errors / transmitted,
+        ci95_half_width=_wilson_half_width(errors, transmitted),
+        skipped=trials - transmitted,
+    )
+
+
+def _chunk_pool(workers: int, chunks: int) -> ProcessPoolExecutor | None:
+    """A pool of ``min(workers, chunks)`` processes, or None if one process suffices.
+
+    The pool uses the platform's default start method: under ``spawn`` each
+    worker would import numpy and scipy again before its first chunk. Under
+    ``fork`` all ``max_workers`` processes start at once, hence the cap.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or chunks < 2:
+        return None
+    return ProcessPoolExecutor(max_workers=min(workers, chunks))
 
 
 def run_monte_carlo(
@@ -161,27 +206,11 @@ def run_monte_carlo(
     a busy decision are skipped, not counted as successes). Deterministic for
     a fixed (master_seed, chunk_size) regardless of ``workers``.
     """
-    sizes = [config.chunk_size] * (config.trials // config.chunk_size)
-    rem = config.trials % config.chunk_size
-    if rem:
-        sizes.append(rem)
-    tasks = [(scenario, config.master_seed, i, size) for i, size in enumerate(sizes)]
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_counts, tasks, chunksize=4))
+    tasks = _chunk_tasks(scenario, config)
+    pool = _chunk_pool(workers, len(tasks))
+    if pool is None:
+        counts = [_chunk_counts(task) for task in tasks]
     else:
-        results = [_chunk_counts(t) for t in tasks]
-
-    errors = sum(r[0] for r in results)
-    transmitted = sum(r[1] for r in results)
-    if transmitted == 0:
-        raise InsufficientDataError(
-            "all trials were skipped; cannot estimate a conditional error rate")
-    return SepEstimate(
-        errors=errors,
-        trials=transmitted,
-        sep=errors / transmitted,
-        ci95_half_width=_wilson_half_width(errors, transmitted),
-        skipped=config.trials - transmitted,
-    )
+        with pool:
+            counts = list(pool.map(_chunk_counts, tasks))
+    return _estimate(counts, config.trials)

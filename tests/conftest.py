@@ -1,9 +1,46 @@
+from concurrent.futures import Future
+
 import pytest
 
+from cogsep import simulation
 from cogsep import ConstellationSpec, ConstraintSet, Scenario, Scheme, SensingModel
 from cogsep.presets import default_sensing, gaussian_equivalent_mixture, default_mixture
 
 P_4DB = 10.0 ** 0.4
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the chunk pool's executor for an in-process stand-in.
+
+    Returns the list of ``max_workers`` each pool was created with; no
+    process is started, so a large worker count is safe to pass.
+    """
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.shutdown()
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
 
 
 @pytest.fixture

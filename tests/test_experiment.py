@@ -7,6 +7,7 @@ import pytest
 from cogsep.cli import main
 from cogsep.experiment import (
     ConfigError,
+    SweepSpec,
     parse_config,
     run_experiment,
     validate,
@@ -109,6 +110,23 @@ class TestValidate:
         config = replace(parse_config(make_text()), **{field: value})
         assert any(fragment in d for d in validate(config))
 
+    @pytest.mark.parametrize("preset,updates,expected", [
+        ("fig1", {"p_pk_db": 4000.0}, "constraints.p_pk_db = 4000 dB"),
+        ("fig1", {"q_avg_db": 4000.0}, "constraints.q_avg_db = 4000 dB"),
+        ("fig5", {"q_pk_db": 4000.0}, "constraints.q_pk_db = 4000 dB"),
+        ("fig1", {"p0_db": 4000.0, "p1_db": 0.0}, "scenario.p0_db = 4000 dB"),
+        ("fig1", {"p0_db": 0.0, "p1_db": 4000.0}, "scenario.p1_db = 4000 dB"),
+        ("fig1", {"p_pk_db": float("inf")}, "constraints.p_pk_db = inf dB"),
+        ("fig1", {"sweep": SweepSpec("q_avg_db", 3080.0, 3090.0, 1.0)},
+         "sweep value q_avg_db = 3083 dB"),
+        ("fig5", {"sweep": SweepSpec("p_pk_db", 0.0, 4000.0, 1000.0)},
+         "sweep value p_pk_db = 4000 dB"),
+    ], ids=["p_pk_db", "q_avg_db", "q_pk_db", "p0_db", "p1_db", "p_pk_db-inf",
+            "sweep-q_avg_db", "sweep-p_pk_db"])
+    def test_db_out_of_range_names_key_and_value(self, preset, updates, expected):
+        config = replace(figure_preset(preset), **updates)
+        assert validate(config) == [f"{expected} is out of range"]
+
     def test_osa_with_busy_power(self):
         config = parse_config(make_text(scheme="osa", extra_scenario="p1_db = 0\n"))
         diags = validate(config)
@@ -197,6 +215,62 @@ class TestRunExperiment:
         assert lines[1].split(",")[5] == ""
 
 
+def _sweep_outputs(config, tmp_path, workers):
+    """(CSV bytes, JSON bytes) of one run with ``workers``."""
+    csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+    run_experiment(replace(config, output_path=str(csv), json_path=str(js)),
+                   workers=workers)
+    return csv.read_bytes(), js.read_bytes()
+
+
+class TestPooledSweep:
+    """workers > 1: one pool for the sweep, the same bytes as one process."""
+
+    @pytest.mark.parametrize("name,factor", [("fig2", 9), ("fig5", 5)])
+    def test_workers_do_not_change_bytes(self, tmp_path, name, factor):
+        # fig2: OSA with skipped trials; fig5: peak policy, one gain draw per trial
+        preset = figure_preset(name)
+        config = replace(preset, sweep=replace(preset.sweep, step=preset.sweep.step * factor),
+                         engines=("analytic", "bound", "monte_carlo"),
+                         trials=30_000, chunk_size=8_192, seed=7)
+        assert _sweep_outputs(config, tmp_path, 2) == _sweep_outputs(config, tmp_path, 1)
+
+    @pytest.mark.parametrize("engines", ["monte_carlo", "analytic,monte_carlo"])
+    def test_infeasible_point_same_as_one_worker(self, tmp_path, capsys, engines):
+        # OSA on an idle channel, certain false alarm at p_false_alarm = 1: every
+        # trial is skipped (Monte Carlo fails when its counts are reduced), and
+        # the idle-decision posterior is undefined (the closed form fails first)
+        text = make_text(scheme="osa", axis="p_false_alarm", start=0.5, stop=1.0,
+                         step=0.25, trials=20_000, engines=engines)
+        config = parse_config(text.replace("prior_busy = 0.4", "prior_busy = 0.0"))
+        outcomes = []
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError) as failure:
+                _sweep_outputs(config, tmp_path, workers)
+            outcomes.append(((tmp_path / f"w{workers}.csv").read_bytes(),
+                             capsys.readouterr().err, str(failure.value)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].count("infeasible sweep point 1:") == 1
+
+    @pytest.mark.parametrize("engines,workers,sizes", [
+        ("analytic,monte_carlo", 2, [2]),
+        ("analytic,monte_carlo", 1000, [9]),  # 3 points x 3 chunks
+        ("analytic", 2, []),
+        ("analytic,monte_carlo", 1, []),
+    ])
+    def test_one_pool_per_sweep(self, pool_sizes, engines, workers, sizes):
+        config = parse_config(make_text(trials=20_000, engines=engines))
+        rows = run_experiment(config, workers=workers)
+        assert pool_sizes == sizes
+        assert rows == run_experiment(config)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        config = parse_config(make_text(engines="analytic"))
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_experiment(config, workers=workers)
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "good.ini"
@@ -231,6 +305,13 @@ class TestCli:
                      "--engines", "analytic", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 22  # header + 21 sweep points
+
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys):
+        code = main(["preset", "fig3", "--engines", "analytic", "--workers", "0",
+                     "--out", str(tmp_path / "fig3.csv")])
+        assert code == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path):
         path = tmp_path / "skip.ini"

@@ -64,6 +64,26 @@ class TestDeterminism:
         parallel = run_monte_carlo(scenario, config, workers=4)
         assert serial == parallel
 
+    def test_pool_capped_at_chunk_count(self, pool_sizes):
+        scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
+        config = MonteCarloConfig(trials=2_500, master_seed=5, chunk_size=1_000)
+        pooled = run_monte_carlo(scenario, config, workers=64)
+        assert pool_sizes == [3]
+        assert pooled == run_monte_carlo(scenario, config, workers=1)
+
+    @pytest.mark.parametrize("workers,trials", [(1, 2_500), (8, 1_000)])
+    def test_no_pool_for_one_worker_or_one_chunk(self, pool_sizes, workers, trials):
+        scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
+        config = MonteCarloConfig(trials=trials, master_seed=5, chunk_size=1_000)
+        run_monte_carlo(scenario, config, workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        config = MonteCarloConfig(trials=1_000, master_seed=5)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_monte_carlo(make_scenario(), config, workers=workers)
+
     def test_different_seed_differs(self):
         scenario = make_scenario(modulation=(8, 2), p0=1.0, p1=0.4)
         a = run_monte_carlo(scenario, MonteCarloConfig(trials=100_000, master_seed=1))
