@@ -32,12 +32,9 @@ from .simulation import (
     InsufficientDataError,
     MonteCarloConfig,
     SepEstimate,
-    _chunk_counts,
-    _chunk_pool,
-    _chunk_sizes,
-    _chunk_tasks,
-    _estimate,
-    run_monte_carlo,
+    monte_carlo_pool,
+    run_monte_carlo,  # noqa: F401  (kept at this name for code that wraps it here)
+    start_monte_carlo,
 )
 
 __all__ = [
@@ -456,45 +453,34 @@ def _with_estimate(row: ResultRow, estimate: SepEstimate) -> ResultRow:
 _INFEASIBLE = (ValueError, ArithmeticError, InsufficientDataError)
 
 
-def _serial_points(config: ExperimentConfig, values: list[float]):
-    """Yield each point's row, or its infeasibility error, one point at a time."""
-    for index, value in enumerate(values):
-        try:
-            scenario, outcome = _closed_form_point(config, value)
-            if "monte_carlo" in config.engines:
-                outcome = _with_estimate(outcome,
-                                         run_monte_carlo(scenario, _mc_config(config, index)))
-        except _INFEASIBLE as exc:
-            outcome = exc
-        yield outcome
+def _points(config: ExperimentConfig, values: list[float],
+            mc_configs: list[MonteCarloConfig], pool) -> list:
+    """Each point's row, or its infeasibility error, in sweep order.
 
-
-def _pooled_points(config: ExperimentConfig, values: list[float], pool):
-    """Yield each point's row, or its infeasibility error, with Monte Carlo in ``pool``.
-
-    A point's chunks are submitted as soon as its powers and closed forms are
-    resolved, so the workers simulate while this process resolves the next
-    points. Each point's counts are reduced in chunk order, as
-    ``run_monte_carlo`` does, so the rows equal those of one process.
+    A point's Monte Carlo chunks start as soon as its powers and closed forms
+    are resolved; with a pool the workers simulate while this process
+    resolves the next points. The estimates are finished afterwards, in
+    sweep order.
     """
     started = []
     for index, value in enumerate(values):
         try:
             scenario, row = _closed_form_point(config, value)
+            finish = (start_monte_carlo(scenario, mc_configs[index], pool)
+                      if mc_configs else None)
         except _INFEASIBLE as exc:
-            started.append((exc, None))
-            continue
-        tasks = _chunk_tasks(scenario, _mc_config(config, index))
-        started.append((row, [pool.submit(_chunk_counts, task) for task in tasks]))
+            row, finish = exc, None
+        started.append((row, finish))
 
-    for outcome, futures in started:
-        if futures is not None:
+    outcomes = []
+    for outcome, finish in started:
+        if finish is not None:
             try:
-                counts = [future.result() for future in futures]
-                outcome = _with_estimate(outcome, _estimate(counts, config.trials))
+                outcome = _with_estimate(outcome, finish())
             except _INFEASIBLE as exc:
                 outcome = exc
-        yield outcome
+        outcomes.append(outcome)
+    return outcomes
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
@@ -513,27 +499,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
         raise ConfigError("; ".join(diags))
 
     values = config.sweep.values()
-    chunks = 0
-    if "monte_carlo" in config.engines:
-        chunks = len(values) * len(_chunk_sizes(_mc_config(config, 0)))
-    pool = _chunk_pool(workers, chunks)
-
-    rows: list[ResultRow] = []
-    failures: list[str] = []
+    mc_configs = ([_mc_config(config, index) for index in range(len(values))]
+                  if "monte_carlo" in config.engines else [])
+    pool = monte_carlo_pool(workers, mc_configs)
     try:
-        points = (_serial_points(config, values) if pool is None
-                  else _pooled_points(config, values, pool))
-        for value, outcome in zip(values, points):
-            if isinstance(outcome, ResultRow):
-                rows.append(outcome)
-                continue
-            failures.append(f"sweep point {value:g}: {outcome}")
-            print(f"cogsep: infeasible sweep point {value:g}: {outcome}", file=sys.stderr)
-            rows.append(ResultRow(value, None, None, None, None, None, None,
-                                  None, None))
+        outcomes = _points(config, values, mc_configs, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+    rows: list[ResultRow] = []
+    failures: list[str] = []
+    for value, outcome in zip(values, outcomes):
+        if isinstance(outcome, ResultRow):
+            rows.append(outcome)
+            continue
+        failures.append(f"sweep point {value:g}: {outcome}")
+        print(f"cogsep: infeasible sweep point {value:g}: {outcome}", file=sys.stderr)
+        rows.append(ResultRow(value, None, None, None, None, None, None, None, None))
 
     if config.output_path:
         write_csv(rows, config.output_path)

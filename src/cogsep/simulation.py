@@ -12,7 +12,9 @@ never on scheduling or worker count.
 """
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ __all__ = [
     "MonteCarloConfig",
     "SepEstimate",
     "InsufficientDataError",
+    "monte_carlo_pool",
+    "start_monte_carlo",
     "run_monte_carlo",
 ]
 
@@ -154,12 +158,6 @@ def _chunk_sizes(config: MonteCarloConfig) -> list[int]:
     return sizes
 
 
-def _chunk_tasks(scenario: Scenario, config: MonteCarloConfig) -> list[tuple]:
-    """One ``_chunk_counts`` argument per chunk, in chunk order."""
-    return [(scenario, config.master_seed, i, size)
-            for i, size in enumerate(_chunk_sizes(config))]
-
-
 def _chunk_counts(task) -> tuple[int, int]:
     """(errors, transmitted) of one chunk task."""
     scenario, master_seed, chunk_index, size = task
@@ -183,18 +181,42 @@ def _estimate(counts: list[tuple[int, int]], trials: int) -> SepEstimate:
     )
 
 
-def _chunk_pool(workers: int, chunks: int) -> ProcessPoolExecutor | None:
-    """A pool of ``min(workers, chunks)`` processes, or None if one process suffices.
+def monte_carlo_pool(
+    workers: int, configs: list[MonteCarloConfig]
+) -> ProcessPoolExecutor | None:
+    """A pool for the chunks of every estimate in ``configs``, or None if one process suffices.
 
-    The pool uses the platform's default start method: under ``spawn`` each
-    worker would import numpy and scipy again before its first chunk. Under
-    ``fork`` all ``max_workers`` processes start at once, hence the cap.
+    The pool has ``min(workers, total chunks)`` processes: under the ``fork``
+    start method all of them start at once. It uses the platform's default
+    start method; under ``spawn`` each worker would import numpy and scipy
+    again before its first chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    chunks = sum(len(_chunk_sizes(config)) for config in configs)
     if workers == 1 or chunks < 2:
         return None
     return ProcessPoolExecutor(max_workers=min(workers, chunks))
+
+
+def start_monte_carlo(
+    scenario: Scenario, config: MonteCarloConfig, pool: ProcessPoolExecutor | None = None
+) -> Callable[[], SepEstimate]:
+    """Start the chunks of one estimate; return the function that finishes it.
+
+    With ``pool`` the chunks run in its workers while the caller goes on;
+    without one they run here, before this returns. The returned function
+    reduces the per-chunk counts in chunk order, so the estimate does not
+    depend on where the chunks ran, and raises InsufficientDataError when
+    every trial was skipped.
+    """
+    tasks = [(scenario, config.master_seed, i, size)
+             for i, size in enumerate(_chunk_sizes(config))]
+    if pool is None:
+        counts = [_chunk_counts(task) for task in tasks]
+        return lambda: _estimate(counts, config.trials)
+    futures = [pool.submit(_chunk_counts, task) for task in tasks]
+    return lambda: _estimate([future.result() for future in futures], config.trials)
 
 
 def run_monte_carlo(
@@ -206,11 +228,6 @@ def run_monte_carlo(
     a busy decision are skipped, not counted as successes). Deterministic for
     a fixed (master_seed, chunk_size) regardless of ``workers``.
     """
-    tasks = _chunk_tasks(scenario, config)
-    pool = _chunk_pool(workers, len(tasks))
-    if pool is None:
-        counts = [_chunk_counts(task) for task in tasks]
-    else:
-        with pool:
-            counts = list(pool.map(_chunk_counts, tasks))
-    return _estimate(counts, config.trials)
+    pool = monte_carlo_pool(workers, [config])
+    with pool or nullcontext():
+        return start_monte_carlo(scenario, config, pool)()

@@ -33,9 +33,6 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
