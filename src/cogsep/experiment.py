@@ -346,6 +346,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("monte_carlo.trials must be >= 1")
     if config.chunk_size < 1:
         diags.append("monte_carlo.chunk_size must be >= 1")
+    if config.seed < 0:
+        diags.append("monte_carlo.seed must be >= 0")
 
     return diags
 
@@ -439,8 +441,9 @@ def _closed_form_point(config: ExperimentConfig, sweep_value: float):
 def _mc_config(config: ExperimentConfig, index: int) -> MonteCarloConfig:
     return MonteCarloConfig(
         trials=config.trials,
-        master_seed=config.seed + index,  # distinct stream per sweep point
+        master_seed=config.seed,
         chunk_size=config.chunk_size,
+        point=index,  # each sweep point has its own streams under the seed
     )
 
 

@@ -1,14 +1,25 @@
-"""Seeded, chunked Monte Carlo engine for the cognitive link.
+"""Seeded, chunked, stratified Monte Carlo engine for the cognitive link.
 
-Each trial draws the true channel occupancy and the sensing decision, then
-(if transmission is allowed) a uniform symbol, a unit-mean Rayleigh channel,
-background noise, and, on truly busy channels, an interference sample from
-the *unconvolved* mixture added to an independent noise draw, so simulated
-physics never reuses the analytic convolution identity.
+Draw contract v2 (``DRAW_CONTRACT``). A channel use falls in one of four
+(true state, sensing decision) cells, whose probabilities follow exactly from
+(P_d, P_f, prior). Instead of sampling each use's cell, an estimate gives
+every cell a fixed share of its channel uses (``_cell_uses``): of the first m
+uses, round(m * prior_busy) are busy, and the busy and idle uses are split by
+round(busy * P_d) and round(idle * P_f) detected/false-alarm decisions. Every
+cell total stays within one use of N * pi_c, and a chunk's cell counts follow
+from its start and stop offsets alone.
 
-Randomness is counter-based: chunk i draws from a Philox stream keyed by
-(master_seed, i), so results depend only on (master_seed, chunk_size) and
-never on scheduling or worker count.
+A chunk lays out only the uses that transmit, cell by cell; OSA uses with a
+busy decision are counted as skipped and never drawn. Over those trials it
+draws a uniform symbol, a unit-mean Rayleigh channel and background noise
+(after the gain to the primary under the peak policy), then an interference
+sample from the *unconvolved* mixture for the truly busy slice only, so
+simulated physics never reuses the analytic convolution identity.
+
+Randomness is counter-based: chunk i of sweep point k draws from a Philox
+stream keyed by ``SeedSequence(master_seed, spawn_key=(k, i))``, so results
+depend only on (master_seed, point, chunk_size), never on scheduling or
+worker count, and no two (seed, point) pairs share a stream.
 """
 
 import math
@@ -22,8 +33,11 @@ import numpy as np
 from .analytic import Scenario, Scheme
 from .detection import _axis_index
 from .modulation import ConstellationSpec
+from .sensing import Occupancy, SensingModel
 
 __all__ = [
+    "DRAW_CONTRACT",
+    "CELLS",
     "MonteCarloConfig",
     "SepEstimate",
     "InsufficientDataError",
@@ -31,6 +45,14 @@ __all__ = [
     "start_monte_carlo",
     "run_monte_carlo",
 ]
+
+# Version of the chunk draw contract; bump it whenever a seed's counts change.
+DRAW_CONTRACT = 2
+
+IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
+# (true state, sensing decision) of each cell, in layout order: the truly
+# busy cells come last, so their trials form one slice of a chunk.
+CELLS = ((IDLE, IDLE), (IDLE, BUSY), (BUSY, BUSY), (BUSY, IDLE))
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -41,15 +63,26 @@ class InsufficientDataError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
+    """Trials and stream of one estimate.
+
+    ``point`` selects the estimate's streams under ``master_seed``: a sweep
+    gives each of its points its own index.
+    """
+
     trials: int
     master_seed: int
     chunk_size: int = 65536
+    point: int = 0
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.point < 0:
+            raise ValueError(f"point must be >= 0, got {self.point}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +91,12 @@ class SepEstimate:
 
     ``trials`` counts only trials where transmission occurred; OSA trials
     suppressed by a busy sensing decision appear in ``skipped``.
+
+    The trials are allocated to the (state, decision) cells within one trial
+    of proportionally, so ``sep = errors / trials`` is the proportional
+    stratified estimator. Its variance is at most the binomial
+    ``sep * (1 - sep) / trials`` that the Wilson width assumes, so the
+    interval is conservative.
     """
 
     errors: int
@@ -79,38 +118,49 @@ def _wilson_half_width(errors: int, trials: int) -> float:
     return half / (1.0 + z2 / trials)
 
 
-def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(chunk_index,))
+def _chunk_rng(master_seed: int, point: int, chunk_index: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(point, chunk_index))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _simulate_chunk(
-    scenario: Scenario, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run n trials; return (symbol error, transmission occurred) masks.
+def _round(x: float) -> int:
+    return math.floor(x + 0.5)
 
-    Draw order is part of the reproducibility contract: occupancy, sensing
-    decision, [gain under the peak policy], symbol index, fading, noise,
-    interference.
+
+def _cell_uses(sensing: SensingModel, m: int) -> np.ndarray:
+    """Channel uses of each cell in ``CELLS`` among an estimate's first ``m``.
+
+    Each count is nondecreasing in ``m`` and within one use of m * pi_c.
     """
-    s = scenario.sensing
-    busy = rng.random(n) < s.prior_busy
-    p_busy_decision = np.where(busy, s.p_detect, s.p_false_alarm)
-    decided_busy = rng.random(n) < p_busy_decision
+    busy = _round(m * sensing.prior_busy)
+    idle = m - busy
+    false_alarms = _round(idle * sensing.p_false_alarm)
+    detections = _round(busy * sensing.p_detect)
+    return np.array([idle - false_alarms, false_alarms, detections, busy - detections])
 
-    peak_mode = scenario.power_policy == "peak_interference"
-    if peak_mode:
+
+def _simulate_chunk(
+    scenario: Scenario, rng: np.random.Generator, drawn: np.ndarray
+) -> np.ndarray:
+    """Simulate ``drawn[c]`` transmissions in each cell of ``CELLS``; return per-cell errors.
+
+    Draw order is part of the reproducibility contract: [gain under the peak
+    policy], symbol index, fading, noise over all trials, laid out cell by
+    cell; then interference over the truly busy slice.
+    """
+    n = int(drawn.sum())
+    n_idle = int(drawn[0] + drawn[1])
+
+    if scenario.power_policy == "peak_interference":
         c = scenario.constraints
         gain = rng.exponential(1.0, n)
         with np.errstate(divide="ignore"):
             power = np.minimum(c.peak_power, c.peak_interference / gain)
-    elif scenario.scheme is Scheme.SSS:
-        power = np.where(decided_busy, scenario.spec_busy.power,
-                         scenario.spec_idle.power)
     else:
-        power = np.full(n, scenario.spec_idle.power)
-
-    transmit = ~decided_busy if scenario.scheme is Scheme.OSA else np.ones(n, bool)
+        # OSA draws no busy-decision trial, so its busy power is never used
+        p_busy = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else 0.0
+        p_idle = scenario.spec_idle.power
+        power = np.repeat([p_idle if d == IDLE else p_busy for _, d in CELLS], drawn)
 
     spec = scenario.spec_idle
     mi, mq = spec.m_inphase, spec.m_quadrature
@@ -118,20 +168,17 @@ def _simulate_chunk(
     n_true = sym % mi
     q_true = sym // mi
 
-    h = math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    # complex draws take interleaved (real, imaginary) standard normals
+    h = math.sqrt(0.5) * rng.standard_normal(2 * n).view(np.complex128)
     noise_std = math.sqrt(scenario.noise_variance)
-    disturbance = noise_std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-    w = scenario.interference.sample(rng, n)
-    disturbance = disturbance + np.where(busy, w, 0.0)
+    disturbance = noise_std * rng.standard_normal(2 * n).view(np.complex128)
+    if n > n_idle:
+        disturbance[n_idle:] += scenario.interference.sample(rng, n - n_idle)
 
     # unit-power amplitudes scaled per trial by sqrt(power)
     unit = ConstellationSpec(mi, mq, 1.0)
-    d_unit = unit.min_distance()
-    amp_n = unit.inphase_levels()
-    amp_q = unit.quadrature_levels()
     scale = np.sqrt(power)
-    sent = (amp_n[n_true] + 1j * amp_q[q_true]) * scale
+    sent = (unit.inphase_levels()[n_true] + 1j * unit.quadrature_levels()[q_true]) * scale
 
     y = h * sent + disturbance
     mag = np.abs(h)
@@ -139,7 +186,7 @@ def _simulate_chunk(
     safe_mag = np.where(ok, mag, 1.0)
     derot = y * np.conj(h) / safe_mag
 
-    d_trial = d_unit * scale
+    d_trial = unit.min_distance() * scale
     n_det = _axis_index(derot.real, safe_mag, mi, d_trial)
     q_det = _axis_index(derot.imag, safe_mag, mq, d_trial)
     # deep fade (measure zero): deterministic index-0 decision
@@ -147,28 +194,32 @@ def _simulate_chunk(
     q_det = np.where(ok, q_det, 0)
 
     error = (n_det != n_true) | (q_det != q_true)
-    return error & transmit, transmit
+    # per-cell errors: the running error count at each cell boundary, differenced
+    running = np.concatenate(([0], np.cumsum(error)))
+    return np.diff(running[np.concatenate(([0], np.cumsum(drawn)))])
 
 
-def _chunk_sizes(config: MonteCarloConfig) -> list[int]:
-    sizes = [config.chunk_size] * (config.trials // config.chunk_size)
-    rem = config.trials % config.chunk_size
-    if rem:
-        sizes.append(rem)
-    return sizes
+def _chunk_bounds(config: MonteCarloConfig) -> list[tuple[int, int]]:
+    """(start, stop) channel-use offsets of each chunk of an estimate."""
+    return [(start, min(start + config.chunk_size, config.trials))
+            for start in range(0, config.trials, config.chunk_size)]
 
 
-def _chunk_counts(task) -> tuple[int, int]:
-    """(errors, transmitted) of one chunk task."""
-    scenario, master_seed, chunk_index, size = task
-    error, transmit = _simulate_chunk(scenario, _chunk_rng(master_seed, chunk_index), size)
-    return int(error.sum()), int(transmit.sum())
+def _chunk_counts(task) -> np.ndarray:
+    """Per-cell (errors, transmitted trials) of one chunk task, shape (2, 4)."""
+    scenario, master_seed, point, chunk_index, start, stop = task
+    uses = _cell_uses(scenario.sensing, stop) - _cell_uses(scenario.sensing, start)
+    # OSA stays silent on a busy decision
+    transmits = [scenario.scheme is Scheme.SSS or d == IDLE for _, d in CELLS]
+    drawn = np.where(transmits, uses, 0)
+    rng = _chunk_rng(master_seed, point, chunk_index)
+    return np.stack([_simulate_chunk(scenario, rng, drawn), drawn])
 
 
-def _estimate(counts: list[tuple[int, int]], trials: int) -> SepEstimate:
-    """Reduce per-chunk (errors, transmitted) counts, in chunk order, to an estimate."""
-    errors = sum(c[0] for c in counts)
-    transmitted = sum(c[1] for c in counts)
+def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
+    """Reduce per-chunk cell counts, in chunk order, to an estimate."""
+    total = sum(counts)
+    errors, transmitted = int(total[0].sum()), int(total[1].sum())
     if transmitted == 0:
         raise InsufficientDataError(
             "all trials were skipped; cannot estimate a conditional error rate")
@@ -193,7 +244,7 @@ def monte_carlo_pool(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = sum(len(_chunk_sizes(config)) for config in configs)
+    chunks = sum(len(_chunk_bounds(config)) for config in configs)
     if workers == 1 or chunks < 2:
         return None
     return ProcessPoolExecutor(max_workers=min(workers, chunks))
@@ -210,8 +261,8 @@ def start_monte_carlo(
     depend on where the chunks ran, and raises InsufficientDataError when
     every trial was skipped.
     """
-    tasks = [(scenario, config.master_seed, i, size)
-             for i, size in enumerate(_chunk_sizes(config))]
+    tasks = [(scenario, config.master_seed, config.point, i, start, stop)
+             for i, (start, stop) in enumerate(_chunk_bounds(config))]
     if pool is None:
         counts = [_chunk_counts(task) for task in tasks]
         return lambda: _estimate(counts, config.trials)
@@ -226,7 +277,7 @@ def run_monte_carlo(
 
     The estimate conditions on transmission having occurred (OSA trials with
     a busy decision are skipped, not counted as successes). Deterministic for
-    a fixed (master_seed, chunk_size) regardless of ``workers``.
+    a fixed (master_seed, point, chunk_size) regardless of ``workers``.
     """
     pool = monte_carlo_pool(workers, [config])
     with pool or nullcontext():

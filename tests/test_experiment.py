@@ -144,6 +144,10 @@ class TestValidate:
         config = parse_config(make_text(start=0, stop=-1, step=1))
         assert any("sweep range is empty" in d for d in validate(config))
 
+    def test_negative_seed_reported(self):
+        config = replace(parse_config(make_text()), seed=-1)
+        assert "monte_carlo.seed must be >= 0" in validate(config)
+
     def test_explicit_powers_checked_against_constraints(self):
         config = parse_config(make_text(
             extra_scenario="p0_db = 10\np1_db = 0\n"))
@@ -194,6 +198,18 @@ class TestRunExperiment:
             run_experiment(replace(base, output_path=str(path)), workers=workers)
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_sweep_points_do_not_share_streams(self):
+        # OSA at an explicit power: every point simulates the same scenario, so
+        # under "seed + point" keying point i + 1 at seed 7 repeated point i at seed 8
+        text = make_text(scheme="osa", axis="p_pk_db", start=1, stop=4, step=1,
+                         trials=20_000, engines="monte_carlo",
+                         extra_scenario="p0_db = 0\n")
+        rows = {seed: run_experiment(replace(parse_config(text), seed=seed))
+                for seed in (7, 8)}
+        later = [row.sep_mc for row in rows[7][1:]]
+        earlier = [row.sep_mc for row in rows[8][:-1]]
+        assert all(a != b for a, b in zip(later, earlier))
 
     def test_invalid_config_raises(self):
         config = parse_config(make_text(weights="0.5,0.4"))
@@ -312,6 +328,13 @@ class TestCli:
         assert code == 2
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "fig3.csv").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = main(["preset", "fig2", "--seed", "-1", "--engines", "monte_carlo",
+                     "--out", str(tmp_path / "fig2.csv")])
+        assert code == 2
+        assert "monte_carlo.seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "fig2.csv").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path):
         path = tmp_path / "skip.ini"
