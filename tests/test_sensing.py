@@ -80,7 +80,7 @@ class TestPosterior:
 
 
 class TestSampling:
-    """The Monte Carlo engine's draw of (true state, sensing decision).
+    """The Monte Carlo engine's allocation of (true state, sensing decision).
 
     Under interference of per-axis variance 1e12 and noise of 1e-12, a
     transmission errs with probability 1/2 (2-PAM) when the channel is truly
