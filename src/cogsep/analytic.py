@@ -46,8 +46,10 @@ __all__ = [
     "OptimalPowers",
 ]
 
-# Smallest transmit power the optimizer will consider, relative to the peak;
-# the SEP limit as power -> 0+ is finite, but beta blows up at exactly 0.
+# Smallest transmit power the optimizer will consider, relative to the peak
+# (or half the interference budget, if smaller, so that both powers on the
+# active segment stay positive); the SEP limit as power -> 0+ is finite, but
+# beta blows up at exactly 0.
 _POWER_FLOOR_REL = 1e-12
 
 
@@ -485,7 +487,7 @@ def optimize_powers_sss(
     ppk = constraints.peak_power
     budget = constraints.avg_interference / constraints.mean_gain_to_primary
     p_d = sensing.p_detect
-    floor = ppk * _POWER_FLOOR_REL
+    floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
 
     table = _branches(Scenario(
         scheme=Scheme.SSS,

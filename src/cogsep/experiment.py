@@ -1,11 +1,16 @@
 """Experiment configs, sweep execution, and machine-readable results.
 
 Configs are flat ``key = value`` files with ``[section]`` headers (sections:
-scenario, mixture, constraints, sweep, monte_carlo, output). For each sweep
-point the runner resolves the transmit powers from the active constraint mode
-(average-interference optimization / cap, or the instantaneous peak policy),
-evaluates the requested engines, and writes one CSV row; an optional JSON
-mirror carries the identical numbers.
+scenario, mixture, constraints, sweep, monte_carlo, output). Each sweep point
+is the config with the swept key replaced by the point's value, built into a
+Scenario by ``_scenario``; ``validate`` builds the config as written and every
+sweep point the same way, so a config it accepts builds at every point. For
+each point the runner resolves the transmit powers from the active constraint
+mode (average-interference optimization / cap, or the instantaneous peak
+policy), evaluates the requested engines, and writes one CSV row; an optional
+JSON mirror carries the identical numbers. Only a zero-probability sensing
+decision or a Monte Carlo estimate with every trial skipped makes a point
+infeasible (an empty row); any other error aborts the run.
 """
 
 import configparser
@@ -27,7 +32,7 @@ from .analytic import (
 )
 from .mathcore import GaussianMixture
 from .modulation import ConstellationSpec
-from .sensing import SensingModel
+from .sensing import ConditioningError, SensingModel
 from .simulation import (
     InsufficientDataError,
     MonteCarloConfig,
@@ -51,9 +56,6 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("q_avg_db", "p_pk_db", "p_detect", "p_false_alarm")
-# (config section, key) of every value given in dB
-DB_KEYS = (("constraints", "p_pk_db"), ("constraints", "q_avg_db"),
-           ("constraints", "q_pk_db"), ("scenario", "p0_db"), ("scenario", "p1_db"))
 ENGINES = ("analytic", "bound", "monte_carlo")
 ENGINE_ALIASES = {"a": "analytic", "b": "bound", "mc": "monte_carlo"}
 
@@ -75,19 +77,17 @@ DEFAULT_CHUNK = 65_536
 
 
 class ConfigError(ValueError):
-    """Structural or semantic problem in an experiment config."""
+    """Structural or semantic problem in an experiment config.
+
+    Each argument is one diagnostic; the message joins them with "; ".
+    """
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def _db_out_of_range(db: float) -> bool:
-    """True when ``db_to_linear(db)`` is not a finite float."""
-    try:
-        return not math.isfinite(db_to_linear(db))
-    except OverflowError:
-        return True
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,10 @@ class SweepSpec:
     step: float
 
     def values(self) -> list[float]:
-        if self.step <= 0 or self.stop < self.start:
+        span = (self.stop - self.start) / self.step if self.step > 0 else -1.0
+        if not 0.0 <= span < math.inf:  # also an infinite or NaN bound
             return []
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(span + 1e-9)) + 1
         return [self.start + i * self.step for i in range(count)]
 
 
@@ -130,10 +131,6 @@ class ExperimentConfig:
     json_path: str | None = None
     p0_db: float | None = None
     p1_db: float | None = None
-
-    @property
-    def constraint_mode(self) -> str:
-        return "peak" if self.q_pk_db is not None else "average"
 
 
 @dataclass(frozen=True)
@@ -256,52 +253,105 @@ def parse_config_file(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
+# Operating points: every model object is built and checked here
+# ---------------------------------------------------------------------------
+
+def _scenario(config: ExperimentConfig, swept: str | None) -> Scenario:
+    """Build the Scenario of one operating point, checking every model rule.
+
+    ``config`` carries the point's own values and ``swept`` names the sweep
+    axis it was made for, whose dB value is then reported as a sweep value.
+    The specs carry the explicit powers, the OSA cap or the peak power; the
+    last is the peak policy's cap and, for SSS under the average limit, the
+    optimizer's template. Assumes the config-wide rules of ``validate`` hold.
+    Raises ConfigError with one argument per violated rule.
+    """
+    diags: list[str] = []
+
+    def build(make):
+        try:
+            return make()
+        except ValueError as exc:
+            diags.append(str(exc))
+            return None
+
+    def linear(section: str, key: str) -> float | None:
+        db = getattr(config, key)
+        if db is None:
+            return None
+        try:
+            value = db_to_linear(db)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            name = f"sweep value {key}" if key == swept else f"{section}.{key}"
+            diags.append(f"{name} = {db:g} dB is out of range")
+        return value
+
+    def spec(power: float) -> ConstellationSpec:
+        return ConstellationSpec(config.m_inphase, config.m_quadrature, power)
+
+    p_pk, q_avg, q_pk = (linear("constraints", key)
+                         for key in ("p_pk_db", "q_avg_db", "q_pk_db"))
+    p0, p1 = (linear("scenario", key) for key in ("p0_db", "p1_db"))
+    # the constraints and the powers need every dB value as a finite float
+    converted = not diags
+    sensing = build(lambda: SensingModel(config.p_detect, config.p_false_alarm,
+                                         config.prior_busy))
+    mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
+                                                       config.mixture_variances))
+    # unit power: the grid is checked here, each transmit power in the Scenario
+    build(lambda: spec(1.0))
+    constraints = build(lambda: ConstraintSet(
+        peak_power=p_pk, avg_interference=q_avg, peak_interference=q_pk,
+        mean_gain_to_primary=config.mean_gain_to_primary)) if converted else None
+    if diags:
+        raise ConfigError(*diags)
+
+    sss = config.scheme is Scheme.SSS
+    policy = "fixed"
+    if q_pk is not None:
+        p0 = p1 = p_pk  # cap; the instantaneous level tracks the gain
+        policy = "peak_interference"
+    elif p0 is not None:
+        p1 = 0.0 if p1 is None else p1
+        gain, p_d = config.mean_gain_to_primary, config.p_detect
+        if p0 > p_pk * (1 + 1e-12) or p1 > p_pk * (1 + 1e-12):
+            diags.append("explicit powers exceed the peak power constraint")
+        if (1 - p_d) * p0 * gain + p_d * p1 * gain > q_avg * (1 + 1e-12):
+            diags.append("explicit powers violate the average interference constraint")
+    elif sss:
+        p0 = p1 = p_pk
+    else:
+        p0 = max_power_osa(constraints, config.p_detect)
+    scenario = build(lambda: Scenario(
+        scheme=config.scheme,
+        spec_idle=spec(p0),
+        spec_busy=spec(p1) if sss else None,
+        sensing=sensing,
+        noise_variance=config.noise_variance,
+        interference=mixture,
+        constraints=constraints,
+        power_policy=policy,
+    ))
+    if diags:
+        raise ConfigError(*diags)
+    return scenario
+
+
+# ---------------------------------------------------------------------------
 # Validation (structural + invariants, no execution)
 # ---------------------------------------------------------------------------
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Return every invariant violation found; empty means runnable.
 
-    The model objects a run builds check their own fields; their errors are
-    reported here. The checks below them span several fields or concern only
-    the sweep.
+    The config-wide rules are checked here. When they hold, the config as
+    written and then each sweep point are built as the run builds them
+    (``_scenario``) until one fails, and every violation of that point is
+    reported.
     """
     diags: list[str] = []
-    for section, key in DB_KEYS:
-        value = getattr(config, key)
-        if value is not None and _db_out_of_range(value):
-            diags.append(f"{section}.{key} = {value:g} dB is out of range")
-    # the power checks below need every dB value in linear units
-    db_in_range = not diags
-    if config.sweep.axis in ("p_pk_db", "q_avg_db"):
-        bad = next((v for v in config.sweep.values() if _db_out_of_range(v)), None)
-        if bad is not None:
-            diags.append(f"sweep value {config.sweep.axis} = {bad:g} dB is out of range")
-
-    def build(make):
-        try:
-            return make()
-        except (ValueError, ArithmeticError) as exc:
-            diags.append(str(exc))
-            return None
-
-    sensing = build(lambda: SensingModel(config.p_detect, config.p_false_alarm,
-                                         config.prior_busy))
-    mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
-                                                       config.mixture_variances))
-    # unit power: the grid is checked here, the peak power by ConstraintSet
-    spec = build(lambda: ConstellationSpec(config.m_inphase, config.m_quadrature, 1.0))
-    if db_in_range:
-        build(lambda: ConstraintSet(
-            peak_power=db_to_linear(config.p_pk_db),
-            avg_interference=None if config.q_avg_db is None else db_to_linear(config.q_avg_db),
-            peak_interference=None if config.q_pk_db is None else db_to_linear(config.q_pk_db),
-            mean_gain_to_primary=config.mean_gain_to_primary))
-    if None not in (sensing, mixture, spec):
-        build(lambda: Scenario(config.scheme, spec,
-                               spec if config.scheme is Scheme.SSS else None,
-                               sensing, config.noise_variance, mixture))
-
     if config.q_avg_db is None and config.q_pk_db is None:
         diags.append("one of constraints.q_avg_db / q_pk_db is required")
     if config.q_avg_db is not None and config.q_pk_db is not None:
@@ -313,29 +363,24 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("explicit powers for SSS need both p0_db and p1_db")
     if config.p0_db is not None and config.q_pk_db is not None:
         diags.append("explicit powers cannot be combined with the peak policy")
-    if db_in_range and config.p0_db is not None and config.q_pk_db is None:
-        ppk = db_to_linear(config.p_pk_db)
-        gain = config.mean_gain_to_primary
-        p0 = db_to_linear(config.p0_db)
-        p1 = db_to_linear(config.p1_db) if config.p1_db is not None else 0.0
-        if p0 > ppk * (1 + 1e-12) or p1 > ppk * (1 + 1e-12):
-            diags.append("explicit powers exceed the peak power constraint")
-        if config.q_avg_db is not None:
-            q_avg = db_to_linear(config.q_avg_db)
-            load = (1 - config.p_detect) * p0 * gain + config.p_detect * p1 * gain
-            if load > q_avg * (1 + 1e-12):
-                diags.append("explicit powers violate the average interference constraint")
 
-    if config.sweep.axis not in SWEEP_AXES:
-        diags.append(f"sweep.axis must be one of {SWEEP_AXES}, got {config.sweep.axis!r}")
+    axis = config.sweep.axis
+    if axis not in SWEEP_AXES:
+        diags.append(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not config.sweep.values():
         diags.append("sweep range is empty (need start <= stop and step > 0)")
-    elif config.sweep.axis in ("p_detect", "p_false_alarm"):
-        values = config.sweep.values()
-        if values[0] < 0 or values[-1] > 1 + 1e-12:
-            diags.append(f"sweep over {config.sweep.axis} leaves [0, 1]")
-    if config.sweep.axis == "q_avg_db" and config.q_pk_db is not None:
+    if axis == "q_avg_db" and config.q_pk_db is not None:
         diags.append("sweeping q_avg_db requires the average-interference mode")
+
+    if not diags:
+        points = [(config, None)] + [(replace(config, **{axis: value}), axis)
+                                     for value in config.sweep.values()]
+        for point, swept in points:
+            try:
+                _scenario(point, swept)
+            except ConfigError as exc:
+                diags.extend(exc.args)
+                break
 
     if not config.engines:
         diags.append("at least one engine is required")
@@ -356,76 +401,20 @@ def validate(config: ExperimentConfig) -> list[str]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _materialize(config: ExperimentConfig, sweep_value: float):
-    """Build the Scenario for one sweep point, resolving transmit powers.
-
-    Returns (scenario, p0, p1) with the powers that go into the result row.
-    """
-    p_detect, p_false_alarm = config.p_detect, config.p_false_alarm
-    p_pk_db, q_avg_db = config.p_pk_db, config.q_avg_db
-    axis = config.sweep.axis
-    if axis == "p_detect":
-        p_detect = sweep_value
-    elif axis == "p_false_alarm":
-        p_false_alarm = sweep_value
-    elif axis == "p_pk_db":
-        p_pk_db = sweep_value
-    elif axis == "q_avg_db":
-        q_avg_db = sweep_value
-
-    sensing = SensingModel(p_detect, p_false_alarm, config.prior_busy)
-    mixture = GaussianMixture.from_lists(config.mixture_weights,
-                                         config.mixture_variances)
-    constraints = ConstraintSet(
-        peak_power=db_to_linear(p_pk_db),
-        avg_interference=None if q_avg_db is None else db_to_linear(q_avg_db),
-        peak_interference=None if config.q_pk_db is None else db_to_linear(config.q_pk_db),
-        mean_gain_to_primary=config.mean_gain_to_primary,
-    )
-    mi, mq = config.m_inphase, config.m_quadrature
-
-    if config.constraint_mode == "peak":
-        p0 = p1 = constraints.peak_power  # cap; instantaneous level tracks the gain
-        policy = "peak_interference"
-    elif config.p0_db is not None:
-        p0 = db_to_linear(config.p0_db)
-        p1 = db_to_linear(config.p1_db) if config.p1_db is not None else 0.0
-        policy = "fixed"
-    elif config.scheme is Scheme.OSA:
-        p0 = max_power_osa(constraints, sensing.p_detect)
-        p1 = 0.0
-        policy = "fixed"
-    else:
-        template = ConstellationSpec(mi, mq, constraints.peak_power)
-        best = optimize_powers_sss(template, sensing, config.noise_variance,
-                                   mixture, constraints)
-        p0, p1 = best.p0, best.p1
-        policy = "fixed"
-
-    spec_idle = ConstellationSpec(mi, mq, p0)
-    spec_busy = None
-    if config.scheme is Scheme.SSS:
-        spec_busy = ConstellationSpec(mi, mq, p1)
-    scenario = Scenario(
-        scheme=config.scheme,
-        spec_idle=spec_idle,
-        spec_busy=spec_busy,
-        sensing=sensing,
-        noise_variance=config.noise_variance,
-        interference=mixture,
-        constraints=constraints,
-        power_policy=policy,
-    )
-    return scenario, p0, (p1 if config.scheme is Scheme.SSS else 0.0)
-
-
 def _closed_form_point(config: ExperimentConfig, sweep_value: float):
-    """Resolve one point's powers and closed-form columns.
+    """Build one sweep point, resolve its powers and its closed-form columns.
 
     Returns (scenario, row) with the Monte Carlo columns still empty.
     """
-    scenario, p0, p1 = _materialize(config, sweep_value)
-    peak = config.constraint_mode == "peak"
+    point = replace(config, **{config.sweep.axis: sweep_value})
+    scenario = _scenario(point, config.sweep.axis)
+    peak = scenario.power_policy == "peak_interference"
+    if scenario.scheme is Scheme.SSS and not peak and point.p0_db is None:
+        best = optimize_powers_sss(scenario.spec_idle, scenario.sensing,
+                                   scenario.noise_variance, scenario.interference,
+                                   scenario.constraints)
+        scenario = replace(scenario, spec_idle=replace(scenario.spec_idle, power=best.p0),
+                           spec_busy=replace(scenario.spec_busy, power=best.p1))
 
     sep_analytic = sep_bound = None
     if "analytic" in config.engines:
@@ -434,8 +423,9 @@ def _closed_form_point(config: ExperimentConfig, sweep_value: float):
     if "bound" in config.engines:
         sep_bound = (sep_peak_interference(scenario) if peak
                      else sep_upper_bound(scenario))
-    return scenario, ResultRow(sweep_value, p0, p1, sep_analytic, sep_bound,
-                               None, None, None, None)
+    p1 = 0.0 if scenario.spec_busy is None else scenario.spec_busy.power
+    return scenario, ResultRow(sweep_value, scenario.spec_idle.power, p1,
+                               sep_analytic, sep_bound, None, None, None, None)
 
 
 def _mc_config(config: ExperimentConfig, index: int) -> MonteCarloConfig:
@@ -452,8 +442,9 @@ def _with_estimate(row: ResultRow, estimate: SepEstimate) -> ResultRow:
                    skip_fraction=estimate.skip_fraction, trials=estimate.trials)
 
 
-# A point that raises one of these is reported and emitted with empty columns.
-_INFEASIBLE = (ValueError, ArithmeticError, InsufficientDataError)
+# The only errors that make a point infeasible: it is reported and emitted with
+# empty columns. Every other error, a programming error included, aborts the run.
+_INFEASIBLE = (ConditioningError, InsufficientDataError)
 
 
 def _points(config: ExperimentConfig, values: list[float],
@@ -499,7 +490,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     if workers < 1:
         diags.append(f"workers must be >= 1, got {workers}")
     if diags:
-        raise ConfigError("; ".join(diags))
+        raise ConfigError(*diags)
 
     values = config.sweep.values()
     mc_configs = ([_mc_config(config, index) for index in range(len(values))]

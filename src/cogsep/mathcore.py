@@ -119,11 +119,6 @@ class GaussianMixture:
             raise ValueError("weights and variances must have equal length")
         return cls(tuple(zip(weights, variances)))
 
-    @classmethod
-    def single(cls, variance: float) -> "GaussianMixture":
-        """Pure complex Gaussian (the p = 1 special case)."""
-        return cls(((1.0, variance),))
-
     @property
     def weights(self) -> np.ndarray:
         return self._weights

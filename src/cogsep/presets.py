@@ -2,8 +2,7 @@
 
 The shared operating point: per-axis noise variance 0.01, a four-component
 equal-weight interference mixture with per-axis variances (0.2, 0.4, 0.6,
-0.8) totalling 0.5 (the matching pure-Gaussian model uses 0.5 directly),
-channel busy prior 0.4, sensing pair (P_d, P_f) = (0.9, 0.05), peak transmit
+0.8) totalling 0.5, channel busy prior 0.4, sensing pair (P_d, P_f) = (0.9, 0.05), peak transmit
 power 4 dB, average interference limit -10 dB, and peak interference limits
 of 4 dB or 0 dB depending on the sweep.
 """
@@ -16,14 +15,12 @@ from .sensing import SensingModel
 __all__ = [
     "PRESET_NAMES",
     "default_mixture",
-    "gaussian_equivalent_mixture",
     "default_sensing",
     "figure_preset",
 ]
 
 MIXTURE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 MIXTURE_VARIANCES = (0.2, 0.4, 0.6, 0.8)
-GAUSSIAN_VARIANCE = 0.5
 NOISE_VARIANCE = 0.01
 PRIOR_BUSY = 0.4
 P_DETECT = 0.9
@@ -37,11 +34,6 @@ PRESET_NAMES = tuple(f"fig{i}" for i in range(1, 9))
 def default_mixture() -> GaussianMixture:
     """Four-component interference mixture with per-axis total variance 0.5."""
     return GaussianMixture.from_lists(MIXTURE_WEIGHTS, MIXTURE_VARIANCES)
-
-
-def gaussian_equivalent_mixture() -> GaussianMixture:
-    """Single Gaussian with the same total variance as the mixture preset."""
-    return GaussianMixture.single(GAUSSIAN_VARIANCE)
 
 
 def default_sensing() -> SensingModel:

@@ -3,8 +3,9 @@ from concurrent.futures import Future
 import pytest
 
 from cogsep import simulation
-from cogsep import ConstellationSpec, ConstraintSet, Scenario, Scheme, SensingModel
-from cogsep.presets import default_sensing, gaussian_equivalent_mixture, default_mixture
+from cogsep import (ConstellationSpec, ConstraintSet, GaussianMixture, Scenario, Scheme,
+                    SensingModel)
+from cogsep.presets import default_sensing, default_mixture
 
 P_4DB = 10.0 ** 0.4
 
@@ -47,7 +48,8 @@ def mixture():
 
 @pytest.fixture
 def gaussian_mix():
-    return gaussian_equivalent_mixture()
+    """Single Gaussian with the mixture preset's total per-axis variance 0.5."""
+    return GaussianMixture.from_lists([1.0], [0.5])
 
 
 @pytest.fixture

@@ -357,6 +357,17 @@ class TestOptimizer:
                                   mixture, constraints)
         assert out.p1 > out.p0
 
+    @pytest.mark.parametrize("p_detect", [1e-12, 0.5, 0.9])
+    def test_budget_below_power_floor_stays_feasible(self, mixture, p_detect):
+        # the budget 1e-20 is below 1e-12 of the peak: the floor must not
+        # push the busy-decision power negative
+        sensing = SensingModel(p_detect, 0.05, 0.4)
+        constraints = ConstraintSet(peak_power=0.01, avg_interference=1e-20)
+        out = optimize_powers_sss(ConstellationSpec(2, 2, 0.01), sensing, 0.01,
+                                  mixture, constraints)
+        assert 0 < out.p0 <= 0.01 and 0 < out.p1 <= 0.01
+        assert (1 - p_detect) * out.p0 + p_detect * out.p1 <= 1e-20 * (1 + 1e-12)
+
     def test_requires_avg_constraint(self, sensing, mixture):
         with pytest.raises(ValueError):
             optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from cogsep import experiment
 from cogsep.cli import main
 from cogsep.experiment import (
     ConfigError,
@@ -154,6 +155,28 @@ class TestValidate:
         diags = validate(config)
         assert any("peak power" in d for d in diags)
 
+    @pytest.mark.parametrize("preset,updates,expected", [
+        # the last point is 0.09 + 13 * 0.07 = 1.0000000000000002
+        ("fig3", {"sweep": SweepSpec("p_detect", 0.09, 1.0, 0.07)},
+         "p_detect must lie in [0, 1], got 1.0000000000000002"),
+        # p0 = 2.0 is above the 0.32 peak power of the point p_pk_db = -5
+        ("fig5", {"q_pk_db": None, "q_avg_db": 10.0, "p0_db": 3.0, "p1_db": 0.0},
+         "explicit powers exceed the peak power constraint"),
+        # an average interference of 1.10 against the 0.01 limit of q_avg_db = -20
+        ("fig1", {"q_avg_db": 10.0, "p0_db": 3.0, "p1_db": 0.0},
+         "explicit powers violate the average interference constraint"),
+    ], ids=["p_detect-above-1", "explicit-above-swept-peak", "explicit-above-swept-avg"])
+    def test_every_sweep_point_checked(self, preset, updates, expected):
+        config = replace(figure_preset(preset), **updates)
+        assert validate(config) == [expected]
+
+    @pytest.mark.parametrize("start,stop", [
+        (float("inf"), float("inf")), (float("-inf"), 0.0), (0.0, float("nan"))])
+    def test_unbounded_sweep_is_empty(self, start, stop):
+        config = replace(figure_preset("fig1"), sweep=SweepSpec("q_avg_db", start, stop, 1.0))
+        assert validate(config) == [
+            "sweep range is empty (need start <= stop and step > 0)"]
+
 
 class TestRunExperiment:
     def test_sweep_rows_and_formats(self, tmp_path):
@@ -229,6 +252,17 @@ class TestRunExperiment:
         lines = (tmp_path / "x.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[1].split(",")[5] == ""
+
+    def test_programming_error_aborts_the_run(self, tmp_path, monkeypatch):
+        def broken(scenario):
+            raise ZeroDivisionError("division by zero in a closed form")
+
+        monkeypatch.setattr(experiment, "sep_rayleigh", broken)
+        config = replace(parse_config(make_text(engines="analytic")),
+                         output_path=str(tmp_path / "rows.csv"))
+        with pytest.raises(ZeroDivisionError, match="in a closed form"):
+            run_experiment(config)
+        assert not (tmp_path / "rows.csv").exists()
 
 
 def _sweep_outputs(config, tmp_path, workers):
@@ -335,6 +369,13 @@ class TestCli:
         assert code == 2
         assert "monte_carlo.seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "fig2.csv").exists()
+
+    def test_validate_checks_every_sweep_point(self, tmp_path, capsys):
+        path = tmp_path / "pd.ini"
+        path.write_text(make_text(axis="p_detect", start=0.09, stop=1.0, step=0.07))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "error: p_detect must lie in [0, 1], got 1.0000000000000002\n")
 
     def test_runtime_failure_exit_code(self, tmp_path):
         path = tmp_path / "skip.ini"

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from cogsep import GaussianMixture, craig_q_numeric, gaussian_q
-from cogsep.presets import GAUSSIAN_VARIANCE
 
 
 class TestGaussianQ:
@@ -81,7 +80,7 @@ class TestGaussianMixtureValidation:
 
 class TestConvolution:
     def test_single_component(self):
-        out = GaussianMixture.single(0.5).convolve_with_gaussian(0.01)
+        out = GaussianMixture.from_lists([1.0], [0.5]).convolve_with_gaussian(0.01)
         assert out.components == ((1.0, 0.51),)
 
     def test_default_mixture_shift(self, mixture):
@@ -107,7 +106,7 @@ class TestConvolution:
 
 class TestMixturePdf:
     def test_single_peak(self):
-        assert GaussianMixture.single(0.5).pdf(0j) == pytest.approx(
+        assert GaussianMixture.from_lists([1.0], [0.5]).pdf(0j) == pytest.approx(
             1.0 / (2 * math.pi * 0.5), rel=1e-12)
 
     def test_default_mixture_peak(self, mixture):
@@ -127,7 +126,7 @@ class TestMixturePdf:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_single_component_matches_gaussian_pdf(self):
-        mix = GaussianMixture.single(0.37)
+        mix = GaussianMixture.from_lists([1.0], [0.37])
         rng = np.random.default_rng(3)
         for z in rng.normal(0, 1, 25) + 1j * rng.normal(0, 1, 25):
             expected = math.exp(-abs(z) ** 2 / (2 * 0.37)) / (2 * math.pi * 0.37)
@@ -141,11 +140,11 @@ def total_variance(mix):
 
 class TestMixtureTotalVariance:
     def test_single(self):
-        assert total_variance(GaussianMixture.single(0.5)) == 0.5
+        assert total_variance(GaussianMixture.from_lists([1.0], [0.5])) == 0.5
 
     def test_equal_weight_mean(self, mixture):
-        # the presets' Gaussian-equivalent model uses this total directly
-        assert total_variance(mixture) == pytest.approx(GAUSSIAN_VARIANCE, rel=1e-14)
+        # the total the presets' docstring states
+        assert total_variance(mixture) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestMixtureSampling:

@@ -92,7 +92,7 @@ class TestSampling:
     def _run(scheme, model, trials=20_000, seed=10):
         scenario = make_scenario(scheme, (2, 1), p0=1.0, sensing=model,
                                  noise_variance=1e-12,
-                                 mixture=GaussianMixture.single(1e12))
+                                 mixture=GaussianMixture.from_lists([1.0], [1e12]))
         return run_monte_carlo(scenario, MonteCarloConfig(trials, seed))
 
     def test_perfect_sensing_decisions_match_state(self):

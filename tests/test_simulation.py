@@ -271,7 +271,7 @@ class TestSkippedWork:
         scenario = make_scenario(scheme, (2, 1), p0=1.0, p1=1.0,
                                  sensing=SensingModel(0.9, 0.05, 0.0),
                                  noise_variance=1e-12,
-                                 mixture=GaussianMixture.single(1e12))
+                                 mixture=GaussianMixture.from_lists([1.0], [1e12]))
         estimate = run_monte_carlo(scenario, MonteCarloConfig(trials=30_000, master_seed=10,
                                                               chunk_size=10_000))
         assert estimate.errors == 0 and estimate.trials > 0
