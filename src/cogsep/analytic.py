@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import dblquad, quad  # dblquad: unused, perfbench/tracer.py wraps it
 from scipy.special import erfcx
 
 from .mathcore import GaussianMixture, QuadratureError, gaussian_q
@@ -79,6 +79,9 @@ class ConstraintSet:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        avg, gain = self.avg_interference, self.mean_gain_to_primary
+        if avg is not None and not avg / gain >= np.finfo(float).tiny:  # a normal float
+            raise ValueError("avg_interference / mean_gain_to_primary underflows")
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,13 @@ class Scenario:
     power_policy: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
         if self.power_policy not in ("fixed", "peak_interference"):
             raise ValueError(f"unknown power_policy {self.power_policy!r}")
+        peak_limit = self.constraints and self.constraints.peak_interference
+        if self.power_policy == "peak_interference" and peak_limit is None:
+            raise ValueError("the peak_interference policy needs that constraint")
         if self.scheme is Scheme.OSA:
             if self.spec_busy is not None:
                 raise ValueError("OSA forbids transmission when sensed busy (P1 = 0)")
@@ -128,9 +134,6 @@ class Scenario:
     @property
     def m_quadrature(self) -> int:
         return self.spec_idle.m_quadrature
-
-    def convolved_interference(self) -> GaussianMixture:
-        return self.interference.convolve_with_gaussian(self.noise_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +276,7 @@ def sep_class_conditional(
 ) -> float:
     """Conditional SEP of one point class given the fading magnitude.
 
-    Oracle: the paper's corner/edge/inner form pins ``sep_conditional`` to
-    1e-14, tighter than the 1e-8 of the region quadrature.
+    Oracle: the paper's corner/edge/inner form pins ``sep_conditional`` to 1e-14.
 
     ``mix`` must already include the background noise (convolved mixture);
     the Gaussian branch uses ``noise_variance`` alone. ``post_idle`` weighs
@@ -364,7 +366,7 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force decision-region quadrature (oracle for sep_conditional)
+# Decision-region quadrature, one axis at a time (oracle for sep_conditional)
 # ---------------------------------------------------------------------------
 
 def _region_1d(index: int, levels: int, spacing: float) -> tuple[float, float]:
@@ -374,51 +376,49 @@ def _region_1d(index: int, levels: int, spacing: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _box_probability(lo_r, hi_r, lo_i, hi_i, components) -> tuple[float, float]:
-    """2-D quadrature of a centered mixture density over a rectangle."""
-    span = 13.0 * math.sqrt(max(v for _, v in components))
-    lo_r, hi_r = max(lo_r, -span), min(hi_r, span)
-    lo_i, hi_i = max(lo_i, -span), min(hi_i, span)
-    if lo_r >= hi_r or lo_i >= hi_i:
-        return 0.0, 0.0
+def _interval_mass(lo: float, hi: float, variance: float) -> tuple[float, float]:
+    """N(0, variance) mass of (lo, hi) as 1 minus its outer tails, and its error.
 
-    def density(u_i: float, u_r: float) -> float:
-        mag2 = u_r * u_r + u_i * u_i
-        return sum(w / (2.0 * math.pi * v) * math.exp(-mag2 / (2.0 * v))
-                   for w, v in components)
-
-    value, abserr = dblquad(density, lo_r, hi_r, lo_i, hi_i,
-                            epsabs=1e-12, epsrel=1e-10)
-    return value, abserr
+    Each tail is a quadrature over a half-line in standard deviations, so its
+    integrand decays from the finite end and quad cannot step over the peak.
+    """
+    mass, err, scale = 1.0, 0.0, math.sqrt(variance)
+    for a, b in ((-np.inf, lo), (hi, np.inf)):
+        if a != b:  # an unbounded side has no tail
+            value, abserr = quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
+                                 a / scale, b / scale, epsabs=1e-14, epsrel=1e-12)
+            mass, err = mass - value, err + abserr
+    return mass, err
 
 
 def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     """Conditional SEP by direct integration over every decision region.
 
-    Evaluates the correct-decision probability of each constellation point by
-    2-D quadrature of the Gaussian and mixture densities over its rectangular
-    region, then averages over points and sensing branches. Oracle for
-    ``sep_conditional``; raises if the accumulated quadrature error estimate
-    exceeds the 1e-8 comparison budget.
+    A region is a product of one interval per axis and every disturbance
+    component is a circular Gaussian, so per component the correct mass summed
+    over the points is (sum of in-phase interval masses) x (sum of quadrature
+    ones). Oracle for ``sep_conditional``, independent of its corner/edge/inner
+    counting; raises if the error estimate, carried through each product by
+    the product rule, exceeds 5e-9.
     """
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
-    gauss = ((1.0, scenario.noise_variance),)
-    mixture = scenario.convolved_interference().components
-    correct = 0.0
-    err_total = 0.0
+    noise = scenario.noise_variance
+    disturbances = (((1.0, noise),),
+                    scenario.interference.convolve_with_gaussian(noise).components)
+    correct = err_total = 0.0
     for weight, post_idle, post_busy, decision in _branches(scenario).rows:
         spec = _spec(scenario, decision)
         spacing = spec.min_distance() * magnitude
-        prior = weight / spec.size
-        for q in range(spec.m_quadrature):
-            lo_i, hi_i = _region_1d(q, spec.m_quadrature, spacing)
-            for n in range(spec.m_inphase):
-                lo_r, hi_r = _region_1d(n, spec.m_inphase, spacing)
-                p_idle, e1 = _box_probability(lo_r, hi_r, lo_i, hi_i, gauss)
-                p_busy, e2 = _box_probability(lo_r, hi_r, lo_i, hi_i, mixture)
-                correct += prior * (post_idle * p_idle + post_busy * p_busy)
-                err_total += prior * (e1 + e2)
+        for post, components in zip((post_idle, post_busy), disturbances):
+            for lam, variance in components:
+                (a_i, e_i), (a_q, e_q) = (
+                    np.sum([_interval_mass(*_region_1d(k, levels, spacing), variance)
+                            for k in range(levels)], axis=0)
+                    for levels in (spec.m_inphase, spec.m_quadrature))
+                share = weight * post * lam / spec.size
+                correct += share * a_i * a_q
+                err_total += share * (a_i * e_q + a_q * e_i + e_i * e_q)
     if err_total > 5e-9:
         raise QuadratureError(
             f"decision-region quadrature reached abs error {err_total:.3e} "
@@ -556,10 +556,9 @@ def optimize_powers_sss(
 # ---------------------------------------------------------------------------
 
 def _require_peak(scenario: Scenario) -> tuple[float, float]:
-    c = scenario.constraints
-    if c is None or c.peak_interference is None:
-        raise ValueError("scenario needs a peak_interference constraint")
-    return c.peak_power, c.peak_interference
+    if scenario.power_policy != "peak_interference":  # Scenario checks the constraint
+        raise ValueError("scenario needs the peak_interference power policy")
+    return scenario.constraints.peak_power, scenario.constraints.peak_interference
 
 
 def sep_peak_interference(scenario: Scenario) -> float:

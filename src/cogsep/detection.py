@@ -70,23 +70,19 @@ def map_detect_numeric(
     model: SensingModel,
     noise_variance: float,
     mix: GaussianMixture,
-    convolved: GaussianMixture | None = None,
 ):
     """Brute-force MAP detection over all constellation points.
 
     Scores every point with the sensing-posterior mixture of the idle-channel
     Gaussian density and the busy-channel (noise + interference) mixture
-    density, then takes the argmax; ties go to the smallest (n, q) pair. The
-    convolved mixture is recomputed per call unless supplied, so hot loops
-    should pass ``convolved``.
+    density, then takes the argmax; ties go to the smallest (n, q) pair.
     """
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
     spec = spec_busy if decision == Occupancy.BUSY else spec_idle
     post_idle = model.posterior(Occupancy.IDLE, decision)
     post_busy = model.posterior(Occupancy.BUSY, decision)
-    if convolved is None:
-        convolved = mix.convolve_with_gaussian(noise_variance)
+    convolved = mix.convolve_with_gaussian(noise_variance)
 
     z = np.atleast_1d(np.asarray(derotated, dtype=complex))
     mag = np.broadcast_to(np.asarray(magnitude, dtype=float), z.shape)

@@ -71,6 +71,8 @@ CSV_COLUMNS = (
     "sep_mc", "sep_mc_ci95", "skip_fraction", "trials",
 )
 
+# validate() builds every sweep point, about 1 ms each: 10 000 points take ~10 s
+MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
 DEFAULT_CHUNK = 65_536
@@ -97,12 +99,22 @@ class SweepSpec:
     stop: float
     step: float
 
-    def values(self) -> list[float]:
+    def count(self) -> int:
+        """Number of sweep points, counted without building them."""
         span = (self.stop - self.start) / self.step if self.step > 0 else -1.0
         if not 0.0 <= span < math.inf:  # also an infinite or NaN bound
-            return []
-        count = int(math.floor(span + 1e-9)) + 1
+            return 0
+        return int(math.floor(span + 1e-9)) + 1
+
+    def values(self) -> list[float]:
+        count = self.count()
+        if count > MAX_SWEEP_POINTS:
+            raise ConfigError(_too_many_points(count))
         return [self.start + i * self.step for i in range(count)]
+
+
+def _too_many_points(count: int) -> str:
+    return f"sweep has {count:.3g} points, more than the limit of {MAX_SWEEP_POINTS}"
 
 
 @dataclass(frozen=True)
@@ -367,8 +379,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     axis = config.sweep.axis
     if axis not in SWEEP_AXES:
         diags.append(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if not config.sweep.values():
+    count = config.sweep.count()
+    if count == 0:
         diags.append("sweep range is empty (need start <= stop and step > 0)")
+    elif count > MAX_SWEEP_POINTS:
+        diags.append(_too_many_points(count))
     if axis == "q_avg_db" and config.q_pk_db is not None:
         diags.append("sweeping q_avg_db requires the average-interference mode")
 

@@ -90,7 +90,7 @@ class GaussianMixture:
     ----------
     components : tuple of (weight, per-axis variance) pairs
         Weights must be nonnegative and sum to 1 within 1e-12; variances
-        must be strictly positive.
+        must be positive and finite.
     """
 
     components: tuple[tuple[float, float], ...]
@@ -103,12 +103,13 @@ class GaussianMixture:
             raise ValueError("mixture needs at least one component")
         weights = np.array([w for w, _ in comps])
         variances = np.array([v for _, v in comps])
-        if np.any(weights < 0):
+        # written so that NaN fails every check
+        if not np.all(weights >= 0):
             raise ValueError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"mixture weights must sum to 1 (got {float(weights.sum())!r})")
-        if np.any(variances <= 0):
-            raise ValueError("mixture component variances must be positive")
+        if not np.all((variances > 0) & (variances < np.inf)):
+            raise ValueError("mixture component variances must be positive and finite")
         self.components = comps
         self._weights = weights
         self._variances = variances

@@ -99,7 +99,7 @@ def test_criterion_2_closed_forms_match_integral_oracles():
             points.append((modulation, power, magnitude))
     assert len(points) == 20
 
-    worst_region = 0.0
+    worst_region = worst_region_rel = 0.0
     for index, (modulation, power, magnitude) in enumerate(points):
         scheme = Scheme.OSA if index % 5 == 4 else Scheme.SSS
         sensing_model = noisy if index % 3 == 0 else default_sensing()
@@ -107,15 +107,18 @@ def test_criterion_2_closed_forms_match_integral_oracles():
             scheme, modulation, p0=power,
             p1=0.6 * power if scheme is Scheme.SSS else None,
             sensing=sensing_model)
-        gap = abs(sep_conditional(scenario, magnitude)
-                  - sep_general_numeric(scenario, magnitude))
+        closed = sep_conditional(scenario, magnitude)
+        gap = abs(closed - sep_general_numeric(scenario, magnitude))
         worst_region = max(worst_region, gap)
+        worst_region_rel = max(worst_region_rel, gap / closed)
     assert worst_region <= 1e-8
+    assert worst_region_rel <= 1e-9
 
     assert time.time() - started < 300.0
     _report(2, f"Rayleigh closed forms within {worst_fading:.2e} of the fading "
                f"oracle (500 points); conditional SEP within {worst_region:.2e} "
-               "of region quadrature (20 points)", started)
+               f"({worst_region_rel:.2e} relative) of region quadrature (20 points)",
+            started)
 
 
 def test_criterion_3_monte_carlo_validates_every_preset():

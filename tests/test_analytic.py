@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
+from cogsep import analytic
 from cogsep import (
     ConstellationSpec,
     ConstraintSet,
@@ -25,7 +27,9 @@ from cogsep import (
     sep_rayleigh_numeric,
     sep_upper_bound,
 )
-from cogsep.analytic import _branches, _powers, _q_term, _rayleigh_term, _sep
+from cogsep.analytic import (_branches, _interval_mass, _powers, _q_term,
+                             _rayleigh_term, _region_1d, _sep)
+from cogsep.mathcore import QuadratureError
 from cogsep.sensing import Occupancy
 
 from conftest import P_4DB, make_scenario
@@ -52,6 +56,20 @@ class TestScenarioValidation:
             ConstraintSet(peak_power=0.0)
         with pytest.raises(ValueError):
             ConstraintSet(peak_power=1.0, avg_interference=-0.5)
+
+    @pytest.mark.parametrize("avg", [1e-300, 1e-320], ids=["zero", "subnormal"])
+    def test_budget_must_not_underflow(self, avg):
+        with pytest.raises(ValueError, match="underflows"):
+            ConstraintSet(peak_power=1.0, avg_interference=avg, mean_gain_to_primary=1e300)
+
+    @pytest.mark.parametrize("constraints", [
+        None, ConstraintSet(peak_power=1.0, avg_interference=0.1)],
+        ids=["no-constraints", "average-only"])
+    def test_peak_policy_needs_peak_constraint(self, sensing, mixture, constraints):
+        with pytest.raises(ValueError, match="peak_interference policy"):
+            Scenario(Scheme.SSS, ConstellationSpec(2, 2, 1.0),
+                     ConstellationSpec(2, 2, 1.0), sensing, 0.01, mixture,
+                     constraints, power_policy="peak_interference")
 
 
 class TestSepClassConditional:
@@ -180,6 +198,39 @@ class TestSepGeneralNumeric:
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0, sensing=quiet,
                                  noise_variance=1e-8)
         assert sep_general_numeric(scenario, 1.0) < 1e-12
+
+    def test_per_axis_product_matches_2d_quadrature(self):
+        """A circular Gaussian's mass over each 4x2 region is the product of
+        its two per-axis interval masses."""
+        variance, spacing = 0.3, 1.1
+
+        def density(u_q, u_i):
+            mag2 = u_i * u_i + u_q * u_q
+            return math.exp(-mag2 / (2 * variance)) / (2 * math.pi * variance)
+
+        for n in range(4):
+            lo_i, hi_i = _region_1d(n, 4, spacing)
+            for q in range(2):
+                lo_q, hi_q = _region_1d(q, 2, spacing)
+                product = (_interval_mass(lo_i, hi_i, variance)[0]
+                           * _interval_mass(lo_q, hi_q, variance)[0])
+                box, _ = dblquad(density, lo_i, hi_i, lo_q, hi_q,
+                                 epsabs=1e-13, epsrel=1e-12)
+                assert product == pytest.approx(box, abs=1e-10)
+
+
+@pytest.mark.parametrize("oracle,args", [
+    (sep_rayleigh_numeric, ()),
+    (sep_general_numeric, (0.8,)),
+    (sep_peak_interference_oracle, ()),
+], ids=["fading", "region", "peak"])
+def test_oracle_raises_when_quadrature_exceeds_budget(monkeypatch, oracle, args):
+    """Every oracle refuses a result whose error estimate is over its budget."""
+    monkeypatch.setattr(analytic, "quad", lambda func, a, b, **kwargs: (0.0, 1e-3))
+    constraints = ConstraintSet(peak_power=P_4DB, peak_interference=P_4DB)
+    scenario = make_scenario(constraints=constraints, power_policy="peak_interference")
+    with pytest.raises(QuadratureError):
+        oracle(scenario, *args)
 
 
 class TestRayleighClosedForms:

@@ -100,14 +100,3 @@ class TestMapDetector:
         n, q = map_detect_numeric(spec, spec, 0j, 1.0, Occupancy.IDLE,
                                   sensing, 0.01, mixture)
         assert (n, q) == (0, 0)
-
-    def test_precomputed_convolution_matches(self, sensing, mixture):
-        spec = ConstellationSpec(4, 1, 1.0)
-        conv = mixture.convolve_with_gaussian(0.01)
-        rng = np.random.default_rng(8)
-        z = rng.normal(0, 1, 500) + 1j * rng.normal(0, 1, 500)
-        a = map_detect_numeric(spec, spec, z, 1.0, Occupancy.BUSY, sensing,
-                               0.01, mixture)
-        b = map_detect_numeric(spec, spec, z, 1.0, Occupancy.BUSY, sensing,
-                               0.01, mixture, convolved=conv)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

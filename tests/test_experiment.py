@@ -103,6 +103,8 @@ class TestValidate:
     @pytest.mark.parametrize("field,value,fragment", [
         ("p_detect", 1.5, "p_detect must lie in [0, 1]"),
         ("noise_variance", 0.0, "noise_variance must be positive"),
+        ("noise_variance", float("nan"), "noise_variance must be positive and finite"),
+        ("noise_variance", float("inf"), "noise_variance must be positive and finite"),
         ("m_quadrature", 0, "axis sizes"),
         ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
         ("p_pk_db", 4000.0, "out of range"),
@@ -176,6 +178,15 @@ class TestValidate:
         config = replace(figure_preset("fig1"), sweep=SweepSpec("q_avg_db", start, stop, 1.0))
         assert validate(config) == [
             "sweep range is empty (need start <= stop and step > 0)"]
+
+    def test_sweep_point_cap(self):
+        """2.6e301 points are counted, reported and never built."""
+        sweep = SweepSpec("q_avg_db", -20.0, 6.0, 1e-300)
+        message = (f"sweep has 2.6e+301 points, more than the limit of "
+                   f"{experiment.MAX_SWEEP_POINTS}")
+        assert validate(replace(figure_preset("fig1"), sweep=sweep)) == [message]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sweep.values()
 
 
 class TestRunExperiment:

@@ -73,6 +73,15 @@ class TestGaussianMixtureValidation:
         with pytest.raises(ValueError, match="positive"):
             GaussianMixture.from_lists([1.0], [0.0])
 
+    @pytest.mark.parametrize("weights,variances", [
+        ([0.5, math.nan], [0.1, 0.2]),
+        ([0.5, 0.5], [0.1, math.nan]),
+        ([0.5, 0.5], [0.1, math.inf]),
+    ], ids=["nan-weight", "nan-variance", "inf-variance"])
+    def test_nonfinite_values_rejected(self, weights, variances):
+        with pytest.raises(ValueError, match="mixture"):
+            GaussianMixture.from_lists(weights, variances)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             GaussianMixture.from_lists([0.5, 0.5], [0.1])

@@ -2,16 +2,19 @@
 
 The runner builds each point with the builder ``validate`` calls, so either
 ``validate`` reports a problem and the run stops with a ConfigError before it
-writes anything, or every point yields a feasible row. A prior in (0, 1) and
-P_f < 1 keep the idle decision possible, so no row may be infeasible.
+writes anything, or every point yields a feasible row with a finite bound. A
+prior in (0, 1) and P_f < 1 keep the idle decision possible, so no row may be
+infeasible. Noise and mixture values include NaN and inf, and the mean gain
+to the primary reaches 1e300, where the interference budget underflows.
 """
 
+import math
 import os
 import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cogsep.analytic import Scheme
 from cogsep.experiment import ConfigError, SweepSpec, run_experiment, validate
@@ -25,6 +28,9 @@ DECIBELS = st.one_of(
     st.sampled_from([-4000.0, -3240.0, 3082.0, 3083.0, float("inf")]),
 )
 DB_STEPS = st.sampled_from([0.5, 1.0, 150.0, 1000.0])
+NOISE = st.sampled_from([0.01, 1e-300, math.nan, math.inf])
+GAINS = st.sampled_from([1.0, 1e-3, 1e150, 1e300])
+NONFINITE = st.sampled_from([math.nan, math.inf])
 SLACK = 1 + 1e-12
 
 
@@ -39,17 +45,33 @@ def sweeps(draw):
 
 
 @st.composite
+def mixtures(draw):
+    """fig1's mixture, or that mixture with one weight or variance non-finite."""
+    preset = figure_preset("fig1")
+    lists = [list(preset.mixture_weights), list(preset.mixture_variances)]
+    which = draw(st.sampled_from([None, 0, 1]))
+    if which is not None:
+        lists[which][draw(st.integers(0, len(lists[which]) - 1))] = draw(NONFINITE)
+    return tuple(map(tuple, lists))
+
+
+@st.composite
 def configs(draw):
     sweep = draw(sweeps())
     scheme = draw(st.sampled_from([Scheme.SSS, Scheme.OSA]))
     peak = sweep.axis != "q_avg_db" and draw(st.booleans())
     explicit = not peak and draw(st.booleans())
+    weights, variances = draw(mixtures())
     return replace(
         figure_preset("fig1"),
         scheme=scheme,
         p_detect=draw(PROBABILITIES),
         p_false_alarm=draw(st.sampled_from([0.0, 0.05, 0.5, 0.95])),
         prior_busy=draw(st.sampled_from([0.01, 0.4, 0.99])),
+        noise_variance=draw(NOISE),
+        mixture_weights=weights,
+        mixture_variances=variances,
+        mean_gain_to_primary=draw(GAINS),
         p_pk_db=draw(DECIBELS),
         q_avg_db=None if peak else draw(DECIBELS),
         q_pk_db=draw(DECIBELS) if peak else None,
@@ -71,8 +93,17 @@ def assert_feasible(config, row):
         assert load <= 10.0 ** (point.q_avg_db / 10.0) * SLACK
 
 
+def _preset(name, **updates):
+    return replace(figure_preset(name), engines=("bound",), **updates)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(config=configs())
+@example(config=_preset("fig2", noise_variance=math.nan))
+@example(config=_preset("fig1", mixture_weights=(0.25, 0.25, 0.25, math.nan)))
+@example(config=_preset("fig1", mixture_variances=(0.2, 0.4, math.nan, 0.8)))
+@example(config=_preset("fig3", mean_gain_to_primary=1e300, q_avg_db=-3000.0))
+@example(config=_preset("fig3", mean_gain_to_primary=1e300, q_avg_db=-235.0))
 def test_validated_config_runs_at_every_point(config):
     assume(config.sweep.axis != "p_false_alarm" or 1.0 not in config.sweep.values())
     diags = validate(config)
@@ -86,5 +117,5 @@ def test_validated_config_runs_at_every_point(config):
         rows = run_experiment(config)
     assert len(rows) == len(config.sweep.values())
     for row in rows:
-        assert row.sep_bound is not None
+        assert row.sep_bound is not None and math.isfinite(row.sep_bound)
         assert_feasible(config, row)
