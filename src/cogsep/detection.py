@@ -29,17 +29,26 @@ class DeepFadeError(ValueError):
     """Detection attempted with zero channel magnitude."""
 
 
-def _axis_index(coord, magnitude, levels: int, d: float):
+def _axis_index(u, levels: int):
     """Nearest-level index on one axis with midpoint thresholds.
 
-    Level n sits at (2n + 1 - levels) * d/2 (scaled by |h| outside); the
-    scaled coordinate lands at u = n + 1/2, and boundaries at integers. A
-    coordinate exactly on a boundary belongs to the smaller index.
+    ``u`` is the coordinate in units of the faded minimum distance: the
+    caller multiplies it by 1/(|h| d). With v = u + levels/2, level n sits at
+    v = n + 1/2 and the thresholds at the integers; ceil(v) - 1 puts a
+    coordinate exactly on a threshold in the smaller index. The indices come
+    back as floats, for the caller to compare or cast.
     """
-    u = coord / (magnitude * d) + levels / 2.0
-    idx = np.floor(u)
-    idx = np.where(u == idx, idx - 1, idx)  # boundary tie -> lower index
-    return np.clip(idx, 0, levels - 1).astype(np.int64)
+    idx = np.ceil(u + levels / 2.0) - 1.0
+    return np.clip(idx, 0.0, levels - 1.0)
+
+
+def _finite_samples(caller: str, derotated, magnitude):
+    """The samples and magnitudes as arrays; raise ValueError if any is not finite."""
+    z = np.asarray(derotated, dtype=complex)
+    mag = np.asarray(magnitude, dtype=float)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(mag))):
+        raise ValueError(f"{caller} requires finite samples and magnitudes")
+    return z, mag
 
 
 def detect_threshold(spec: ConstellationSpec, derotated, magnitude):
@@ -47,15 +56,15 @@ def detect_threshold(spec: ConstellationSpec, derotated, magnitude):
 
     Returns the (n, q) indices of the decided constellation point; arrays in,
     arrays out. The rule is identical under both sensing decisions (only the
-    power carried by ``spec`` differs).
+    power carried by ``spec`` differs). Samples must be finite and
+    magnitudes positive and finite.
     """
-    mag = np.asarray(magnitude, dtype=float)
-    if np.any(mag <= 0):
+    z, mag = _finite_samples("detect_threshold", derotated, magnitude)
+    if not np.all(mag > 0):
         raise DeepFadeError("detect_threshold requires magnitude > 0")
-    z = np.asarray(derotated, dtype=complex)
-    d = spec.min_distance()
-    n = _axis_index(z.real, mag, spec.m_inphase, d)
-    q = _axis_index(z.imag, mag, spec.m_quadrature, d)
+    inv = 1.0 / (mag * spec.min_distance())
+    n = _axis_index(z.real * inv, spec.m_inphase).astype(np.int64)
+    q = _axis_index(z.imag * inv, spec.m_quadrature).astype(np.int64)
     if np.ndim(derotated) == 0 and np.ndim(magnitude) == 0:
         return int(n), int(q)
     return n, q
@@ -76,16 +85,19 @@ def map_detect_numeric(
     Scores every point with the sensing-posterior mixture of the idle-channel
     Gaussian density and the busy-channel (noise + interference) mixture
     density, then takes the argmax; ties go to the smallest (n, q) pair.
+    Samples must be finite, magnitudes positive and finite, and
+    ``noise_variance`` positive and finite (checked by the convolution).
     """
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
+    convolved = mix.convolve_with_gaussian(noise_variance)
+    z, mag = _finite_samples("map_detect_numeric", derotated, magnitude)
+    if not np.all(mag > 0):
+        raise DeepFadeError("map_detect_numeric requires magnitude > 0")
     spec = spec_busy if decision == Occupancy.BUSY else spec_idle
     post_idle = model.posterior(Occupancy.IDLE, decision)
     post_busy = model.posterior(Occupancy.BUSY, decision)
-    convolved = mix.convolve_with_gaussian(noise_variance)
 
-    z = np.atleast_1d(np.asarray(derotated, dtype=complex))
-    mag = np.broadcast_to(np.asarray(magnitude, dtype=float), z.shape)
+    z = np.atleast_1d(z)
+    mag = np.broadcast_to(mag, z.shape)
 
     # residual magnitude^2 for every point: shape (M_I, M_Q, N)
     s_n = spec.inphase_levels()[:, None, None] * mag[None, None, :]

@@ -132,10 +132,10 @@ class GaussianMixture:
         """Distribution of (mixture sample + independent complex Gaussian noise).
 
         Convolution keeps the weights and shifts every per-axis component
-        variance by ``noise_variance``.
+        variance by ``noise_variance``, which must be positive and finite.
         """
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be positive and finite, got {noise_variance!r}")
         return GaussianMixture(
             tuple((w, v + noise_variance) for w, v in self.components)
         )

@@ -1,6 +1,6 @@
 """Seeded, chunked, stratified Monte Carlo engine for the cognitive link.
 
-Draw contract v2 (``DRAW_CONTRACT``). A channel use falls in one of four
+Draw contract v3 (``DRAW_CONTRACT``). A channel use falls in one of four
 (true state, sensing decision) cells, whose probabilities follow exactly from
 (P_d, P_f, prior). Instead of sampling each use's cell, an estimate gives
 every cell a fixed share of its channel uses (``_cell_uses``): of the first m
@@ -11,10 +11,14 @@ from its start and stop offsets alone.
 
 A chunk lays out only the uses that transmit, cell by cell; OSA uses with a
 busy decision are counted as skipped and never drawn. Over those trials it
-draws a uniform symbol, a unit-mean Rayleigh channel and background noise
-(after the gain to the primary under the peak policy), then an interference
-sample from the *unconvolved* mixture for the truly busy slice only, so
-simulated physics never reuses the analytic convolution identity.
+draws, in this order, the gain to the primary (peak policy only), a uniform
+symbol, the channel power |h|^2 ~ Exp(1) and the in-phase and quadrature
+background noise; then an interference sample from the *unconvolved*
+mixture for the truly busy slice only, so simulated physics never reuses
+the analytic convolution identity. The chunk works in the detector's
+derotated frame: noise and interference are circularly symmetric, so the
+derotated sample y h*/|h| has exactly the law of |h| s + w, and the phase
+of h is never drawn.
 
 Randomness is counter-based: chunk i of sweep point k draws from a Philox
 stream keyed by ``SeedSequence(master_seed, spawn_key=(k, i))``, so results
@@ -47,7 +51,7 @@ __all__ = [
 ]
 
 # Version of the chunk draw contract; bump it whenever a seed's counts change.
-DRAW_CONTRACT = 2
+DRAW_CONTRACT = 3
 
 IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
 # (true state, sensing decision) of each cell, in layout order: the truly
@@ -144,18 +148,27 @@ def _simulate_chunk(
 ) -> np.ndarray:
     """Simulate ``drawn[c]`` transmissions in each cell of ``CELLS``; return per-cell errors.
 
-    Draw order is part of the reproducibility contract: [gain under the peak
-    policy], symbol index, fading, noise over all trials, laid out cell by
-    cell; then interference over the truly busy slice.
+    Draw order is part of the reproducibility contract: [gain to the primary
+    under the peak policy], symbol index, |h|^2 as standard exponentials, and
+    the noise as a (2, n) block of in-phase and quadrature standard normals,
+    all over every trial laid out cell by cell; then interference over the
+    truly busy slice. The noise and the interference are circularly
+    symmetric, so the detector's derotated sample y h*/|h| has exactly the
+    law of |h| s + w: each axis is simulated as that real value, and the
+    phase of h is never drawn.
     """
     n = int(drawn.sum())
     n_idle = int(drawn[0] + drawn[1])
 
+    # Arrays are updated in place and dropped as soon as they are used: each
+    # one is 512 KB in a 65 536-use chunk, and the chunk's transient memory
+    # sets the process's peak RSS.
     if scenario.power_policy == "peak_interference":
         c = scenario.constraints
-        gain = rng.exponential(1.0, n)
+        power = rng.exponential(1.0, n)  # gain to the primary receiver
         with np.errstate(divide="ignore"):
-            power = np.minimum(c.peak_power, c.peak_interference / gain)
+            np.divide(c.peak_interference, power, out=power)
+        np.minimum(power, c.peak_power, out=power)
     else:
         # OSA draws no busy-decision trial, so its busy power is never used
         p_busy = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else 0.0
@@ -165,38 +178,44 @@ def _simulate_chunk(
     spec = scenario.spec_idle
     mi, mq = spec.m_inphase, spec.m_quadrature
     sym = rng.integers(0, spec.size, n)
-    n_true = sym % mi
-    q_true = sym // mi
-
-    # complex draws take interleaved (real, imaginary) standard normals
-    h = math.sqrt(0.5) * rng.standard_normal(2 * n).view(np.complex128)
-    noise_std = math.sqrt(scenario.noise_variance)
-    disturbance = noise_std * rng.standard_normal(2 * n).view(np.complex128)
+    amp = rng.standard_exponential(n)  # |h|^2 of a unit-mean Rayleigh channel
+    deep = None if amp.all() else amp == 0.0
+    amp *= power
+    del power
+    np.sqrt(amp, out=amp)  # |h| sqrt(P)
+    w = rng.standard_normal((2, n))
+    w *= math.sqrt(scenario.noise_variance)
     if n > n_idle:
-        disturbance[n_idle:] += scenario.interference.sample(rng, n - n_idle)
+        interference = scenario.interference.sample(rng, n - n_idle)
+        w[0, n_idle:] += interference.real
+        w[1, n_idle:] += interference.imag
+        del interference
 
-    # unit-power amplitudes scaled per trial by sqrt(power)
+    q_true = sym // mi
+    n_true = sym  # sym % mi, computed in place; % costs several times more
+    n_true -= q_true * mi
+
+    # received value on each axis, |h| sqrt(P) level + w over unit-power
+    # levels, scaled for the detector by one reciprocal 1/(|h| d) per trial
     unit = ConstellationSpec(mi, mq, 1.0)
-    scale = np.sqrt(power)
-    sent = (unit.inphase_levels()[n_true] + 1j * unit.quadrature_levels()[q_true]) * scale
+    inv = amp * unit.min_distance()
+    error = np.zeros(n, dtype=bool)
+    # a deep fade makes inv infinite; its decision is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, inv, out=inv)
+        for axis, levels, true in ((0, unit.inphase_levels(), n_true),
+                                   (1, unit.quadrature_levels(), q_true)):
+            y = levels[true]
+            y *= amp
+            y += w[axis]
+            y *= inv
+            error |= _axis_index(y, len(levels)) != true
+    if deep is not None:
+        # deep fade, |h|^2 drawn as exactly 0.0: deterministic index-0 decision
+        error[deep] = (n_true[deep] != 0) | (q_true[deep] != 0)
 
-    y = h * sent + disturbance
-    mag = np.abs(h)
-    ok = mag > 0
-    safe_mag = np.where(ok, mag, 1.0)
-    derot = y * np.conj(h) / safe_mag
-
-    d_trial = unit.min_distance() * scale
-    n_det = _axis_index(derot.real, safe_mag, mi, d_trial)
-    q_det = _axis_index(derot.imag, safe_mag, mq, d_trial)
-    # deep fade (measure zero): deterministic index-0 decision
-    n_det = np.where(ok, n_det, 0)
-    q_det = np.where(ok, q_det, 0)
-
-    error = (n_det != n_true) | (q_det != q_true)
-    # per-cell errors: the running error count at each cell boundary, differenced
-    running = np.concatenate(([0], np.cumsum(error)))
-    return np.diff(running[np.concatenate(([0], np.cumsum(drawn)))])
+    stops = np.cumsum(drawn)
+    return np.array([np.count_nonzero(error[stop - k:stop]) for k, stop in zip(drawn, stops)])
 
 
 def _chunk_bounds(config: MonteCarloConfig) -> list[tuple[int, int]]:

@@ -65,6 +65,18 @@ class TestThresholdDetector:
         with pytest.raises(DeepFadeError):
             detect_threshold(ConstellationSpec(2, 2, 1.0), 1 + 1j, 0.0)
 
+    @pytest.mark.parametrize("sample,magnitude", [
+        (0.3 + 0.2j, math.nan),
+        (0.3 + 0.2j, math.inf),
+        (complex(0.3, math.nan), 1.0),
+        (complex(math.inf, 0.2), 1.0),
+        (np.array([0.3 + 0.2j, complex(math.nan, 0.0)]), np.array([1.0, 1.0])),
+    ], ids=["nan-magnitude", "inf-magnitude", "nan-sample", "inf-sample", "nan-in-array"])
+    def test_nonfinite_input_rejected(self, sample, magnitude):
+        # a NaN axis used to come back as index -2**63
+        with pytest.raises(ValueError, match="requires finite samples and magnitudes"):
+            detect_threshold(ConstellationSpec(2, 2, 1.0), sample, magnitude)
+
 
 class TestMapDetector:
     def test_perfect_sensing_idle_is_nearest_neighbor(self, mixture):
@@ -94,6 +106,27 @@ class TestMapDetector:
                                     sensing, 0.01, mixture)
         assert np.array_equal(n1, n2)
         assert np.array_equal(q1, q2)
+
+    @pytest.mark.parametrize("noise_variance", [0.0, -0.01, math.nan, math.inf])
+    def test_noise_variance_positive_and_finite(self, sensing, mixture, noise_variance):
+        spec = ConstellationSpec(2, 2, 1.0)
+        with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+            map_detect_numeric(spec, spec, 0.3 + 0.2j, 1.0, Occupancy.IDLE,
+                               sensing, noise_variance, mixture)
+
+    @pytest.mark.parametrize("sample,magnitude,error,message", [
+        (0.3 + 0.2j, math.nan, ValueError, "finite"),
+        (0.3 + 0.2j, math.inf, ValueError, "finite"),
+        (complex(math.nan, 0.2), 1.0, ValueError, "finite"),
+        (0.3 + 0.2j, 0.0, DeepFadeError, "magnitude > 0"),
+        (0.3 + 0.2j, -1.0, DeepFadeError, "magnitude > 0"),
+    ], ids=["nan-magnitude", "inf-magnitude", "nan-sample", "zero-magnitude",
+            "negative-magnitude"])
+    def test_invalid_sample_rejected(self, sensing, mixture, sample, magnitude, error, message):
+        spec = ConstellationSpec(2, 2, 1.0)
+        with pytest.raises(error, match=message):
+            map_detect_numeric(spec, spec, sample, magnitude, Occupancy.IDLE,
+                               sensing, 0.01, mixture)
 
     def test_midpoint_tie_lexicographic(self, sensing, mixture):
         spec = ConstellationSpec(2, 1, 1.0)

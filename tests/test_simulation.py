@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cogsep import (
+    ConstellationSpec,
     ConstraintSet,
     GaussianMixture,
     MonteCarloConfig,
     Scheme,
     SensingModel,
+    detect_threshold,
     run_monte_carlo,
     sep_peak_interference_exact,
     sep_rayleigh,
@@ -16,11 +19,13 @@ from cogsep import (
 from cogsep.simulation import (
     CELLS,
     DRAW_CONTRACT,
+    IDLE,
     InsufficientDataError,
     _cell_uses,
     _chunk_bounds,
     _chunk_counts,
     _chunk_rng,
+    _simulate_chunk,
 )
 
 from conftest import P_4DB, make_scenario
@@ -173,6 +178,36 @@ class TestAgainstClosedForms:
         assert abs(estimate.sep - p) <= 3 * sigma
 
 
+def _contract_scenarios():
+    """The SSS, OSA and peak-policy scenarios the draw contract is pinned on."""
+    return {
+        "sss": make_scenario(Scheme.SSS, (2, 2), p0=1.0, p1=0.3),
+        "osa": make_scenario(Scheme.OSA, (4, 1), p0=1.0),
+        "peak": make_scenario(
+            Scheme.SSS, (2, 2), p0=P_4DB, p1=P_4DB,
+            constraints=ConstraintSet(peak_power=P_4DB, peak_interference=1.0),
+            power_policy="peak_interference"),
+    }
+
+
+def _cell_sums(values, drawn):
+    """Sum of ``values`` over each cell's slice of a chunk laid out cell by cell."""
+    return [int(cell.sum()) for cell in np.split(values, np.cumsum(drawn)[:-1])]
+
+
+class _DeepFades:
+    """A chunk generator whose |h|^2 draws all come out as exactly 0.0."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_exponential(self, size):
+        return np.zeros_like(self._rng.standard_exponential(size))
+
+
 class TestDrawContract:
     def test_four_case_frequencies_and_fading_power(self, sensing):
         # every cell total is within one trial of N * pi_c, for any N, and a
@@ -189,44 +224,87 @@ class TestDrawContract:
             for n in (1_000_000, 123_457):
                 assert (np.abs(_cell_uses(model, n) - n * pi) <= 1 + 1e-6).all()
 
-        # fading follows the symbol draw in the documented chunk order
+        # |h|^2 follows the symbol draw in the documented chunk order
         n = 500_000
         stream = _chunk_rng(4242, 0, 0)
         stream.integers(0, 4, n)
-        h = math.sqrt(0.5) * stream.standard_normal(2 * n).view(np.complex128)
-        power = np.abs(h) ** 2
+        power = stream.standard_exponential(n)
         assert abs(power.mean() - 1.0) < 3 * power.std() / math.sqrt(n)
 
     def test_golden_cell_counts(self):
-        """Exact per-cell (errors, transmitted) of three chunks under contract v2.
+        """Exact per-cell (errors, transmitted) of three chunks under contract v3.
 
         Changing these means bumping ``DRAW_CONTRACT``.
         """
-        assert DRAW_CONTRACT == 2
-        scenarios = {
-            "sss": make_scenario(Scheme.SSS, (2, 2), p0=1.0, p1=0.3),
-            "osa": make_scenario(Scheme.OSA, (4, 1), p0=1.0),
-            "peak": make_scenario(
-                Scheme.SSS, (2, 2), p0=P_4DB, p1=P_4DB,
-                constraints=ConstraintSet(peak_power=P_4DB, peak_interference=1.0),
-                power_policy="peak_interference"),
-        }
+        assert DRAW_CONTRACT == 3
+        scenarios = _contract_scenarios()
         golden = {
-            "sss": [[[12, 3, 131, 8], [399, 21, 252, 28]],
-                    [[5, 2, 125, 10], [399, 21, 252, 28]],
-                    [[5, 1, 116, 5], [342, 18, 216, 24]]],
-            "osa": [[[12, 0, 0, 13], [399, 0, 0, 28]],
-                    [[14, 0, 0, 14], [399, 0, 0, 28]],
-                    [[12, 0, 0, 10], [342, 0, 0, 24]]],
-            "peak": [[[8, 0, 89, 9], [399, 21, 252, 28]],
-                     [[10, 0, 77, 17], [399, 21, 252, 28]],
-                     [[3, 2, 72, 8], [342, 18, 216, 24]]],
+            "sss": [[[3, 0, 141, 8], [399, 21, 252, 28]],
+                    [[6, 2, 116, 11], [399, 21, 252, 28]],
+                    [[5, 0, 109, 7], [342, 18, 216, 24]]],
+            "osa": [[[9, 0, 0, 15], [399, 0, 0, 28]],
+                    [[6, 0, 0, 16], [399, 0, 0, 28]],
+                    [[12, 0, 0, 11], [342, 0, 0, 24]]],
+            "peak": [[[4, 1, 69, 5], [399, 21, 252, 28]],
+                     [[11, 0, 91, 5], [399, 21, 252, 28]],
+                     [[8, 0, 71, 7], [342, 18, 216, 24]]],
         }
         config = MonteCarloConfig(trials=2_000, master_seed=2024, chunk_size=700, point=3)
         for name, scenario in scenarios.items():
             counts = [_chunk_counts((scenario, 2024, 3, i, start, stop)).tolist()
                       for i, (start, stop) in enumerate(_chunk_bounds(config))]
             assert counts == golden[name], name
+
+    @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
+    def test_replayed_draws_through_public_detector(self, name):
+        """One chunk's v3 draws, replayed here and decided by ``detect_threshold``.
+
+        Each trial's derotated sample is rebuilt as |h| s + w, with s on the
+        unit-power levels scaled by sqrt(P) through the magnitude |h| sqrt(P).
+        The per-cell errors must equal the engine's exactly.
+        """
+        scenario = _contract_scenarios()[name]
+        errors, drawn = _chunk_counts((scenario, 2024, 3, 1, 20_000, 40_000))
+        n, n_idle = int(drawn.sum()), int(drawn[0] + drawn[1])
+
+        rng = _chunk_rng(2024, 3, 1)
+        if scenario.power_policy == "peak_interference":
+            c = scenario.constraints
+            with np.errstate(divide="ignore"):
+                power = np.minimum(c.peak_interference / rng.exponential(1.0, n), c.peak_power)
+        else:
+            p_busy = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else 0.0
+            power = np.repeat([scenario.spec_idle.power if decision == IDLE else p_busy
+                               for _, decision in CELLS], drawn)
+        unit = ConstellationSpec(scenario.spec_idle.m_inphase,
+                                 scenario.spec_idle.m_quadrature, 1.0)
+        sym = rng.integers(0, unit.size, n)
+        fade = rng.standard_exponential(n)
+        w = math.sqrt(scenario.noise_variance) * rng.standard_normal((2, n))
+        interference = scenario.interference.sample(rng, n - n_idle)
+        w[0, n_idle:] += interference.real
+        w[1, n_idle:] += interference.imag
+
+        assert fade.all()  # no deep fade, which detect_threshold rejects
+        magnitude = np.sqrt(fade * power)
+        n_true, q_true = sym % unit.m_inphase, sym // unit.m_inphase
+        sample = np.empty(n, dtype=complex)
+        sample.real = magnitude * unit.inphase_levels()[n_true] + w[0]
+        sample.imag = magnitude * unit.quadrature_levels()[q_true] + w[1]
+        n_det, q_det = detect_threshold(unit, sample, magnitude)
+        replayed = _cell_sums((n_det != n_true) | (q_det != q_true), drawn)
+        assert errors.sum() > 0
+        assert replayed == errors.tolist()
+
+    def test_deep_fade_decides_index_zero(self):
+        # |h|^2 drawn as exactly 0.0 decides symbol 0, without a warning
+        scenario = make_scenario(Scheme.SSS, (4, 2), p0=1.0, p1=0.3)
+        drawn = _cell_uses(scenario.sensing, 3_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = _simulate_chunk(scenario, _DeepFades(_chunk_rng(5, 0, 0)), drawn)
+        sym = _chunk_rng(5, 0, 0).integers(0, 8, 3_000)
+        assert errors.tolist() == _cell_sums(sym != 0, drawn)
 
 
 class _SampleSpy:
@@ -244,7 +322,7 @@ class _SampleSpy:
 
 
 class TestSkippedWork:
-    """v2 draws nothing that the estimate does not use."""
+    """Since contract v2, a chunk draws nothing that the estimate does not use."""
 
     @pytest.mark.parametrize("scheme,busy_cells", [(Scheme.SSS, (2, 3)), (Scheme.OSA, (3,))])
     def test_interference_drawn_only_for_busy_transmissions(
