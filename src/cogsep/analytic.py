@@ -310,6 +310,11 @@ def _conditional(scenario: Scenario):
     return lambda magnitude: float(_sep(table, _q_term, d2 * magnitude**2, mi, mq))
 
 
+def _check_magnitude(magnitude: float) -> None:
+    if not 0.0 <= magnitude < math.inf:
+        raise ValueError(f"magnitude must be nonnegative and finite, got {magnitude!r}")
+
+
 def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     """Average conditional SEP given the fading magnitude |h|.
 
@@ -318,6 +323,7 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     mixture disturbances are weighted by the occupancy posteriors. The result
     lies in [0, 1 - 1/M].
     """
+    _check_magnitude(magnitude)
     return _conditional(scenario)(magnitude)
 
 
@@ -376,54 +382,59 @@ def _region_1d(index: int, levels: int, spacing: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _interval_mass(lo: float, hi: float, variance: float) -> tuple[float, float]:
-    """N(0, variance) mass of (lo, hi) as 1 minus its outer tails, and its error.
+def _axis_error(levels: int, spacing: float, variance: float) -> tuple[float, float]:
+    """N(0, variance) mass outside each level's decision interval, averaged
+    over the levels of one axis, and its error estimate.
 
     Each tail is a quadrature over a half-line in standard deviations, so its
     integrand decays from the finite end and quad cannot step over the peak.
     """
-    mass, err, scale = 1.0, 0.0, math.sqrt(variance)
-    for a, b in ((-np.inf, lo), (hi, np.inf)):
-        if a != b:  # an unbounded side has no tail
-            value, abserr = quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
-                                 a / scale, b / scale, epsabs=1e-14, epsrel=1e-12)
-            mass, err = mass - value, err + abserr
-    return mass, err
+    mass = err = 0.0
+    scale = math.sqrt(variance)
+    for index in range(levels):
+        lo, hi = _region_1d(index, levels, spacing)
+        for a, b in ((-np.inf, lo), (hi, np.inf)):
+            if a != b:  # an unbounded side has no tail
+                value, abserr = quad(
+                    lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
+                    a / scale, b / scale, epsabs=1e-14, epsrel=1e-12)
+                mass, err = mass + value, err + abserr
+    return mass / levels, err / levels
 
 
 def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     """Conditional SEP by direct integration over every decision region.
 
     A region is a product of one interval per axis and every disturbance
-    component is a circular Gaussian, so per component the correct mass summed
-    over the points is (sum of in-phase interval masses) x (sum of quadrature
-    ones). Oracle for ``sep_conditional``, independent of its corner/edge/inner
-    counting; raises if the error estimate, carried through each product by
-    the product rule, exceeds 5e-9.
+    component is a circular Gaussian, so per component the error mass
+    averaged over the points is E_I + E_Q - E_I E_Q, where E is an axis's
+    out-of-interval tail mass averaged over its levels. Summing the tails,
+    rather than subtracting the correct mass from 1, keeps the result
+    accurate relative to a tiny SEP. Oracle for ``sep_conditional``,
+    independent of its corner/edge/inner counting; raises if the error
+    estimate, carried through each product by the product rule, exceeds 5e-9.
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
+    _check_magnitude(magnitude)
     noise = scenario.noise_variance
     disturbances = (((1.0, noise),),
                     scenario.interference.convolve_with_gaussian(noise).components)
-    correct = err_total = 0.0
+    sep = err_total = 0.0
     for weight, post_idle, post_busy, decision in _branches(scenario).rows:
         spec = _spec(scenario, decision)
         spacing = spec.min_distance() * magnitude
         for post, components in zip((post_idle, post_busy), disturbances):
             for lam, variance in components:
-                (a_i, e_i), (a_q, e_q) = (
-                    np.sum([_interval_mass(*_region_1d(k, levels, spacing), variance)
-                            for k in range(levels)], axis=0)
+                (e_i, err_i), (e_q, err_q) = (
+                    _axis_error(levels, spacing, variance)
                     for levels in (spec.m_inphase, spec.m_quadrature))
-                share = weight * post * lam / spec.size
-                correct += share * a_i * a_q
-                err_total += share * (a_i * e_q + a_q * e_i + e_i * e_q)
+                share = weight * post * lam
+                sep += share * (e_i + e_q - e_i * e_q)
+                err_total += share * (err_i + err_q + err_i * err_q)
     if err_total > 5e-9:
         raise QuadratureError(
             f"decision-region quadrature reached abs error {err_total:.3e} "
             "(requested < 5e-9)")
-    return 1.0 - correct
+    return sep
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +456,21 @@ def max_power_osa(constraints: ConstraintSet, p_detect: float) -> float:
     return min(constraints.peak_power, limit)
 
 
-def peak_power_policy(constraints: ConstraintSet, gain: float) -> float:
-    """Instantaneous power cap min(P_pk, Q_pk / |g|^2) for a gain realization.
+def peak_power_policy(constraints: ConstraintSet, gain):
+    """Instantaneous power cap min(P_pk, Q_pk / |g|^2) for gain realizations.
 
     Applies to both sensing decisions (the interference limit must hold even
-    on miss-detections), so SSS uses the same level for P0 and P1.
+    on miss-detections), so SSS uses the same level for P0 and P1. ``gain``
+    is a scalar (a float comes back) or an array; a zero gain gets P_pk.
     """
     if constraints.peak_interference is None:
         raise ValueError("peak_interference constraint required")
-    if gain < 0:
-        raise ValueError("gain must be nonnegative")
-    if gain == 0.0:
-        return constraints.peak_power
-    return min(constraints.peak_power, constraints.peak_interference / gain)
+    gain = np.asarray(gain, dtype=float)
+    if not np.all(gain >= 0):
+        raise ValueError("gain must be nonnegative, not NaN")
+    with np.errstate(divide="ignore"):
+        power = np.minimum(constraints.peak_interference / gain, constraints.peak_power)
+    return float(power) if power.ndim == 0 else power
 
 
 @dataclass(frozen=True)

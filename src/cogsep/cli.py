@@ -8,7 +8,7 @@ error, 3 runtime/infeasibility error.
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiment import (
     ConfigError,
@@ -26,10 +26,12 @@ EXIT_RUNTIME = 3
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
+    """Config overrides, each stored under the ExperimentConfig field it replaces."""
     parser.add_argument("--seed", type=int, help="Monte Carlo master seed")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per sweep point")
-    parser.add_argument("--engines", help="comma list from analytic,bound,monte_carlo")
-    parser.add_argument("--out", help="CSV output path")
+    parser.add_argument("--engines", type=normalize_engines,
+                        help="comma list from analytic,bound,monte_carlo")
+    parser.add_argument("--out", dest="output_path", help="CSV output path")
     parser.add_argument("--json", dest="json_path", help="JSON mirror output path")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Monte Carlo chunks of all "
@@ -37,18 +39,9 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.engines is not None:
-        updates["engines"] = normalize_engines(args.engines)
-    if args.out is not None:
-        updates["output_path"] = args.out
-    if args.json_path is not None:
-        updates["json_path"] = args.json_path
-    return replace(config, **updates) if updates else config
+    updates = {field.name: getattr(args, field.name) for field in fields(config)
+               if getattr(args, field.name, None) is not None}
+    return replace(config, **updates)
 
 
 def build_parser() -> argparse.ArgumentParser:

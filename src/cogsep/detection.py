@@ -43,11 +43,17 @@ def _axis_index(u, levels: int):
 
 
 def _finite_samples(caller: str, derotated, magnitude):
-    """The samples and magnitudes as arrays; raise ValueError if any is not finite."""
+    """The samples and magnitudes as arrays.
+
+    Raises ValueError if any is not finite and DeepFadeError if a magnitude
+    is not positive.
+    """
     z = np.asarray(derotated, dtype=complex)
     mag = np.asarray(magnitude, dtype=float)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(mag))):
         raise ValueError(f"{caller} requires finite samples and magnitudes")
+    if not np.all(mag > 0):
+        raise DeepFadeError(f"{caller} requires magnitude > 0")
     return z, mag
 
 
@@ -60,8 +66,6 @@ def detect_threshold(spec: ConstellationSpec, derotated, magnitude):
     magnitudes positive and finite.
     """
     z, mag = _finite_samples("detect_threshold", derotated, magnitude)
-    if not np.all(mag > 0):
-        raise DeepFadeError("detect_threshold requires magnitude > 0")
     inv = 1.0 / (mag * spec.min_distance())
     n = _axis_index(z.real * inv, spec.m_inphase).astype(np.int64)
     q = _axis_index(z.imag * inv, spec.m_quadrature).astype(np.int64)
@@ -90,8 +94,6 @@ def map_detect_numeric(
     """
     convolved = mix.convolve_with_gaussian(noise_variance)
     z, mag = _finite_samples("map_detect_numeric", derotated, magnitude)
-    if not np.all(mag > 0):
-        raise DeepFadeError("map_detect_numeric requires magnitude > 0")
     spec = spec_busy if decision == Occupancy.BUSY else spec_idle
     post_idle = model.posterior(Occupancy.IDLE, decision)
     post_busy = model.posterior(Occupancy.BUSY, decision)

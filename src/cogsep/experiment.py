@@ -17,7 +17,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .analytic import (
     ConstraintSet,
@@ -65,11 +65,6 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
     tokens = (tok.strip().lower() for tok in raw.split(","))
     return tuple(ENGINE_ALIASES.get(tok, tok) for tok in tokens if tok)
 
-
-CSV_COLUMNS = (
-    "sweep_value", "p0", "p1", "sep_analytic", "sep_bound",
-    "sep_mc", "sep_mc_ci95", "skip_fraction", "trials",
-)
 
 # validate() builds every sweep point, about 1 ms each: 10 000 points take ~10 s
 MAX_SWEEP_POINTS = 10_000
@@ -147,17 +142,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep point. Engine columns are None when not requested."""
+    """One sweep point; its fields are the output columns, in order.
+
+    Engine columns are None when not requested, and every column but the
+    sweep value is None at an infeasible point.
+    """
 
     sweep_value: float
-    p0: float | None
-    p1: float | None
-    sep_analytic: float | None
-    sep_bound: float | None
-    sep_mc: float | None
-    sep_mc_ci95: float | None
-    skip_fraction: float | None
-    trials: int | None
+    p0: float | None = None
+    p1: float | None = None
+    sep_analytic: float | None = None
+    sep_bound: float | None = None
+    sep_mc: float | None = None
+    sep_mc_ci95: float | None = None
+    skip_fraction: float | None = None
+    trials: int | None = None
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +171,34 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a config document; raises ConfigError with a diagnostic."""
+    """Parse a config document; raises ConfigError with a diagnostic.
+
+    Every key the parser reads is recorded, and any other key is an error
+    that names it as ``section.key``.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    def need(section: str) -> configparser.SectionProxy:
+    for section in ("scenario", "mixture", "constraints", "sweep"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-        return cp[section]
+    read: set[str] = set()
 
-    scn = need("scenario")
-    mix = need("mixture")
-    con = need("constraints")
-    swp = need("sweep")
-    mc = cp["monte_carlo"] if cp.has_section("monte_carlo") else {}
-    out = cp["output"] if cp.has_section("output") else {}
+    def get(section: str, key: str, default: str | None = None) -> str | None:
+        read.add(f"{section}.{key}")
+        return cp.get(section, key, fallback=default)
 
     try:
-        scheme_raw = scn.get("scheme", "")
+        scheme_raw = get("scenario", "scheme", "")
         try:
             scheme = Scheme(scheme_raw.strip().lower())
         except ValueError:
             raise ConfigError(f"scenario.scheme must be sss or osa, got {scheme_raw!r}")
 
-        modulation = scn.get("modulation", "")
+        modulation = get("scenario", "modulation", "")
         try:
             mi_raw, mq_raw = modulation.lower().split("x")
             mi, mq = int(mi_raw), int(mq_raw)
@@ -204,7 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"scenario.modulation must look like '4x2', got {modulation!r}")
 
         def fget(section, key, default=None):
-            raw = section.get(key)
+            raw = get(section, key)
             if raw is None:
                 if default is None:
                     raise ConfigError(f"missing required key {key!r}")
@@ -215,44 +218,47 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"key {key!r} is not a number: {raw!r}")
 
         def fopt(section, key):
-            raw = section.get(key)
+            raw = get(section, key)
             return None if raw is None else fget(section, key)
 
-        engines = normalize_engines(out.get("engines", "analytic,bound,monte_carlo"))
-
-        return ExperimentConfig(
+        config = ExperimentConfig(
             scheme=scheme,
             m_inphase=mi,
             m_quadrature=mq,
-            p_detect=fget(scn, "p_detect"),
-            p_false_alarm=fget(scn, "p_false_alarm"),
-            prior_busy=fget(scn, "prior_busy"),
-            noise_variance=fget(scn, "noise_variance"),
-            mixture_weights=_float_list(mix.get("weights", "")),
-            mixture_variances=_float_list(mix.get("variances", "")),
-            p_pk_db=fget(con, "p_pk_db"),
-            q_avg_db=fopt(con, "q_avg_db"),
-            q_pk_db=fopt(con, "q_pk_db"),
-            mean_gain_to_primary=fget(con, "mean_gain_to_primary", 1.0),
+            p_detect=fget("scenario", "p_detect"),
+            p_false_alarm=fget("scenario", "p_false_alarm"),
+            prior_busy=fget("scenario", "prior_busy"),
+            noise_variance=fget("scenario", "noise_variance"),
+            mixture_weights=_float_list(get("mixture", "weights", "")),
+            mixture_variances=_float_list(get("mixture", "variances", "")),
+            p_pk_db=fget("constraints", "p_pk_db"),
+            q_avg_db=fopt("constraints", "q_avg_db"),
+            q_pk_db=fopt("constraints", "q_pk_db"),
+            mean_gain_to_primary=fget("constraints", "mean_gain_to_primary", 1.0),
             sweep=SweepSpec(
-                axis=swp.get("axis", "").strip(),
-                start=fget(swp, "start"),
-                stop=fget(swp, "stop"),
-                step=fget(swp, "step"),
+                axis=get("sweep", "axis", "").strip(),
+                start=fget("sweep", "start"),
+                stop=fget("sweep", "stop"),
+                step=fget("sweep", "step"),
             ),
-            engines=engines,
-            trials=int(fget(mc, "trials", DEFAULT_TRIALS)),
-            seed=int(fget(mc, "seed", DEFAULT_SEED)),
-            chunk_size=int(fget(mc, "chunk_size", DEFAULT_CHUNK)),
-            output_path=out.get("path") or None,
-            json_path=out.get("json_path") or None,
-            p0_db=fopt(scn, "p0_db"),
-            p1_db=fopt(scn, "p1_db"),
+            engines=normalize_engines(get("output", "engines", "analytic,bound,monte_carlo")),
+            trials=int(fget("monte_carlo", "trials", DEFAULT_TRIALS)),
+            seed=int(fget("monte_carlo", "seed", DEFAULT_SEED)),
+            chunk_size=int(fget("monte_carlo", "chunk_size", DEFAULT_CHUNK)),
+            output_path=get("output", "path") or None,
+            json_path=get("output", "json_path") or None,
+            p0_db=fopt("scenario", "p0_db"),
+            p1_db=fopt("scenario", "p1_db"),
         )
     except ConfigError:
         raise
     except Exception as exc:  # defensive: surface anything else as a config error
         raise ConfigError(f"invalid config: {exc}") from exc
+    unknown = [f"{section}.{key}" for section in cp.sections() for key in cp[section]
+               if f"{section}.{key}" not in read]
+    if unknown:
+        raise ConfigError(*(f"unknown key {name}" for name in unknown))
+    return config
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -440,7 +446,7 @@ def _closed_form_point(config: ExperimentConfig, sweep_value: float):
                      else sep_upper_bound(scenario))
     p1 = 0.0 if scenario.spec_busy is None else scenario.spec_busy.power
     return scenario, ResultRow(sweep_value, scenario.spec_idle.power, p1,
-                               sep_analytic, sep_bound, None, None, None, None)
+                               sep_analytic, sep_bound)
 
 
 def _mc_config(config: ExperimentConfig, index: int) -> MonteCarloConfig:
@@ -525,7 +531,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
             continue
         failures.append(f"sweep point {value:g}: {outcome}")
         print(f"cogsep: infeasible sweep point {value:g}: {outcome}", file=sys.stderr)
-        rows.append(ResultRow(value, None, None, None, None, None, None, None, None))
+        rows.append(ResultRow(value))
 
     if config.output_path:
         write_csv(rows, config.output_path)
@@ -550,11 +556,7 @@ def _fmt(value) -> str:
 
 
 def _row_strings(row: ResultRow) -> list[str]:
-    return [
-        _fmt(row.sweep_value), _fmt(row.p0), _fmt(row.p1),
-        _fmt(row.sep_analytic), _fmt(row.sep_bound), _fmt(row.sep_mc),
-        _fmt(row.sep_mc_ci95), _fmt(row.skip_fraction), _fmt(row.trials),
-    ]
+    return [_fmt(getattr(row, column)) for column in CSV_COLUMNS]
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:

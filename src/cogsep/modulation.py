@@ -48,8 +48,8 @@ class ConstellationSpec:
             raise DegenerateConstellationError(
                 "constellation needs at least 2 points (M_I * M_Q >= 2)"
             )
-        if not self.power > 0:
-            raise ValueError("power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -62,14 +62,14 @@ class ConstellationSpec:
 
     def inphase_levels(self) -> np.ndarray:
         """Amplitude levels (2n + 1 - M_I) * d/2 for n = 0..M_I-1."""
-        d = self.min_distance()
-        n = np.arange(self.m_inphase)
-        return (2 * n + 1 - self.m_inphase) * (d / 2.0)
+        return self._levels(self.m_inphase)
 
     def quadrature_levels(self) -> np.ndarray:
-        d = self.min_distance()
-        q = np.arange(self.m_quadrature)
-        return (2 * q + 1 - self.m_quadrature) * (d / 2.0)
+        """Amplitude levels (2q + 1 - M_Q) * d/2 for q = 0..M_Q-1."""
+        return self._levels(self.m_quadrature)
+
+    def _levels(self, m: int) -> np.ndarray:
+        return (2 * np.arange(m) + 1 - m) * (self.min_distance() / 2.0)
 
     def classify_point(self, n: int, q: int) -> PointClass:
         """Geometric class of a grid point.

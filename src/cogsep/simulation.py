@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Scenario, Scheme
+from .analytic import Scenario, Scheme, peak_power_policy
 from .detection import _axis_index
 from .modulation import ConstellationSpec
 from .sensing import Occupancy, SensingModel
@@ -164,11 +164,8 @@ def _simulate_chunk(
     # one is 512 KB in a 65 536-use chunk, and the chunk's transient memory
     # sets the process's peak RSS.
     if scenario.power_policy == "peak_interference":
-        c = scenario.constraints
-        power = rng.exponential(1.0, n)  # gain to the primary receiver
-        with np.errstate(divide="ignore"):
-            np.divide(c.peak_interference, power, out=power)
-        np.minimum(power, c.peak_power, out=power)
+        # the gain to the primary receiver sets each trial's power
+        power = peak_power_policy(scenario.constraints, rng.exponential(1.0, n))
     else:
         # OSA draws no busy-decision trial, so its busy power is never used
         p_busy = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else 0.0

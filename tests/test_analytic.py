@@ -27,7 +27,7 @@ from cogsep import (
     sep_rayleigh_numeric,
     sep_upper_bound,
 )
-from cogsep.analytic import (_branches, _interval_mass, _powers, _q_term,
+from cogsep.analytic import (_axis_error, _branches, _powers, _q_term,
                              _rayleigh_term, _region_1d, _sep)
 from cogsep.mathcore import QuadratureError
 from cogsep.sensing import Occupancy
@@ -200,23 +200,44 @@ class TestSepGeneralNumeric:
         assert sep_general_numeric(scenario, 1.0) < 1e-12
 
     def test_per_axis_product_matches_2d_quadrature(self):
-        """A circular Gaussian's mass over each 4x2 region is the product of
-        its two per-axis interval masses."""
+        """A circular Gaussian's error mass over the 4x2 regions, integrated
+        region by region in 2-D, is E_I + E_Q - E_I E_Q of the per-axis
+        error masses."""
         variance, spacing = 0.3, 1.1
 
         def density(u_q, u_i):
             mag2 = u_i * u_i + u_q * u_q
             return math.exp(-mag2 / (2 * variance)) / (2 * math.pi * variance)
 
+        correct = 0.0
         for n in range(4):
             lo_i, hi_i = _region_1d(n, 4, spacing)
             for q in range(2):
                 lo_q, hi_q = _region_1d(q, 2, spacing)
-                product = (_interval_mass(lo_i, hi_i, variance)[0]
-                           * _interval_mass(lo_q, hi_q, variance)[0])
                 box, _ = dblquad(density, lo_i, hi_i, lo_q, hi_q,
                                  epsabs=1e-13, epsrel=1e-12)
-                assert product == pytest.approx(box, abs=1e-10)
+                correct += box / 8
+        e_i, _ = _axis_error(4, spacing, variance)
+        e_q, _ = _axis_error(2, spacing, variance)
+        assert e_i + e_q - e_i * e_q == pytest.approx(1.0 - correct, abs=1e-10)
+
+    def test_relative_accuracy_at_tiny_sep(self):
+        """The error tails are summed, not 1 - correct, so SEPs of 5e-11 to
+        5e-8 match the closed form to 1e-10 relative."""
+        for modulation, power, magnitude in (((2, 2), P_4DB, 5.0), ((4, 1), 1.0, 10.0),
+                                             ((2, 1), 1.0, 5.0)):
+            scenario = make_scenario(modulation=modulation, p0=power)
+            closed = sep_conditional(scenario, magnitude)
+            assert closed < 1e-7
+            gap = abs(sep_general_numeric(scenario, magnitude) - closed)
+            assert gap <= 1e-10 * closed
+
+
+@pytest.mark.parametrize("function", [sep_conditional, sep_general_numeric])
+@pytest.mark.parametrize("magnitude", [-1.0, math.nan, math.inf])
+def test_magnitude_nonnegative_and_finite(function, magnitude):
+    with pytest.raises(ValueError, match="magnitude must be nonnegative and finite"):
+        function(make_scenario(), magnitude)
 
 
 @pytest.mark.parametrize("oracle,args", [
@@ -349,6 +370,20 @@ class TestPowerPolicies:
     def test_peak_policy_zero_gain(self):
         constraints = ConstraintSet(peak_power=2.0, peak_interference=1.0)
         assert peak_power_policy(constraints, 0.0) == 2.0
+
+    @pytest.mark.parametrize("gain", [math.nan, [0.5, math.nan], [1.0, -0.5]],
+                             ids=["nan", "array-with-nan", "array-with-negative"])
+    def test_peak_policy_rejects_nan_and_negative_gain(self, gain):
+        constraints = ConstraintSet(peak_power=2.0, peak_interference=1.0)
+        with pytest.raises(ValueError, match="gain must be nonnegative"):
+            peak_power_policy(constraints, gain)
+
+    def test_peak_policy_array_equals_scalar_calls(self):
+        constraints = ConstraintSet(peak_power=2.0, peak_interference=1.0)
+        gains = np.array([0.0, 0.25, 0.5, 0.7, 4.0, np.inf])
+        powers = peak_power_policy(constraints, gains)
+        assert isinstance(peak_power_policy(constraints, 0.7), float)
+        assert powers.tolist() == [peak_power_policy(constraints, float(g)) for g in gains]
 
     def test_missing_constraint_errors(self):
         constraints = ConstraintSet(peak_power=2.0)

@@ -83,6 +83,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="p_detect"):
             parse_config(make_text().replace("p_detect = 0.9", "p_detect = x"))
 
+    def test_unknown_keys_named(self):
+        text = make_text().replace("trials =", "trails =") + "[extra]\nmode = fast\n"
+        with pytest.raises(ConfigError) as failure:
+            parse_config(text.replace("engines =", "engine ="))
+        assert failure.value.args == ("unknown key monte_carlo.trails",
+                                      "unknown key output.engine",
+                                      "unknown key extra.mode")
+
 
 class TestValidate:
     def test_valid_config_is_clean(self):
@@ -344,6 +352,14 @@ class TestCli:
         path.write_text(make_text(weights="0.9,0.1,0.1,0.1"))
         assert main(["validate", str(path)]) == 2
         assert "sum to 1" in capsys.readouterr().out
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "typo.ini"
+        path.write_text(make_text().replace("engines =", "engine ="))
+        assert main(["validate", str(path)]) == 2
+        assert "unknown key output.engine" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_file_is_config_error(self):
         assert main(["validate", "/nonexistent/cfg.ini"]) == 2

@@ -29,6 +29,11 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             ConstellationSpec(2, 2, 0.0)
 
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_nonfinite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            ConstellationSpec(2, 2, power)
+
 
 def grid(spec):
     """All M points as a flat array, n varying fastest."""
