@@ -388,6 +388,8 @@ def _axis_error(levels: int, spacing: float, variance: float) -> tuple[float, fl
 
     Each tail is a quadrature over a half-line in standard deviations, so its
     integrand decays from the finite end and quad cannot step over the peak.
+    The tolerance is relative only: an absolute floor would let quad stop on
+    a tail far below it, and the oracle certifies tiny SEPs by relative gap.
     """
     mass = err = 0.0
     scale = math.sqrt(variance)
@@ -397,7 +399,7 @@ def _axis_error(levels: int, spacing: float, variance: float) -> tuple[float, fl
             if a != b:  # an unbounded side has no tail
                 value, abserr = quad(
                     lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
-                    a / scale, b / scale, epsabs=1e-14, epsrel=1e-12)
+                    a / scale, b / scale, epsabs=0.0, epsrel=1e-12)
                 mass, err = mass + value, err + abserr
     return mass / levels, err / levels
 
@@ -466,10 +468,13 @@ def peak_power_policy(constraints: ConstraintSet, gain):
     if constraints.peak_interference is None:
         raise ValueError("peak_interference constraint required")
     gain = np.asarray(gain, dtype=float)
-    if not np.all(gain >= 0):
+    # min propagates NaN; the initial 0.0 admits an empty array
+    if not np.min(gain, initial=0.0) >= 0:
         raise ValueError("gain must be nonnegative, not NaN")
+    power = np.empty_like(gain)
     with np.errstate(divide="ignore"):
-        power = np.minimum(constraints.peak_interference / gain, constraints.peak_power)
+        np.divide(constraints.peak_interference, gain, out=power)
+    np.minimum(power, constraints.peak_power, out=power)
     return float(power) if power.ndim == 0 else power
 
 

@@ -29,17 +29,20 @@ class DeepFadeError(ValueError):
     """Detection attempted with zero channel magnitude."""
 
 
-def _axis_index(u, levels: int):
-    """Nearest-level index on one axis with midpoint thresholds.
+def _axis_index(u: np.ndarray, levels: int) -> np.ndarray:
+    """Nearest-level index on one axis with midpoint thresholds, in place.
 
-    ``u`` is the coordinate in units of the faded minimum distance: the
-    caller multiplies it by 1/(|h| d). With v = u + levels/2, level n sits at
-    v = n + 1/2 and the thresholds at the integers; ceil(v) - 1 puts a
-    coordinate exactly on a threshold in the smaller index. The indices come
-    back as floats, for the caller to compare or cast.
+    ``u`` is a float array of coordinates in units of the faded minimum
+    distance: the caller multiplies them by 1/(|h| d). With
+    v = u + levels/2, level n sits at v = n + 1/2 and the thresholds at the
+    integers; ceil(v) - 1 puts a coordinate exactly on a threshold in the
+    smaller index. ``u`` is overwritten with the indices, as floats for the
+    caller to compare or cast, and returned.
     """
-    idx = np.ceil(u + levels / 2.0) - 1.0
-    return np.clip(idx, 0.0, levels - 1.0)
+    u += levels / 2.0
+    np.ceil(u, out=u)
+    u -= 1.0
+    return np.clip(u, 0.0, levels - 1.0, out=u)
 
 
 def _finite_samples(caller: str, derotated, magnitude):
@@ -67,10 +70,11 @@ def detect_threshold(spec: ConstellationSpec, derotated, magnitude):
     """
     z, mag = _finite_samples("detect_threshold", derotated, magnitude)
     inv = 1.0 / (mag * spec.min_distance())
-    n = _axis_index(z.real * inv, spec.m_inphase).astype(np.int64)
-    q = _axis_index(z.imag * inv, spec.m_quadrature).astype(np.int64)
+    # each product is a new array, which _axis_index overwrites
+    n = _axis_index(np.atleast_1d(z.real * inv), spec.m_inphase).astype(np.int64)
+    q = _axis_index(np.atleast_1d(z.imag * inv), spec.m_quadrature).astype(np.int64)
     if np.ndim(derotated) == 0 and np.ndim(magnitude) == 0:
-        return int(n), int(q)
+        return int(n[0]), int(q[0])
     return n, q
 
 

@@ -161,14 +161,29 @@ class GaussianMixture:
         """Draw complex samples: component by weight, then circular Gaussian.
 
         Returns a complex scalar when ``size`` is None, else an array. The
-        Monte Carlo engine draws its interference here, so the draw order
-        (components, then real, then imaginary normals) is part of its
-        reproducibility contract.
+        draws are those ``_add_sample`` adds, so the Monte Carlo engine's
+        interference and this method share one sampler.
         """
         n = 1 if size is None else int(size)
-        idx = rng.choice(len(self.components), size=n, p=self._weights)
-        std = np.sqrt(self._variances[idx])
-        draws = std * rng.standard_normal(n) + 1j * (std * rng.standard_normal(n))
+        draws = np.zeros(n, dtype=complex)
+        self._add_sample(rng, draws.real, draws.imag)
         if size is None:
             return complex(draws[0])
         return draws
+
+    def _add_sample(self, rng: np.random.Generator, real: np.ndarray, imag: np.ndarray) -> None:
+        """Add one draw per element to the in-phase ``real`` and quadrature
+        ``imag`` arrays, in place.
+
+        The Monte Carlo engine adds its interference to the noise this way,
+        so the draw order (components, then real, then imaginary normals) is
+        part of its reproducibility contract.
+        """
+        n = len(real)
+        idx = rng.choice(len(self.components), size=n, p=self._weights)
+        std = np.sqrt(self._variances)[idx]
+        draw = np.empty(n)
+        for part in (real, imag):
+            rng.standard_normal(out=draw)
+            draw *= std
+            part += draw

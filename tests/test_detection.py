@@ -57,9 +57,11 @@ class TestThresholdDetector:
         rng = np.random.default_rng(6)
         spec = ConstellationSpec(4, 2, 1.0)
         z = rng.normal(0, 5, 1000) + 1j * rng.normal(0, 5, 1000)
+        sent = z.copy()
         n, q = detect_threshold(spec, z, 1.0)
         assert n.shape == (1000,) and q.shape == (1000,)
         assert np.all((0 <= n) & (n < 4)) and np.all((0 <= q) & (q < 2))
+        assert np.array_equal(z, sent)  # the in-place axis rule works on a copy
 
     def test_deep_fade_raises(self):
         with pytest.raises(DeepFadeError):

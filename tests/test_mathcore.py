@@ -215,6 +215,15 @@ class TestMixtureSampling:
             sigma = math.sqrt(expected * (1 - expected) / self.N)
             assert abs(np.mean(radius <= r) - expected) < 4 * sigma
 
+    def test_equals_raw_generator_draws(self, mixture):
+        # components, then the in-phase and the quadrature normals, bit for bit
+        z = mixture.sample(np.random.default_rng(31), size=1_000)
+        rng = np.random.default_rng(31)
+        idx = rng.choice(len(mixture.components), size=1_000, p=mixture.weights)
+        std = np.sqrt(mixture.variances[idx])
+        assert z.real.tobytes() == (std * rng.standard_normal(1_000)).tobytes()
+        assert z.imag.tobytes() == (std * rng.standard_normal(1_000)).tobytes()
+
     def test_scalar_draw(self, mixture):
         value = mixture.sample(np.random.default_rng(0))
         assert isinstance(value, complex)

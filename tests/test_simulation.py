@@ -1,5 +1,8 @@
 import math
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -195,6 +198,14 @@ def _cell_sums(values, drawn):
     return [int(cell.sum()) for cell in np.split(values, np.cumsum(drawn)[:-1])]
 
 
+# per-cell (errors, transmitted) of _chunk_counts((scenario, 2024, 3, 0, 0, 65_536))
+_FULL_CHUNK_GOLDEN = {
+    "sss": [[635, 112, 12092, 879], [37356, 1966, 23593, 2621]],
+    "osa": [[1323, 0, 0, 1149], [37356, 0, 0, 2621]],
+    "peak": [[718, 34, 7529, 860], [37356, 1966, 23593, 2621]],
+}
+
+
 class _DeepFades:
     """A chunk generator whose |h|^2 draws all come out as exactly 0.0."""
 
@@ -204,8 +215,10 @@ class _DeepFades:
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def standard_exponential(self, size):
-        return np.zeros_like(self._rng.standard_exponential(size))
+    def standard_exponential(self, size=None, out=None):
+        draws = self._rng.standard_exponential(size, out=out)
+        draws[...] = 0.0
+        return draws
 
 
 class TestDrawContract:
@@ -255,6 +268,16 @@ class TestDrawContract:
                       for i, (start, stop) in enumerate(_chunk_bounds(config))]
             assert counts == golden[name], name
 
+    def test_golden_full_chunk_counts(self):
+        """Exact per-cell (errors, transmitted) of one chunk of the default
+        65 536 uses under contract v3, the size the sweeps run.
+
+        Changing these means bumping ``DRAW_CONTRACT``.
+        """
+        for name, scenario in _contract_scenarios().items():
+            counts = _chunk_counts((scenario, 2024, 3, 0, 0, 65_536)).tolist()
+            assert counts == _FULL_CHUNK_GOLDEN[name], name
+
     @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
     def test_replayed_draws_through_public_detector(self, name):
         """One chunk's v3 draws, replayed here and decided by ``detect_threshold``.
@@ -281,9 +304,13 @@ class TestDrawContract:
         sym = rng.integers(0, unit.size, n)
         fade = rng.standard_exponential(n)
         w = math.sqrt(scenario.noise_variance) * rng.standard_normal((2, n))
-        interference = scenario.interference.sample(rng, n - n_idle)
-        w[0, n_idle:] += interference.real
-        w[1, n_idle:] += interference.imag
+        # the mixture draw from raw Generator calls: components, then the
+        # in-phase and the quadrature normals
+        mixture, k = scenario.interference, n - n_idle
+        idx = rng.choice(len(mixture.components), size=k, p=mixture.weights)
+        std = np.sqrt(mixture.variances[idx])
+        w[0, n_idle:] += std * rng.standard_normal(k)
+        w[1, n_idle:] += std * rng.standard_normal(k)
 
         assert fade.all()  # no deep fade, which detect_threshold rejects
         magnitude = np.sqrt(fade * power)
@@ -308,17 +335,21 @@ class TestDrawContract:
 
 
 class _SampleSpy:
-    """Records the size of every interference draw."""
+    """Records the size of every interference draw.
+
+    It wraps ``GaussianMixture._add_sample``, which both the chunk and the
+    public ``sample`` draw through.
+    """
 
     def __init__(self, monkeypatch):
         self.sizes = []
-        original = GaussianMixture.sample
+        original = GaussianMixture._add_sample
 
-        def sample(mixture, rng, size=None):
-            self.sizes.append(size)
-            return original(mixture, rng, size)
+        def add_sample(mixture, rng, real, imag):
+            self.sizes.append(len(real))
+            return original(mixture, rng, real, imag)
 
-        monkeypatch.setattr(GaussianMixture, "sample", sample)
+        monkeypatch.setattr(GaussianMixture, "_add_sample", add_sample)
 
 
 class TestSkippedWork:
@@ -354,3 +385,57 @@ class TestSkippedWork:
                                                               chunk_size=10_000))
         assert estimate.errors == 0 and estimate.trials > 0
         assert spy.sizes == []
+
+
+class TestWorkspace:
+    """Each thread draws and detects in chunk buffers it keeps; reusing them
+    must not change a count."""
+
+    @pytest.mark.parametrize("large,small", [("sss", "osa"), ("osa", "peak"), ("peak", "sss")])
+    def test_smaller_chunk_in_between_leaves_counts(self, large, small):
+        scenarios = _contract_scenarios()
+        task = (scenarios[large], 2024, 3, 0, 0, 65_536)
+
+        def run():
+            first = _chunk_counts(task).tolist()
+            _chunk_counts((scenarios[small], 11, 0, 0, 0, 5_000))
+            return first, _chunk_counts(task).tolist()
+
+        # a thread of its own starts with an empty workspace
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            first, again = pool.submit(run).result(timeout=120)
+        assert first == again == _FULL_CHUNK_GOLDEN[large]
+
+    def test_concurrent_chunks_match_serial(self):
+        scenarios = _contract_scenarios()
+        tasks = [(scenario, 2024, 3, i, 0, stop)
+                 for i, scenario in enumerate(scenarios.values())
+                 for stop in (65_536, 7_000, 30_000)]
+        serial = [_chunk_counts(task).tolist() for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(_chunk_counts, task) for task in tasks * 3]
+                concurrent = [future.result(timeout=120).tolist() for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial * 3
+
+    @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
+    def test_warm_chunk_allocates_little(self, name):
+        """After a warm-up chunk, a 65 536-use chunk allocates under 1.5 MB.
+
+        The new arrays left are the symbol draw, the peak policy's powers and
+        the mixture's draws for the busy slice (1.2 MB at most here); with a
+        fresh array for every stage a chunk took 2.9-4.8 MB.
+        """
+        task = (_contract_scenarios()[name], 2024, 3, 0, 0, 65_536)
+        _chunk_counts(task)
+        tracemalloc.start()
+        try:
+            _chunk_counts(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
