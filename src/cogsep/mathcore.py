@@ -158,32 +158,47 @@ class GaussianMixture:
         return dens
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw complex samples: component by weight, then circular Gaussian.
+        """Draw iid complex samples: component by weight, then circular Gaussian.
 
         Returns a complex scalar when ``size`` is None, else an array. The
-        draws are those ``_add_sample`` adds, so the Monte Carlo engine's
-        interference and this method share one sampler.
+        draws are those ``_add_sample`` adds, which lays them out grouped by
+        component; a shuffle with the same ``rng`` then puts them in
+        uniformly random order. A multiset of n iid draws in uniformly random
+        order is n iid draws in order, so one sampler serves this method and
+        the Monte Carlo engine.
         """
         n = 1 if size is None else int(size)
         draws = np.zeros(n, dtype=complex)
-        self._add_sample(rng, draws.real, draws.imag)
+        self._add_sample(rng, draws.real, draws.imag, np.empty(2 * n))
+        rng.shuffle(draws)
         if size is None:
             return complex(draws[0])
         return draws
 
-    def _add_sample(self, rng: np.random.Generator, real: np.ndarray, imag: np.ndarray) -> None:
-        """Add one draw per element to the in-phase ``real`` and quadrature
-        ``imag`` arrays, in place.
+    def _add_sample(self, rng: np.random.Generator, real: np.ndarray, imag: np.ndarray,
+                    scratch: np.ndarray) -> None:
+        """Add n = len(real) draws to the in-phase ``real`` and quadrature
+        ``imag`` arrays, in place, grouped by component.
 
-        The Monte Carlo engine adds its interference to the noise this way,
-        so the draw order (components, then real, then imaginary normals) is
-        part of its reproducibility contract.
+        Draws the component counts as ``multinomial(n, weights)``; then, for
+        each component l with count c > 0 in turn, one (2, c) block of
+        standard normals into the flat float buffer ``scratch`` (at least 2n
+        elements), scaled by sqrt(s_l) and added to the next c positions.
+        The multiset of draws is that of n iid mixture draws, but the
+        positions are not exchangeable: a caller that needs iid order
+        shuffles (``sample``), and the Monte Carlo engine calls this once per
+        cell, inside which the order of draws does not matter. The draw
+        order is part of the engine's reproducibility contract.
         """
-        n = len(real)
-        idx = rng.choice(len(self.components), size=n, p=self._weights)
-        std = np.sqrt(self._variances)[idx]
-        draw = np.empty(n)
-        for part in (real, imag):
-            rng.standard_normal(out=draw)
-            draw *= std
-            part += draw
+        # weights may sum to 1 only within 1e-12; multinomial rejects a
+        # probability above 1
+        counts = rng.multinomial(len(real), self._weights / self._weights.sum())
+        start = 0
+        for c, (_, variance) in zip(counts.tolist(), self.components):
+            if c:
+                block = scratch[:2 * c].reshape(2, c)
+                rng.standard_normal(out=block)
+                block *= math.sqrt(variance)
+                real[start:start + c] += block[0]
+                imag[start:start + c] += block[1]
+                start += c

@@ -1,6 +1,6 @@
 """Seeded, chunked, stratified Monte Carlo engine for the cognitive link.
 
-Draw contract v3 (``DRAW_CONTRACT``). A channel use falls in one of four
+Draw contract v4 (``DRAW_CONTRACT``). A channel use falls in one of four
 (true state, sensing decision) cells, whose probabilities follow exactly from
 (P_d, P_f, prior). Instead of sampling each use's cell, an estimate gives
 every cell a fixed share of its channel uses (``_cell_uses``): of the first m
@@ -11,14 +11,14 @@ from its start and stop offsets alone.
 
 A chunk lays out only the uses that transmit, cell by cell; OSA uses with a
 busy decision are counted as skipped and never drawn. Over those trials it
-draws, in this order, the gain to the primary (peak policy only), a uniform
-symbol, the channel power |h|^2 ~ Exp(1) and the in-phase and quadrature
-background noise; then an interference sample from the *unconvolved*
-mixture for the truly busy slice only, so simulated physics never reuses
-the analytic convolution identity. The chunk works in the detector's
-derotated frame: noise and interference are circularly symmetric, so the
-derotated sample y h*/|h| has exactly the law of |h| s + w, and the phase
-of h is never drawn.
+draws, in this order, the gain to the primary (peak policy only), the
+in-phase and the quadrature symbol index, the channel power |h|^2 ~ Exp(1)
+and the in-phase and quadrature background noise; then, for each truly busy
+cell in turn, an interference sample from the *unconvolved* mixture, so
+simulated physics never reuses the analytic convolution identity. The chunk
+works in the detector's derotated frame: noise and interference are
+circularly symmetric, so the derotated sample y h*/|h| has exactly the law
+of |h| s + w, and the phase of h is never drawn.
 
 Each thread keeps one workspace of chunk buffers (``_Workspace``), grown to
 the largest chunk it has run, and a chunk draws and computes its large
@@ -27,7 +27,7 @@ operating system and were faulted in again by the next chunk, about 720
 minor page faults per 65 536-use chunk; reusing them changes no draw. The
 workspace is per thread so that concurrent chunks never share a buffer.
 
-Randomness is counter-based: chunk i of sweep point k draws from a Philox
+Randomness is counter-based: chunk i of sweep point k draws from an SFC64
 stream keyed by ``SeedSequence(master_seed, spawn_key=(k, i))``, so results
 depend only on (master_seed, point, chunk_size), never on scheduling or
 worker count, and no two (seed, point) pairs share a stream.
@@ -59,11 +59,11 @@ __all__ = [
 ]
 
 # Version of the chunk draw contract; bump it whenever a seed's counts change.
-DRAW_CONTRACT = 3
+DRAW_CONTRACT = 4
 
 IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
-# (true state, sensing decision) of each cell, in layout order: the truly
-# busy cells come last, so their trials form one slice of a chunk.
+# (true state, sensing decision) of each cell, in the order a chunk lays out
+# and draws them.
 CELLS = ((IDLE, IDLE), (IDLE, BUSY), (BUSY, BUSY), (BUSY, IDLE))
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -132,7 +132,7 @@ def _wilson_half_width(errors: int, trials: int) -> float:
 
 def _chunk_rng(master_seed: int, point: int, chunk_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(point, chunk_index))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _round(x: float) -> int:
@@ -168,12 +168,10 @@ class _Workspace(threading.local):
 
     def _allocate(self, n: int) -> None:
         self.amp = np.empty(n)
-        self.inv = np.empty(n)
-        self.y = np.empty(n)
-        # flat, so that a chunk's (2, n) block is contiguous, as the
+        # flat, so that a chunk's (2, n) blocks are contiguous, as the
         # Generator's out= requires
         self.noise = np.empty(2 * n)
-        self.true = np.empty(2 * n, dtype=np.int64)
+        self.spare = np.empty(2 * n)
         self.wrong = np.empty(2 * n, dtype=bool)
 
 
@@ -186,32 +184,43 @@ def _simulate_chunk(
     """Simulate ``drawn[c]`` transmissions in each cell of ``CELLS``; return per-cell errors.
 
     Draw order is part of the reproducibility contract: [gain to the primary
-    under the peak policy], symbol index, |h|^2 as standard exponentials, and
-    the noise as a (2, n) block of in-phase and quadrature standard normals,
-    all over every trial laid out cell by cell; then interference over the
-    truly busy slice. The noise and the interference are circularly
-    symmetric, so the detector's derotated sample y h*/|h| has exactly the
-    law of |h| s + w: each axis is simulated as that real value, and the
-    phase of h is never drawn.
+    under the peak policy], the in-phase and then the quadrature symbol
+    index (``integers(0, m, n)`` in the narrowest unsigned dtype that holds
+    m - 1), |h|^2 as standard exponentials, and the noise as a (2, n) block
+    of in-phase and quadrature standard normals, all over every trial laid
+    out cell by cell; then, for each truly busy cell with trials, in
+    ``CELLS`` order, one ``GaussianMixture._add_sample`` over that cell.
+
+    ``_add_sample`` lays each mixture component's draws out as one block, so
+    it runs per cell: within a cell every other draw is iid over the trials
+    and independent of the interference, so the block order leaves the
+    cell's error count with the law of iid interference. One draw over both
+    busy cells would crowd a component into one cell, whose power differs
+    from the other's under SSS.
+
+    The noise and the interference are circularly symmetric, so the
+    detector's derotated sample y h*/|h| has exactly the law of |h| s + w:
+    each axis is simulated as that real value, and the phase of h is never
+    drawn.
     """
     n = int(drawn.sum())
-    n_idle = int(drawn[0] + drawn[1])
     cells = [slice(stop - k, stop) for k, stop in zip(drawn, np.cumsum(drawn))]
     ws = _workspace.reserve(n)
-    amp, inv, y = ws.amp[:n], ws.inv[:n], ws.y[:n]
+    amp = ws.amp[:n]
     w = ws.noise[:2 * n].reshape(2, n)
-    true = ws.true[:2 * n].reshape(2, n)
+    # inv and y are free until detection: the gain draw and the mixture's
+    # normal blocks use their storage first
+    spare = ws.spare[:2 * n]
+    inv, y = spare.reshape(2, n)
     wrong = ws.wrong[:2 * n].reshape(2, n)
 
     peak = scenario.power_policy == "peak_interference"
     if peak:
-        # the gain to the primary receiver sets each trial's power; y is free
-        # until detection
+        # the gain to the primary receiver sets each trial's power
         power = peak_power_policy(scenario.constraints, rng.standard_exponential(out=y))
 
-    spec = scenario.spec_idle
-    mi, mq = spec.m_inphase, spec.m_quadrature
-    sym = rng.integers(0, spec.size, n)
+    mi, mq = scenario.spec_idle.m_inphase, scenario.spec_idle.m_quadrature
+    n_true, q_true = (rng.integers(0, m, n, dtype=np.min_scalar_type(m - 1)) for m in (mi, mq))
     rng.standard_exponential(out=amp)  # |h|^2 of a unit-mean Rayleigh channel
     deep = None if amp.all() else amp == 0.0
     if peak:
@@ -226,30 +235,27 @@ def _simulate_chunk(
     np.sqrt(amp, out=amp)  # |h| sqrt(P)
     rng.standard_normal(out=w)
     w *= math.sqrt(scenario.noise_variance)
-    if n > n_idle:
-        scenario.interference._add_sample(rng, w[0, n_idle:], w[1, n_idle:])
-
-    n_true, q_true = true
-    np.floor_divide(sym, mi, out=q_true)
-    # sym % mi, computed in place; % costs several times more
-    np.multiply(q_true, mi, out=n_true)
-    np.subtract(sym, n_true, out=n_true)
-    del sym
+    for cell, (state, _) in zip(cells, CELLS):
+        if state == BUSY and cell.stop > cell.start:
+            scenario.interference._add_sample(rng, w[0, cell], w[1, cell], spare)
 
     # received value on each axis, |h| sqrt(P) level + w over unit-power
     # levels, scaled for the detector by one reciprocal 1/(|h| d) per trial
-    unit = ConstellationSpec(mi, mq, 1.0)
-    np.multiply(amp, unit.min_distance(), out=inv)
+    d = ConstellationSpec(mi, mq, 1.0).min_distance()
+    np.multiply(amp, d, out=inv)
     # a deep fade makes inv infinite; its decision is replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, inv, out=inv)
-        for axis, levels in enumerate((unit.inphase_levels(), unit.quadrature_levels())):
-            # the indices are in range; mode "raise" would buffer the output
-            np.take(levels, true[axis], out=y, mode="clip")
+        for axis, (m, true) in enumerate(((mi, n_true), (mq, q_true))):
+            # the level (2 true + 1 - m) d/2, as ConstellationSpec computes
+            # it, without np.take's intp copy of a narrow index
+            np.multiply(true, 2.0, out=y)
+            y += 1 - m
+            y *= d / 2.0
             y *= amp
             y += w[axis]
             y *= inv
-            np.not_equal(_axis_index(y, len(levels)), true[axis], out=wrong[axis])
+            np.not_equal(_axis_index(y, m), true, out=wrong[axis])
     error = np.logical_or(wrong[0], wrong[1], out=wrong[0])
     if deep is not None:
         # deep fade, |h|^2 drawn as exactly 0.0: deterministic index-0 decision

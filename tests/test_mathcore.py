@@ -177,17 +177,31 @@ class TestMixtureSampling:
         assert abs(z.real.mean()) < 3 * mean_sigma
         assert abs(z.imag.mean()) < 3 * mean_sigma
 
-    def test_component_frequencies(self, mixture):
-        # the sampling contract draws component indices first, so a mirrored
-        # generator reproduces the selected components
-        seed = 999
-        mixture.sample(np.random.default_rng(seed), size=self.N)
-        idx = np.random.default_rng(seed).choice(
-            len(mixture.components), size=self.N, p=mixture.weights)
-        counts = np.bincount(idx, minlength=4) / self.N
-        for observed, weight in zip(counts, mixture.weights):
-            sigma = math.sqrt(weight * (1 - weight) / self.N)
-            assert abs(observed - weight) < 3 * sigma
+    def test_component_frequencies(self):
+        # components 1e6 apart in variance: the bin of |z|^2 between the
+        # geometric midpoints 2 sqrt(v_l v_l+1) names the component of a draw
+        # but for a share ~1e-3 of it, so the bins' exact masses, from the
+        # mixture's |z|^2 distribution, are the weights to within 1e-3
+        weights, variances = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1e-9, 1e-3, 1e3, 1e9])
+        mixture = GaussianMixture.from_lists(weights, variances)
+        power = np.abs(mixture.sample(np.random.default_rng(999), size=self.N)) ** 2
+        edges = np.concatenate(([0.0], 2 * np.sqrt(variances[:-1] * variances[1:]), [np.inf]))
+        cdf = [float(np.dot(weights, -np.expm1(-t / (2 * variances)))) for t in edges]
+        observed = np.histogram(power, edges)[0] / self.N
+        for share, weight, lo, hi in zip(observed, weights, cdf, cdf[1:]):
+            expected = hi - lo
+            assert abs(expected - weight) < 1e-3
+            sigma = math.sqrt(expected * (1 - expected) / self.N)
+            assert abs(share - expected) < 3 * sigma
+
+    def test_contiguous_batches_iid(self, mixture):
+        # the block sampler groups draws by component; sample must not
+        fourth = 3.0 * float(np.dot(mixture.weights, mixture.variances**2))
+        batches = 10
+        var_sigma = math.sqrt((fourth - 0.25) / (self.N / batches))
+        z = mixture.sample(np.random.default_rng(4321), size=self.N).reshape(batches, -1)
+        for axis in (z.real, z.imag):
+            assert np.all(np.abs(axis.var(axis=1) - 0.5) < 4 * var_sigma)
 
     def test_axes_uncorrelated_but_dependent(self, mixture):
         rng = np.random.default_rng(777)
@@ -216,13 +230,22 @@ class TestMixtureSampling:
             assert abs(np.mean(radius <= r) - expected) < 4 * sigma
 
     def test_equals_raw_generator_draws(self, mixture):
-        # components, then the in-phase and the quadrature normals, bit for bit
+        # component counts, one (2, count) normal block per component, then a
+        # shuffle, bit for bit
         z = mixture.sample(np.random.default_rng(31), size=1_000)
         rng = np.random.default_rng(31)
-        idx = rng.choice(len(mixture.components), size=1_000, p=mixture.weights)
-        std = np.sqrt(mixture.variances[idx])
-        assert z.real.tobytes() == (std * rng.standard_normal(1_000)).tobytes()
-        assert z.imag.tobytes() == (std * rng.standard_normal(1_000)).tobytes()
+        counts = rng.multinomial(1_000, mixture.weights)
+        blocks = [math.sqrt(v) * rng.standard_normal((2, c))
+                  for c, v in zip(counts, mixture.variances)]
+        expected = np.concatenate([block[0] + 1j * block[1] for block in blocks])
+        rng.shuffle(expected)
+        assert z.tobytes() == expected.tobytes()
+
+    def test_weights_summing_above_one_within_tolerance(self):
+        # the constructor allows a sum of 1 + 1e-12; numpy's multinomial
+        # rejects any probability above 1
+        mixture = GaussianMixture.from_lists([1.0 + 5e-13], [0.5])
+        assert mixture.sample(np.random.default_rng(3), size=4).shape == (4,)
 
     def test_scalar_draw(self, mixture):
         value = mixture.sample(np.random.default_rng(0))

@@ -1,8 +1,10 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from cogsep import (
     sep_peak_interference_exact,
     sep_rayleigh,
 )
+from cogsep import simulation
+from cogsep.analytic import _rayleigh_term
 from cogsep.simulation import (
+    BUSY,
     CELLS,
     DRAW_CONTRACT,
     IDLE,
@@ -200,9 +205,9 @@ def _cell_sums(values, drawn):
 
 # per-cell (errors, transmitted) of _chunk_counts((scenario, 2024, 3, 0, 0, 65_536))
 _FULL_CHUNK_GOLDEN = {
-    "sss": [[635, 112, 12092, 879], [37356, 1966, 23593, 2621]],
-    "osa": [[1323, 0, 0, 1149], [37356, 0, 0, 2621]],
-    "peak": [[718, 34, 7529, 860], [37356, 1966, 23593, 2621]],
+    "sss": [[687, 123, 11980, 924], [37356, 1966, 23593, 2621]],
+    "osa": [[1282, 0, 0, 1120], [37356, 0, 0, 2621]],
+    "peak": [[756, 33, 7428, 834], [37356, 1966, 23593, 2621]],
 }
 
 
@@ -237,30 +242,31 @@ class TestDrawContract:
             for n in (1_000_000, 123_457):
                 assert (np.abs(_cell_uses(model, n) - n * pi) <= 1 + 1e-6).all()
 
-        # |h|^2 follows the symbol draw in the documented chunk order
+        # |h|^2 follows the two symbol index draws in the documented chunk order
         n = 500_000
         stream = _chunk_rng(4242, 0, 0)
-        stream.integers(0, 4, n)
+        stream.integers(0, 2, n, dtype=np.uint8)
+        stream.integers(0, 2, n, dtype=np.uint8)
         power = stream.standard_exponential(n)
         assert abs(power.mean() - 1.0) < 3 * power.std() / math.sqrt(n)
 
     def test_golden_cell_counts(self):
-        """Exact per-cell (errors, transmitted) of three chunks under contract v3.
+        """Exact per-cell (errors, transmitted) of three chunks under contract v4.
 
         Changing these means bumping ``DRAW_CONTRACT``.
         """
-        assert DRAW_CONTRACT == 3
+        assert DRAW_CONTRACT == 4
         scenarios = _contract_scenarios()
         golden = {
-            "sss": [[[3, 0, 141, 8], [399, 21, 252, 28]],
-                    [[6, 2, 116, 11], [399, 21, 252, 28]],
-                    [[5, 0, 109, 7], [342, 18, 216, 24]]],
-            "osa": [[[9, 0, 0, 15], [399, 0, 0, 28]],
-                    [[6, 0, 0, 16], [399, 0, 0, 28]],
-                    [[12, 0, 0, 11], [342, 0, 0, 24]]],
-            "peak": [[[4, 1, 69, 5], [399, 21, 252, 28]],
-                     [[11, 0, 91, 5], [399, 21, 252, 28]],
-                     [[8, 0, 71, 7], [342, 18, 216, 24]]],
+            "sss": [[[6, 1, 122, 12], [399, 21, 252, 28]],
+                    [[5, 2, 125, 9], [399, 21, 252, 28]],
+                    [[3, 2, 104, 5], [342, 18, 216, 24]]],
+            "osa": [[[11, 0, 0, 11], [399, 0, 0, 28]],
+                    [[15, 0, 0, 15], [399, 0, 0, 28]],
+                    [[10, 0, 0, 9], [342, 0, 0, 24]]],
+            "peak": [[[9, 0, 89, 8], [399, 21, 252, 28]],
+                     [[8, 0, 77, 7], [399, 21, 252, 28]],
+                     [[8, 0, 67, 11], [342, 18, 216, 24]]],
         }
         config = MonteCarloConfig(trials=2_000, master_seed=2024, chunk_size=700, point=3)
         for name, scenario in scenarios.items():
@@ -270,7 +276,7 @@ class TestDrawContract:
 
     def test_golden_full_chunk_counts(self):
         """Exact per-cell (errors, transmitted) of one chunk of the default
-        65 536 uses under contract v3, the size the sweeps run.
+        65 536 uses under contract v4, the size the sweeps run.
 
         Changing these means bumping ``DRAW_CONTRACT``.
         """
@@ -280,7 +286,8 @@ class TestDrawContract:
 
     @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
     def test_replayed_draws_through_public_detector(self, name):
-        """One chunk's v3 draws, replayed here and decided by ``detect_threshold``.
+        """One chunk's v4 draws, replayed from raw SFC64 Generator calls and
+        decided by ``detect_threshold``.
 
         Each trial's derotated sample is rebuilt as |h| s + w, with s on the
         unit-power levels scaled by sqrt(P) through the magnitude |h| sqrt(P).
@@ -288,9 +295,10 @@ class TestDrawContract:
         """
         scenario = _contract_scenarios()[name]
         errors, drawn = _chunk_counts((scenario, 2024, 3, 1, 20_000, 40_000))
-        n, n_idle = int(drawn.sum()), int(drawn[0] + drawn[1])
+        n = int(drawn.sum())
 
-        rng = _chunk_rng(2024, 3, 1)
+        seq = np.random.SeedSequence(2024, spawn_key=(3, 1))
+        rng = np.random.Generator(np.random.SFC64(seq))
         if scenario.power_policy == "peak_interference":
             c = scenario.constraints
             with np.errstate(divide="ignore"):
@@ -301,20 +309,27 @@ class TestDrawContract:
                                for _, decision in CELLS], drawn)
         unit = ConstellationSpec(scenario.spec_idle.m_inphase,
                                  scenario.spec_idle.m_quadrature, 1.0)
-        sym = rng.integers(0, unit.size, n)
+        n_true = rng.integers(0, unit.m_inphase, n, dtype=np.uint8)
+        q_true = rng.integers(0, unit.m_quadrature, n, dtype=np.uint8)
         fade = rng.standard_exponential(n)
         w = math.sqrt(scenario.noise_variance) * rng.standard_normal((2, n))
-        # the mixture draw from raw Generator calls: components, then the
-        # in-phase and the quadrature normals
-        mixture, k = scenario.interference, n - n_idle
-        idx = rng.choice(len(mixture.components), size=k, p=mixture.weights)
-        std = np.sqrt(mixture.variances[idx])
-        w[0, n_idle:] += std * rng.standard_normal(k)
-        w[1, n_idle:] += std * rng.standard_normal(k)
+        # the mixture draw per truly busy cell: component counts, then one
+        # (2, count) normal block per component
+        mixture = scenario.interference
+        stops = np.cumsum(drawn)
+        for (state, _), k, stop in zip(CELLS, drawn, stops):
+            if state == IDLE or k == 0:
+                continue
+            start = stop - k
+            for count, (_, variance) in zip(rng.multinomial(k, mixture.weights),
+                                            mixture.components):
+                if count:
+                    block = math.sqrt(variance) * rng.standard_normal((2, count))
+                    w[:, start:start + count] += block
+                    start += count
 
         assert fade.all()  # no deep fade, which detect_threshold rejects
         magnitude = np.sqrt(fade * power)
-        n_true, q_true = sym % unit.m_inphase, sym // unit.m_inphase
         sample = np.empty(n, dtype=complex)
         sample.real = magnitude * unit.inphase_levels()[n_true] + w[0]
         sample.imag = magnitude * unit.quadrature_levels()[q_true] + w[1]
@@ -330,8 +345,33 @@ class TestDrawContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             errors = _simulate_chunk(scenario, _DeepFades(_chunk_rng(5, 0, 0)), drawn)
-        sym = _chunk_rng(5, 0, 0).integers(0, 8, 3_000)
-        assert errors.tolist() == _cell_sums(sym != 0, drawn)
+        rng = _chunk_rng(5, 0, 0)
+        n_true = rng.integers(0, 4, 3_000, dtype=np.uint8)
+        q_true = rng.integers(0, 2, 3_000, dtype=np.uint8)
+        assert errors.tolist() == _cell_sums((n_true != 0) | (q_true != 0), drawn)
+
+    def test_each_cell_unbiased(self):
+        """Every cell's error rate within 3 sigma of its own closed form.
+
+        The mixture's draws come out grouped by component, so the chunk draws
+        them once per truly busy cell. One draw over both busy cells would
+        crowd a component into one of them; with P0 != P1 their error rates
+        then move apart although the total may not.
+        """
+        scenario = _contract_scenarios()["sss"]
+        spec = scenario.spec_idle
+        config = MonteCarloConfig(trials=400_000, master_seed=2718)
+        errors, drawn = sum(_chunk_counts((scenario, config.master_seed, 0, i, start, stop))
+                            for i, (start, stop) in enumerate(_chunk_bounds(config)))
+        s0, mixture = scenario.noise_variance, scenario.interference
+        for (state, decision), e, k in zip(CELLS, errors, drawn):
+            power = (scenario.spec_busy if decision == BUSY else spec).power
+            terms = ([(1.0, s0)] if state == IDLE else
+                     [(lam, s0 + v) for lam, v in mixture.components])
+            p = sum(lam * _rayleigh_term(power, v, spec.m_inphase, spec.m_quadrature, False)
+                    for lam, v in terms)
+            sigma = math.sqrt(p * (1 - p) / k)
+            assert abs(e / k - p) <= 3 * sigma, (state, decision, (e / k - p) / sigma)
 
 
 class _SampleSpy:
@@ -345,9 +385,9 @@ class _SampleSpy:
         self.sizes = []
         original = GaussianMixture._add_sample
 
-        def add_sample(mixture, rng, real, imag):
+        def add_sample(mixture, rng, real, imag, scratch):
             self.sizes.append(len(real))
-            return original(mixture, rng, real, imag)
+            return original(mixture, rng, real, imag, scratch)
 
         monkeypatch.setattr(GaussianMixture, "_add_sample", add_sample)
 
@@ -363,7 +403,7 @@ class TestSkippedWork:
         run_monte_carlo(scenario, MonteCarloConfig(trials=50_000, master_seed=8,
                                                    chunk_size=20_000))
         uses = _cell_uses(sensing, 50_000)
-        assert len(spy.sizes) == 3
+        assert len(spy.sizes) == 3 * len(busy_cells)  # once per busy cell of each chunk
         assert sum(spy.sizes) == sum(uses[c] for c in busy_cells)
 
     @pytest.mark.parametrize("trials,chunk", [(123_457, 10_000), (999, 1_000), (5, 2)])
@@ -424,11 +464,12 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
     def test_warm_chunk_allocates_little(self, name):
-        """After a warm-up chunk, a 65 536-use chunk allocates under 1.5 MB.
+        """After a warm-up chunk, a 65 536-use chunk allocates little.
 
-        The new arrays left are the symbol draw, the peak policy's powers and
-        the mixture's draws for the busy slice (1.2 MB at most here); with a
-        fresh array for every stage a chunk took 2.9-4.8 MB.
+        The new arrays left are the two one-byte symbol index draws and the
+        peak policy's powers (0.20, 0.15 and 0.67 MB peak here). With int64
+        symbols and the mixture's choice draws a chunk took 1.2 MB at SSS
+        and 0.4 MB at OSA, and with a fresh array for every stage 2.9-4.8 MB.
         """
         task = (_contract_scenarios()[name], 2024, 3, 0, 0, 65_536)
         _chunk_counts(task)
@@ -438,4 +479,16 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6
+        assert peak < {"sss": 0.3e6, "osa": 0.3e6, "peak": 0.8e6}[name]
+
+
+def test_docs_name_the_contract():
+    """README's Reproducibility section and the engine's module docstring
+    name the contract version and the bit generator ``_chunk_rng`` builds."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reproducibility", 1)[1].split("\n## ", 1)[0]
+    assert re.search(r"DRAW_CONTRACT`, now (\d+)\)", section).group(1) == str(DRAW_CONTRACT)
+    assert f"v{DRAW_CONTRACT} " in simulation.__doc__
+    bit_generator = type(_chunk_rng(0, 0, 0).bit_generator).__name__
+    assert bit_generator in section
+    assert bit_generator in simulation.__doc__
