@@ -486,9 +486,13 @@ class TestPeakInterference:
             sep_upper_bound(fixed), rel=1e-9)
 
     def test_pam_bound_equals_exact_gain_average(self):
-        scenario = self._scenario(Scheme.SSS, (8, 1))
-        assert sep_peak_interference(scenario) == pytest.approx(
-            sep_peak_interference_exact(scenario), abs=1e-8)
+        for ppk_db, qpk_db in ((4.0, 4.0), (-20.0, -30.0), (40.0, -30.0), (40.0, 30.0),
+                               (10.0, 0.0)):
+            ppk, qpk = 10.0 ** (ppk_db / 10.0), 10.0 ** (qpk_db / 10.0)
+            scenario = self._scenario(Scheme.SSS, (8, 1), ppk=ppk, qpk=qpk)
+            bound, exact = sep_peak_interference(scenario), sep_peak_interference_exact(scenario)
+            assert bound == pytest.approx(exact, abs=1e-8)
+            assert bound == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_qam_bound_dominates_exact(self):
         scenario = self._scenario(Scheme.SSS, (2, 2))
