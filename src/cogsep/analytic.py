@@ -20,10 +20,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import dblquad, quad  # dblquad: unused, perfbench/tracer.py wraps it
-from scipy.special import erfcx
 
-from .mathcore import GaussianMixture, QuadratureError, gaussian_q
+from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, quad
 from .modulation import ConstellationSpec, PointClass
 from .sensing import Occupancy, SensingModel
 
@@ -46,6 +44,15 @@ __all__ = [
     "OptimalPowers",
 ]
 
+
+def __getattr__(name: str):
+    """``dblquad``, reachable only because perfbench/tracer.py wraps it by name;
+    it goes when the tracer reads trace records instead (ROADMAP item 3)."""
+    if name == "dblquad":
+        return _scipy("integrate").dblquad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # Smallest transmit power the optimizer will consider, relative to the peak
 # (or half the interference budget, if smaller, so that both powers on the
 # active segment stay positive); the SEP limit as power -> 0+ is finite, but
@@ -60,7 +67,8 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Transmit power cap and interference limits, all in linear units.
+    """Transmit power cap and interference limits, all in linear units and
+    each positive and finite.
 
     ``avg_interference`` caps the sensing-weighted mean interference power at
     the primary receiver; ``peak_interference`` caps the instantaneous
@@ -77,8 +85,8 @@ class ConstraintSet:
         for name in ("peak_power", "avg_interference", "peak_interference",
                      "mean_gain_to_primary"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         avg, gain = self.avg_interference, self.mean_gain_to_primary
         if avg is not None and not avg / gain >= np.finfo(float).tiny:  # a normal float
             raise ValueError("avg_interference / mean_gain_to_primary underflows")

@@ -5,14 +5,18 @@ engine) is built on the primitives in this module: the Gaussian Q-function,
 its finite-integral (Craig) counterpart used as a numerical authority, and a
 zero-mean circularly-symmetric complex Gaussian mixture with per-axis
 component variances.
+
+This is the one module that touches scipy, and it imports ``scipy.integrate``
+and ``scipy.special`` on first use: together they are most of the time of
+``import cogsep``, and no closed-form or Monte Carlo engine needs them.
 """
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 __all__ = [
     "GaussianMixture",
@@ -33,6 +37,22 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+@functools.cache
+def _scipy(name: str):
+    """The module ``scipy.<name>``, imported on the first call only."""
+    return importlib.import_module(f"scipy.{name}")
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, with ``scipy.integrate`` loaded on first use."""
+    return _scipy("integrate").quad(func, a, b, **kwargs)
+
+
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) erfc(x) (``scipy.special.erfcx``)."""
+    return _scipy("special").erfcx(x)
+
+
 def gaussian_q(x):
     """Gaussian tail probability Q(x) = P{N(0,1) > x}.
 
@@ -43,7 +63,7 @@ def gaussian_q(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("gaussian_q requires finite input")
-    out = 0.5 * erfc(arr / _SQRT2)
+    out = 0.5 * _scipy("special").erfc(arr / _SQRT2)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -304,7 +304,7 @@ def monte_carlo_pool(
 
     The pool has ``min(workers, total chunks)`` processes: under the ``fork``
     start method all of them start at once. It uses the platform's default
-    start method; under ``spawn`` each worker would import numpy and scipy
+    start method; under ``spawn`` each worker would import cogsep and numpy
     again before its first chunk.
     """
     if workers < 1:

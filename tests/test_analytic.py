@@ -56,6 +56,12 @@ class TestScenarioValidation:
             ConstraintSet(peak_power=0.0)
         with pytest.raises(ValueError):
             ConstraintSet(peak_power=1.0, avg_interference=-0.5)
+        finite = dict(peak_power=1.0, avg_interference=1.0, peak_interference=1.0,
+                      mean_gain_to_primary=1.0)
+        for name in finite:
+            for value in (math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    ConstraintSet(**{**finite, name: value})
 
     @pytest.mark.parametrize("avg", [1e-300, 1e-320], ids=["zero", "subnormal"])
     def test_budget_must_not_underflow(self, avg):

@@ -6,6 +6,7 @@
 and the sweep engines are shown not to reach ``quad`` at all.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogsep import analytic, mathcore
-from cogsep import ConstraintSet, Scheme, sep_peak_interference, sep_peak_interference_exact
+from cogsep import (ConstraintSet, Scheme, craig_q_numeric, gaussian_q, sep_peak_interference,
+                    sep_peak_interference_exact, sep_rayleigh_numeric)
 from cogsep.analytic import _gain_average
 from cogsep.experiment import _scenario, run_experiment
 from cogsep.presets import figure_preset
@@ -135,13 +137,46 @@ def test_bound_dominates_exact_for_qam(case, ppk_db, qpk_db):
     assert sep_peak_interference(scenario) >= sep_peak_interference_exact(scenario)
 
 
+# Run in a fresh interpreter: what importing cogsep and running the closed-form
+# and Monte Carlo sweeps loads, then the first call of each scipy-backed
+# function, scipy.special before scipy.integrate so that each loads cold.
+COLD_START = """
+import json, sys
+from dataclasses import replace
+import cogsep, cogsep.cli, cogsep.presets
+from cogsep import (craig_q_numeric, gaussian_q, sep_peak_interference,
+                    sep_rayleigh_numeric)
+from cogsep.experiment import _scenario, run_experiment
+from cogsep.presets import figure_preset
+
+WATCHED = ("mpmath", "sympy", "scipy.integrate", "scipy.special")
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+
+after_import = loaded()
+run_experiment(replace(figure_preset("fig1"), engines=("analytic", "bound")))
+run_experiment(replace(figure_preset("fig2"), engines=("analytic", "monte_carlo"),
+                       trials=2000))
+after_sweeps = loaded()
+values = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
+          craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
+print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values]]))
+"""
+
+
 def test_import_loads_no_symbolic_or_multiprecision_package():
-    """The mpmath oracle is for tests; importing cogsep must not pay for it."""
+    """Importing cogsep and running its engines load neither the mpmath test
+    oracle nor scipy's quadrature and special functions; those load on the
+    first call that needs them and give the same doubles as here."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, cogsep; "
-            "print(sorted(m for m in ('mpmath', 'sympy') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    after_import, after_sweeps, after_calls, cold = json.loads(out.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_sweeps == []
+    assert after_calls == ["scipy.integrate", "scipy.special"]
+    warm = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
+            craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
+    assert [float.fromhex(v) for v in cold] == warm
