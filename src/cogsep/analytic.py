@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, quad
+from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate
 from .modulation import ConstellationSpec, PointClass
 from .sensing import Occupancy, SensingModel
 
@@ -46,10 +46,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """``dblquad``, reachable only because perfbench/tracer.py wraps it by name;
-    it goes when the tracer reads trace records instead (ROADMAP item 3)."""
-    if name == "dblquad":
-        return _scipy("integrate").dblquad
+    """``quad`` and ``dblquad`` from ``scipy.integrate``, which no code here
+    calls: every oracle runs on ``mathcore.integrate``. The names stay
+    reachable only because perfbench/tracer.py wraps them by name; they go
+    when the tracer reads trace records instead (ROADMAP item 3)."""
+    if name in ("quad", "dblquad"):
+        return getattr(_scipy("integrate"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -309,13 +311,26 @@ def sep_class_conditional(
     return float(value)
 
 
-def _conditional(scenario: Scenario):
-    """``sep_conditional`` as a function of |h|, with the table built once."""
-    table = _branches(scenario)
-    d2 = np.array([_spec(scenario, decision).min_distance() ** 2
-                   for *_, decision in table.rows])
+def _squared_distances(scenario: Scenario, table: _Table) -> np.ndarray:
+    """d^2 of each row's constellation."""
+    return np.array([_spec(scenario, decision).min_distance() ** 2
+                     for *_, decision in table.rows])
+
+
+def _conditional(scenario: Scenario, table: _Table):
+    """``sep_conditional`` as a function of |h|, over the scenario's branch table.
+
+    A scalar magnitude gives a float; a 1-D array of magnitudes gives the
+    array of SEPs, by one ``_sep`` call over (rows x variances x magnitudes).
+    """
+    d2 = _squared_distances(scenario, table)
     mi, mq = scenario.m_inphase, scenario.m_quadrature
-    return lambda magnitude: float(_sep(table, _q_term, d2 * magnitude**2, mi, mq))
+
+    def conditional(magnitude):
+        value = _sep(table, _q_term, np.multiply.outer(d2, magnitude**2), mi, mq)
+        return float(value) if np.ndim(magnitude) == 0 else value
+
+    return conditional
 
 
 def _check_magnitude(magnitude: float) -> None:
@@ -332,7 +347,7 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     lies in [0, 1 - 1/M].
     """
     _check_magnitude(magnitude)
-    return _conditional(scenario)(magnitude)
+    return _conditional(scenario, _branches(scenario))(magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +378,57 @@ def sep_upper_bound(scenario: Scenario) -> float:
     return _sep_rayleigh(scenario, bound=True)
 
 
+# Relative tolerance the oracles integrate to, and the relative error
+# estimate above which they refuse a result.
+_ORACLE_RTOL = 1e-12
+_ORACLE_BUDGET = 1e-10
+# e^{-r^2} underflows past r = 27.3, and a standard normal density past
+# 38.6 standard deviations: no mass lies beyond either.
+_MAGNITUDE_END = 27.3
+_TAIL_END = 38.6
+
+
+def _doubling(step: float, end: float) -> np.ndarray:
+    """Breakpoints 0, step, 2 step, 4 step, ... below ``end``, then ``end``."""
+    count = math.ceil(math.log2(end / step)) if step < end else 0
+    return np.concatenate(([0.0], step * 2.0 ** np.arange(count), [end]))
+
+
 def sep_rayleigh_numeric(scenario: Scenario) -> float:
-    """Fading-average oracle: integrate the conditional SEP against e^{-x}.
+    """Fading-average oracle: integrate the conditional SEP over |h| = r.
+
+    The magnitude has density 2 r e^{-r^2}. In r the integrand is smooth at
+    0; in x = r^2 the conditional SEP has a sqrt(x) kink there. The
+    conditional SEP falls off on the scale r0 = sqrt(4 v_max / d_min^2), for
+    the largest disturbance variance and the smallest distance of the branch
+    table, which is of order 1e-5 at 100 dB. ``integrate`` starts from panels
+    broken at r0, 2 r0, 4 r0, ... up to r = 27.3, where e^{-r^2} underflows,
+    and runs to 1e-12 relative with no absolute floor, so the SEP is
+    resolved however small it is; each round is one ``_sep`` call over all
+    its nodes.
 
     Independent of the closed-form path; used to certify ``sep_rayleigh``.
+    Raises QuadratureError if the error estimate exceeds 1e-10 of the
+    result, or if the result falls below SEP(r1) (1 - e^{-r1^2}) at the first
+    breakpoint r1, a lower bound because the conditional SEP decreases in
+    |h|: a collapse onto a tiny value cannot pass as a small SEP.
     """
-    conditional = _conditional(scenario)
-    value, abserr = quad(
-        lambda x: conditional(math.sqrt(x)) * math.exp(-x),
-        0.0, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200,
-    )
-    if abserr > 1e-8:
+    table = _branches(scenario)
+    conditional = _conditional(scenario, table)
+    r0 = math.sqrt(4.0 * float(table.variances.max())
+                   / float(_squared_distances(scenario, table).min()))
+    breaks = _doubling(r0, _MAGNITUDE_END)
+    value, error = integrate(lambda r: conditional(r) * (2.0 * r) * np.exp(-r * r),
+                             breaks, rtol=_ORACLE_RTOL)
+    if not error <= _ORACLE_BUDGET * value:
         raise QuadratureError(
-            f"fading average reached abs error {abserr:.3e} (requested 1e-8)")
+            f"fading average reached error {error:.3e} on {value:.3e} "
+            f"(requested {_ORACLE_BUDGET:.0e} relative)")
+    r1 = float(breaks[1])
+    floor = conditional(r1) * -math.expm1(-r1 * r1)
+    if value < floor * (1.0 - _ORACLE_BUDGET):
+        raise QuadratureError(
+            f"fading average {value:.3e} is below its lower bound {floor:.3e}")
     return value
 
 
@@ -394,22 +447,26 @@ def _axis_error(levels: int, spacing: float, variance: float) -> tuple[float, fl
     """N(0, variance) mass outside each level's decision interval, averaged
     over the levels of one axis, and its error estimate.
 
-    Each tail is a quadrature over a half-line in standard deviations, so its
-    integrand decays from the finite end and quad cannot step over the peak.
-    The tolerance is relative only: an absolute floor would let quad stop on
-    a tail far below it, and the oracle certifies tiny SEPs by relative gap.
+    Every interval is centered on its own point, so in standard deviations
+    each tail starts c = spacing / (2 sqrt(variance)) from it and has mass
+    e^{-c^2/2} int_0^inf e^{-u (c + u/2)} du / sqrt(2 pi) in the distance u
+    beyond the boundary; factoring out e^{-c^2/2} keeps the large exponent
+    out of the integrand's rounding. One ``integrate`` call serves every
+    tail of the axis: its integrand decays from u = 0, panels break at
+    u = s, 2 s, 4 s, ... on the tails' scale s = 1 / max(c, 1), and the rule
+    cannot step over the mass. The tolerance is relative only: an absolute
+    floor would let the rule stop on a tail far below it, and the oracle
+    certifies tiny SEPs by relative gap.
     """
-    mass = err = 0.0
-    scale = math.sqrt(variance)
-    for index in range(levels):
-        lo, hi = _region_1d(index, levels, spacing)
-        for a, b in ((-np.inf, lo), (hi, np.inf)):
-            if a != b:  # an unbounded side has no tail
-                value, abserr = quad(
-                    lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
-                    a / scale, b / scale, epsabs=0.0, epsrel=1e-12)
-                mass, err = mass + value, err + abserr
-    return mass / levels, err / levels
+    tails = sum(math.isfinite(end) for index in range(levels)
+                for end in _region_1d(index, levels, spacing))
+    c = spacing / (2.0 * math.sqrt(variance))
+    if tails == 0 or c >= _TAIL_END:  # one level, or no mass in the tails
+        return 0.0, 0.0
+    mass, err = integrate(lambda u: np.exp(-u * (c + 0.5 * u)),
+                          _doubling(1.0 / max(c, 1.0), _TAIL_END - c), rtol=_ORACLE_RTOL)
+    share = tails * math.exp(-0.5 * c * c) / (math.sqrt(2.0 * math.pi) * levels)
+    return share * mass, share * err
 
 
 def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
@@ -421,8 +478,10 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     out-of-interval tail mass averaged over its levels. Summing the tails,
     rather than subtracting the correct mass from 1, keeps the result
     accurate relative to a tiny SEP. Oracle for ``sep_conditional``,
-    independent of its corner/edge/inner counting; raises if the error
-    estimate, carried through each product by the product rule, exceeds 5e-9.
+    independent of its corner/edge/inner counting. Each axis and component
+    costs one ``integrate`` call (``_axis_error``), to 1e-12 relative; raises
+    QuadratureError if the error estimate, carried through each product by
+    the product rule, exceeds 1e-10 of the result.
     """
     _check_magnitude(magnitude)
     noise = scenario.noise_variance
@@ -440,10 +499,10 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
                 share = weight * post * lam
                 sep += share * (e_i + e_q - e_i * e_q)
                 err_total += share * (err_i + err_q + err_i * err_q)
-    if err_total > 5e-9:
+    if not err_total <= _ORACLE_BUDGET * sep:
         raise QuadratureError(
-            f"decision-region quadrature reached abs error {err_total:.3e} "
-            "(requested < 5e-9)")
+            f"decision-region quadrature reached error {err_total:.3e} on {sep:.3e} "
+            f"(requested {_ORACLE_BUDGET:.0e} relative)")
     return sep
 
 
@@ -611,26 +670,38 @@ def sep_peak_interference(scenario: Scenario) -> float:
     return float(capped + (2.0 - 1.0 / mi - 1.0 / mq) * tail_sum)
 
 
+# e^{-y} underflows past y = 745: no gain mass lies beyond it.
+_GAIN_END = 745.0
+
+
 def _gain_average(scenario: Scenario, bound: bool) -> float:
-    """(1 - e^{-b1}) f(P_pk) + int_{b1}^inf f(Q_pk / y) e^{-y} dy by ``quad``.
+    """(1 - e^{-b1}) f(P_pk) + int_{b1}^inf f(Q_pk / y) e^{-y} dy by ``integrate``.
 
     f is the Rayleigh SEP (the bound or the exact form) at a
     decision-independent power, over the collapsed branch table. This is the
     quadrature oracle of both peak-policy averages: of the closed-form bound
     ``sep_peak_interference`` and of the fixed rule in
     ``sep_peak_interference_exact``. No engine calls it.
+
+    Panels break at b1, where the cap stops binding, and at b1 + 1, b1 + 10
+    and b1 + 50 on the scale of e^{-y}, up to y = 745, where it underflows;
+    each round of the rule is one ``_sep`` call over all its nodes. The
+    tolerance is 1e-12 absolute or 1e-10 relative: f, the closed-form
+    Rayleigh term, is itself noisy at ~1e-10 relative at P_pk = Q_pk = 60 dB,
+    so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
+    Raises QuadratureError if the error estimate exceeds 1e-8.
     """
     ppk, qpk = _require_peak(scenario)
     b1 = qpk / ppk
     table = _branches(scenario, collapse=True)
     mi, mq = scenario.m_inphase, scenario.m_quadrature
-
-    def per_power(p: float) -> float:
-        return float(_sep(table, _rayleigh_term, [p], mi, mq, bound))
-
-    head = (1.0 - math.exp(-b1)) * per_power(ppk)
-    tail, abserr = quad(lambda y: per_power(qpk / y) * math.exp(-y),
-                        b1, np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+    head = (1.0 - math.exp(-b1)) * float(_sep(table, _rayleigh_term, [ppk], mi, mq, bound))
+    if b1 >= _GAIN_END:
+        return head
+    breaks = [y for y in b1 + np.array([0.0, 1.0, 10.0, 50.0]) if y < _GAIN_END]
+    tail, abserr = integrate(
+        lambda y: _sep(table, _rayleigh_term, [qpk / y], mi, mq, bound) * np.exp(-y),
+        [*breaks, _GAIN_END], rtol=1e-10, atol=1e-12)
     if abserr > 1e-8:
         raise QuadratureError(
             f"gain average reached abs error {abserr:.3e} (requested 1e-8)")

@@ -1,15 +1,19 @@
 """High-precision mpmath forms that certify cogsep's double-precision numerics.
 
-Every form works at ``DIGITS`` significant digits and returns an
-``mpmath.mpf``; none calls the closed forms or quadrature rules it certifies.
-Only the tests import this module, so ``import cogsep`` never loads mpmath.
+Every form returns an ``mpmath.mpf``; none calls the closed forms or
+quadrature rules it certifies. The peak-policy form works at ``DIGITS``
+significant digits, the fading and conditional forms at ``TAIL_DIGITS``,
+which leave ~35 digits where a 120 dB SEP of 1e-13 cancels against terms of
+order 1. Only the tests import this module, so ``import cogsep`` never loads
+mpmath.
 """
 
 import mpmath
 
-from cogsep.analytic import Scenario, _branches, _require_peak
+from cogsep.analytic import Scenario, _branches, _require_peak, _spec
 
 DIGITS = 40
+TAIL_DIGITS = 50
 
 
 def rayleigh_sep(table, mi: int, mq: int):
@@ -69,3 +73,39 @@ def peak_exact(scenario: Scenario):
         tail = mp.quad(lambda y: sep(qpk / y) * mp.exp(-y),
                        [b1, b1 + 1, b1 + 10, b1 + 50, mp.inf])
         return head + tail
+
+
+def fading_sep(scenario: Scenario):
+    """Rayleigh-averaged SEP of a fixed-power scenario at ``TAIL_DIGITS``.
+
+    ``rayleigh_sep`` per sensing branch, at that branch's own power, summed.
+    """
+    table = _branches(scenario)
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
+    with mpmath.workdps(TAIL_DIGITS):
+        return mpmath.fsum(
+            rayleigh_sep(table._replace(rows=[row]), mi, mq)(
+                mpmath.mpf(_spec(scenario, row[3]).power))
+            for row in table.rows)
+
+
+def conditional_sep(scenario: Scenario, magnitude: float):
+    """SEP given the fading magnitude |h| at ``TAIL_DIGITS``.
+
+    Per branch and disturbance variance v, the error mass of a circular
+    Gaussian over the rectangular regions is E_I + E_Q - E_I E_Q with
+    E = 2 (1 - 1/M) Q(d |h| / (2 sqrt(v))) per axis of M levels.
+    """
+    table = _branches(scenario)
+    with mpmath.workdps(TAIL_DIGITS):
+        mp = mpmath.mp
+        total = mp.mpf(0)
+        for weight, post_idle, post_busy, decision in table.rows:
+            half = mp.mpf(_spec(scenario, decision).min_distance()) * mp.mpf(magnitude) / 2
+            shares = [mp.mpf(post_idle)] + [mp.mpf(post_busy) * mp.mpf(lam) for lam in table.lam]
+            for share, v in zip(shares, table.variances.tolist()):
+                q = mp.erfc(half / mp.sqrt(2 * mp.mpf(v))) / 2
+                e_i, e_q = (2 * (1 - mp.mpf(1) / m) * q
+                            for m in (scenario.m_inphase, scenario.m_quadrature))
+                total += mp.mpf(weight) * share * (e_i + e_q - e_i * e_q)
+        return total

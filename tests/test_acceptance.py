@@ -32,6 +32,7 @@ from cogsep.experiment import run_experiment
 from cogsep.presets import PRESET_NAMES, default_sensing, figure_preset, default_mixture
 
 from conftest import P_4DB, make_scenario
+from mp_reference import fading_sep
 
 MODULATIONS = [(2, 1), (4, 1), (8, 1), (2, 2), (8, 2)]
 
@@ -84,6 +85,19 @@ def test_criterion_2_closed_forms_match_integral_oracles():
                 worst_fading = max(worst_fading, gap)
     assert worst_fading <= 1e-6
 
+    # the fading oracle in the tail, 40 to 120 dB, against 50-digit mpmath:
+    # a relative bound, which an absolute one cannot give at SEP ~1e-13
+    worst_tail_rel = 0.0
+    for mi, mq in MODULATIONS:
+        for db in (40.0, 60.0, 80.0, 100.0, 120.0):
+            p = 10.0 ** (db / 10.0)
+            for scenario in (make_scenario(Scheme.SSS, (mi, mq), p0=p, p1=p),
+                             make_scenario(Scheme.OSA, (mi, mq), p0=p)):
+                expected = fading_sep(scenario)
+                gap = float(abs(sep_rayleigh_numeric(scenario) - expected) / expected)
+                worst_tail_rel = max(worst_tail_rel, gap)
+    assert worst_tail_rel <= 1e-10
+
     # conditional SEP vs decision-region quadrature at 20 operating points
     noisy = SensingModel(0.7, 0.3, 0.4)
     points = []
@@ -116,7 +130,8 @@ def test_criterion_2_closed_forms_match_integral_oracles():
 
     assert time.time() - started < 300.0
     _report(2, f"Rayleigh closed forms within {worst_fading:.2e} of the fading "
-               f"oracle (500 points); conditional SEP within {worst_region:.2e} "
+               f"oracle (500 points); fading oracle within {worst_tail_rel:.2e} "
+               f"relative of mpmath to 120 dB (50 points); conditional SEP within {worst_region:.2e} "
                f"({worst_region_rel:.2e} relative) of region quadrature (20 points)",
             started)
 

@@ -255,7 +255,7 @@ def test_magnitude_nonnegative_and_finite(function, magnitude):
 ], ids=["fading", "region", "peak"])
 def test_oracle_raises_when_quadrature_exceeds_budget(monkeypatch, oracle, args):
     """Every oracle refuses a result whose error estimate is over its budget."""
-    monkeypatch.setattr(analytic, "quad", lambda func, a, b, **kwargs: (0.0, 1e-3))
+    monkeypatch.setattr(analytic, "integrate", lambda f, breaks, rtol, atol=0.0: (0.5, 1e-3))
     constraints = ConstraintSet(peak_power=P_4DB, peak_interference=P_4DB)
     scenario = make_scenario(constraints=constraints, power_policy="peak_interference")
     with pytest.raises(QuadratureError):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from cogsep import GaussianMixture, craig_q_numeric, gaussian_q
+from cogsep.mathcore import QuadratureError, integrate
 
 
 class TestGaussianQ:
@@ -58,6 +59,69 @@ class TestCraigQNumeric:
             q = gaussian_q(float(x))
             assert abs(q - craig_q_numeric(float(x))) < 1e-9
             assert abs(q * q - craig_q_numeric(float(x), squared=True)) < 1e-9
+
+
+class TestIntegrate:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(len(x))
+            return f(x)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize("degree", range(23))
+    def test_exact_for_polynomials_up_to_degree_22(self, degree):
+        """One panel, one call: K15 integrates x^k exactly for k <= 22."""
+        a, b = 0.25, 1.5
+        f, calls = self.counted(lambda x: x**degree)
+        value, error = integrate(f, (a, b), rtol=1.0)
+        assert calls == [15]
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        assert value == pytest.approx(exact, rel=2e-15, abs=0.0)
+        if degree <= 13:  # G7 is exact too, so the estimate is rounding only
+            assert error <= 1e-15 * exact
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_gaussian_tails_match_erfc(self, x):
+        """int_x^inf e^{-t^2} dt = e^{-x^2} int_0^inf e^{-u (2x + u)} du equals
+        (sqrt(pi) / 2) erfc(x) to 1e-14 relative; x^2 is exact for these x."""
+        step = 1.0 / max(x, 1.0)
+        breaks = np.concatenate(([0.0], step * 2.0 ** np.arange(6), [30.0]))
+        value, error = integrate(lambda u: np.exp(-u * (2.0 * x + u)), breaks, rtol=1e-14)
+        expected = 0.5 * math.sqrt(math.pi) * math.erfc(x)
+        assert abs(math.exp(-x * x) * value - expected) <= 1e-14 * expected
+        assert error <= 1e-14 * value
+
+    def test_stops_at_absolute_tolerance(self):
+        f, calls = self.counted(lambda x: 1e-20 * np.exp(-x))
+        value, error = integrate(f, (0.0, 50.0), rtol=1e-12, atol=1e-12)
+        assert calls == [15]
+        assert error <= 1e-12
+
+    def test_refines_only_where_needed(self):
+        """A narrow peak in one of two panels: each round is one call, and
+        the flat panel [1, 2] is evaluated in the first round only."""
+        beyond = []
+
+        def f(x):
+            beyond.append(int(np.count_nonzero(x > 1.0)))
+            return np.exp(-((x - 0.3) / 1e-3) ** 2)
+
+        value, _ = integrate(f, (0.0, 1.0, 2.0), rtol=1e-12)
+        assert value == pytest.approx(math.sqrt(math.pi) * 1e-3, rel=1e-12)
+        assert len(beyond) > 1 and beyond == [15] + [0] * (len(beyond) - 1)
+
+    def test_raises_on_nan_integrand(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate(lambda x: np.where(x > 0.7, np.nan, 1.0), (0.0, 1.0), rtol=1e-12)
+
+    def test_raises_when_panels_run_out(self):
+        """An oscillation far finer than the double-precision rule can afford."""
+        with pytest.raises(QuadratureError, match="panels"):
+            integrate(lambda x: 1.0 + np.sin(1e7 * x), (0.0, 1.0), rtol=1e-12)
 
 
 class TestGaussianMixtureValidation:

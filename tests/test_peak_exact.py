@@ -2,8 +2,8 @@
 
 ``sep_peak_interference_exact`` evaluates the tail of the gain average by one
 149-node exp-sinh rule. It is held here to a 40-digit mpmath integral
-(``mp_reference.peak_exact``) and to the ``quad`` oracle ``_gain_average``,
-and the sweep engines are shown not to reach ``quad`` at all.
+(``mp_reference.peak_exact``) and to the quadrature oracle ``_gain_average``,
+and the sweep engines are shown not to reach any quadrature at all.
 """
 
 import json
@@ -93,7 +93,8 @@ def test_peak_presets_never_call_quad(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an engine called quadrature")
 
-    for module, attr in ((analytic, "quad"), (analytic, "dblquad"), (mathcore, "quad")):
+    for module, attr in ((analytic, "quad"), (analytic, "dblquad"), (analytic, "integrate"),
+                         (mathcore, "integrate")):
         monkeypatch.setattr(module, attr, refuse)
     for name in PEAK_PRESETS:
         rows = run_experiment(replace(figure_preset(name), engines=("analytic", "bound")))
@@ -139,7 +140,7 @@ def test_bound_dominates_exact_for_qam(case, ppk_db, qpk_db):
 
 # Run in a fresh interpreter: what importing cogsep and running the closed-form
 # and Monte Carlo sweeps loads, then the first call of each scipy-backed
-# function, scipy.special before scipy.integrate so that each loads cold.
+# function and of the two quadrature oracles on ``mathcore.integrate``.
 COLD_START = """
 import json, sys
 from dataclasses import replace
@@ -166,8 +167,10 @@ print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values
 
 def test_import_loads_no_symbolic_or_multiprecision_package():
     """Importing cogsep and running its engines load neither the mpmath test
-    oracle nor scipy's quadrature and special functions; those load on the
-    first call that needs them and give the same doubles as here."""
+    oracle nor scipy's quadrature and special functions. ``scipy.special``
+    loads on the first call that needs it, and the calls give the same
+    doubles as here; no call loads ``scipy.integrate``, since every oracle
+    runs on ``mathcore.integrate``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -176,7 +179,7 @@ def test_import_loads_no_symbolic_or_multiprecision_package():
     after_import, after_sweeps, after_calls, cold = json.loads(out.stdout.splitlines()[-1])
     assert after_import == []
     assert after_sweeps == []
-    assert after_calls == ["scipy.integrate", "scipy.special"]
+    assert after_calls == ["scipy.special"]
     warm = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
             craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
     assert [float.fromhex(v) for v in cold] == warm
