@@ -552,41 +552,31 @@ class OptimalPowers:
     sep: float
 
 
-def optimize_powers_sss(
-    spec: ConstellationSpec,
-    sensing: SensingModel,
-    noise_variance: float,
-    mix: GaussianMixture,
-    constraints: ConstraintSet,
-) -> OptimalPowers:
+def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
     """Minimize the SSS Rayleigh SEP over (P0, P1) under the constraints.
 
-    Subject to P0, P1 <= P_pk and the sensing-weighted average interference
-    limit (1 - P_d) P0 E{|g|^2} + P_d P1 E{|g|^2} <= Q_avg. The SEP is
-    strictly decreasing in each power, so the optimum sits on the upper
-    boundary of the feasible set; a coarse scan along the active constraint
-    segment brackets the best point and golden-section search refines it.
+    ``scenario`` gives the grid, sensing, noise, mixture and constraints; the
+    powers its specs carry are ignored. Subject to P0, P1 <= P_pk and the
+    sensing-weighted average interference limit
+    (1 - P_d) P0 E{|g|^2} + P_d P1 E{|g|^2} <= Q_avg. The SEP is strictly
+    decreasing in each power, so the optimum sits on the upper boundary of the
+    feasible set; a coarse scan along the active constraint segment brackets
+    the best point and golden-section search refines it.
     """
-    if constraints.avg_interference is None:
+    if scenario.scheme is not Scheme.SSS:
+        raise ValueError("the power optimizer needs an SSS scenario")
+    constraints = scenario.constraints
+    if constraints is None or constraints.avg_interference is None:
         raise ValueError("avg_interference constraint required")
     ppk = constraints.peak_power
     budget = constraints.avg_interference / constraints.mean_gain_to_primary
-    p_d = sensing.p_detect
+    p_d = scenario.sensing.p_detect
     floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
-
-    table = _branches(Scenario(
-        scheme=Scheme.SSS,
-        spec_idle=spec,
-        spec_busy=spec,
-        sensing=sensing,
-        noise_variance=noise_variance,
-        interference=mix,
-        constraints=constraints,
-    ))
+    table = _branches(scenario)
 
     def sep_of(p0, p1):
         return _sep(table, _rayleigh_term, _powers(table, p0, p1),
-                    spec.m_inphase, spec.m_quadrature, False)
+                    scenario.m_inphase, scenario.m_quadrature, False)
 
     # Constraint inactive at the corner: both powers at the peak.
     if ppk <= budget:

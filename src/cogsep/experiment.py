@@ -3,14 +3,16 @@
 Configs are flat ``key = value`` files with ``[section]`` headers (sections:
 scenario, mixture, constraints, sweep, monte_carlo, output). Each sweep point
 is the config with the swept key replaced by the point's value, built into a
-Scenario by ``_scenario``; ``validate`` builds the config as written and every
-sweep point the same way, so a config it accepts builds at every point. For
-each point the runner resolves the transmit powers from the active constraint
-mode (average-interference optimization / cap, or the instantaneous peak
-policy), evaluates the requested engines, and writes one CSV row; an optional
-JSON mirror carries the identical numbers. Only a zero-probability sensing
-decision or a Monte Carlo estimate with every trial skipped makes a point
-infeasible (an empty row); any other error aborts the run.
+Scenario by ``_scenario``. ``_build`` builds the config as written and every
+sweep point; ``validate`` reports its diagnostics and the run uses the
+Scenarios it built, so each point is built once and a config ``validate``
+accepts runs at every point. For each point the runner resolves the transmit
+powers from the active constraint mode (average-interference optimization /
+cap, or the instantaneous peak policy), evaluates the requested engines, and
+writes one CSV row; an optional JSON mirror carries the identical numbers.
+Only a zero-probability sensing decision or a Monte Carlo estimate with every
+trial skipped makes a point infeasible (an empty row); any other error aborts
+the run.
 """
 
 import configparser
@@ -36,7 +38,6 @@ from .sensing import ConditioningError, SensingModel
 from .simulation import (
     InsufficientDataError,
     MonteCarloConfig,
-    SepEstimate,
     monte_carlo_pool,
     run_monte_carlo,  # noqa: F401  (kept at this name for code that wraps it here)
     start_monte_carlo,
@@ -66,7 +67,7 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
     return tuple(ENGINE_ALIASES.get(tok, tok) for tok in tokens if tok)
 
 
-# validate() builds every sweep point, about 1 ms each: 10 000 points take ~10 s
+# each sweep point is built once, in 40-70 us (2-core x86-64 VM): 10 000 take < 1 s
 MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
@@ -221,6 +222,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = get(section, key)
             return None if raw is None else fget(section, key)
 
+        def iget(section, key, default):
+            value = fget(section, key, default)
+            if not float(value).is_integer():
+                raise ConfigError(f"{section}.{key} must be a whole number, got {value!r}")
+            return int(value)
+
         config = ExperimentConfig(
             scheme=scheme,
             m_inphase=mi,
@@ -242,9 +249,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 step=fget("sweep", "step"),
             ),
             engines=normalize_engines(get("output", "engines", "analytic,bound,monte_carlo")),
-            trials=int(fget("monte_carlo", "trials", DEFAULT_TRIALS)),
-            seed=int(fget("monte_carlo", "seed", DEFAULT_SEED)),
-            chunk_size=int(fget("monte_carlo", "chunk_size", DEFAULT_CHUNK)),
+            trials=iget("monte_carlo", "trials", DEFAULT_TRIALS),
+            seed=iget("monte_carlo", "seed", DEFAULT_SEED),
+            chunk_size=iget("monte_carlo", "chunk_size", DEFAULT_CHUNK),
             output_path=get("output", "path") or None,
             json_path=get("output", "json_path") or None,
             p0_db=fopt("scenario", "p0_db"),
@@ -280,9 +287,9 @@ def _scenario(config: ExperimentConfig, swept: str | None) -> Scenario:
     ``config`` carries the point's own values and ``swept`` names the sweep
     axis it was made for, whose dB value is then reported as a sweep value.
     The specs carry the explicit powers, the OSA cap or the peak power; the
-    last is the peak policy's cap and, for SSS under the average limit, the
-    optimizer's template. Assumes the config-wide rules of ``validate`` hold.
-    Raises ConfigError with one argument per violated rule.
+    last is the peak policy's cap and, for SSS under the average limit, a
+    placeholder the optimizer ignores. Assumes the config-wide rules of
+    ``_build`` hold. Raises ConfigError with one argument per violated rule.
     """
     diags: list[str] = []
 
@@ -361,13 +368,13 @@ def _scenario(config: ExperimentConfig, swept: str | None) -> Scenario:
 # Validation (structural + invariants, no execution)
 # ---------------------------------------------------------------------------
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Return every invariant violation found; empty means runnable.
+def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
+    """Build every sweep point; return their Scenarios and every violation found.
 
-    The config-wide rules are checked here. When they hold, the config as
-    written and then each sweep point are built as the run builds them
-    (``_scenario``) until one fails, and every violation of that point is
-    reported.
+    The config-wide rules are checked first. When they hold, the config as
+    written and then each sweep point are built (``_scenario``) until one
+    fails, and every violation of that point is reported. The run uses the
+    Scenarios, one per sweep point in order, only when nothing was found.
     """
     diags: list[str] = []
     if config.q_avg_db is None and config.q_pk_db is None:
@@ -393,15 +400,14 @@ def validate(config: ExperimentConfig) -> list[str]:
     if axis == "q_avg_db" and config.q_pk_db is not None:
         diags.append("sweeping q_avg_db requires the average-interference mode")
 
+    scenarios: list[Scenario] = []
     if not diags:
-        points = [(config, None)] + [(replace(config, **{axis: value}), axis)
-                                     for value in config.sweep.values()]
-        for point, swept in points:
-            try:
-                _scenario(point, swept)
-            except ConfigError as exc:
-                diags.extend(exc.args)
-                break
+        try:
+            _scenario(config, None)
+            for value in config.sweep.values():
+                scenarios.append(_scenario(replace(config, **{axis: value}), axis))
+        except ConfigError as exc:
+            diags.extend(exc.args)
 
     if not config.engines:
         diags.append("at least one engine is required")
@@ -415,25 +421,26 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.seed < 0:
         diags.append("monte_carlo.seed must be >= 0")
 
-    return diags
+    return scenarios, diags
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """Return every invariant violation found (``_build``); empty means runnable."""
+    return _build(config)[1]
 
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
-def _closed_form_point(config: ExperimentConfig, sweep_value: float):
-    """Build one sweep point, resolve its powers and its closed-form columns.
+def _closed_form_point(config: ExperimentConfig, sweep_value: float, scenario: Scenario):
+    """Resolve the powers and the closed-form columns of one built sweep point.
 
     Returns (scenario, row) with the Monte Carlo columns still empty.
     """
-    point = replace(config, **{config.sweep.axis: sweep_value})
-    scenario = _scenario(point, config.sweep.axis)
     peak = scenario.power_policy == "peak_interference"
-    if scenario.scheme is Scheme.SSS and not peak and point.p0_db is None:
-        best = optimize_powers_sss(scenario.spec_idle, scenario.sensing,
-                                   scenario.noise_variance, scenario.interference,
-                                   scenario.constraints)
+    if scenario.scheme is Scheme.SSS and not peak and config.p0_db is None:
+        best = optimize_powers_sss(scenario)
         scenario = replace(scenario, spec_idle=replace(scenario.spec_idle, power=best.p0),
                            spec_busy=replace(scenario.spec_busy, power=best.p1))
 
@@ -449,26 +456,12 @@ def _closed_form_point(config: ExperimentConfig, sweep_value: float):
                                sep_analytic, sep_bound)
 
 
-def _mc_config(config: ExperimentConfig, index: int) -> MonteCarloConfig:
-    return MonteCarloConfig(
-        trials=config.trials,
-        master_seed=config.seed,
-        chunk_size=config.chunk_size,
-        point=index,  # each sweep point has its own streams under the seed
-    )
-
-
-def _with_estimate(row: ResultRow, estimate: SepEstimate) -> ResultRow:
-    return replace(row, sep_mc=estimate.sep, sep_mc_ci95=estimate.ci95_half_width,
-                   skip_fraction=estimate.skip_fraction, trials=estimate.trials)
-
-
 # The only errors that make a point infeasible: it is reported and emitted with
 # empty columns. Every other error, a programming error included, aborts the run.
 _INFEASIBLE = (ConditioningError, InsufficientDataError)
 
 
-def _points(config: ExperimentConfig, values: list[float],
+def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scenario],
             mc_configs: list[MonteCarloConfig], pool) -> list:
     """Each point's row, or its infeasibility error, in sweep order.
 
@@ -478,9 +471,9 @@ def _points(config: ExperimentConfig, values: list[float],
     sweep order.
     """
     started = []
-    for index, value in enumerate(values):
+    for index, (value, scenario) in enumerate(zip(values, scenarios)):
         try:
-            scenario, row = _closed_form_point(config, value)
+            scenario, row = _closed_form_point(config, value, scenario)
             finish = (start_monte_carlo(scenario, mc_configs[index], pool)
                       if mc_configs else None)
         except _INFEASIBLE as exc:
@@ -491,7 +484,9 @@ def _points(config: ExperimentConfig, values: list[float],
     for outcome, finish in started:
         if finish is not None:
             try:
-                outcome = _with_estimate(outcome, finish())
+                mc = finish()
+                outcome = replace(outcome, sep_mc=mc.sep, sep_mc_ci95=mc.ci95_half_width,
+                                  skip_fraction=mc.skip_fraction, trials=mc.trials)
             except _INFEASIBLE as exc:
                 outcome = exc
         outcomes.append(outcome)
@@ -507,18 +502,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     chunks of all points share one pool of up to ``workers`` processes; the
     rows do not depend on ``workers``.
     """
-    diags = validate(config)
+    scenarios, diags = _build(config)
     if workers < 1:
         diags.append(f"workers must be >= 1, got {workers}")
     if diags:
         raise ConfigError(*diags)
 
     values = config.sweep.values()
-    mc_configs = ([_mc_config(config, index) for index in range(len(values))]
+    # each sweep point has its own streams under the seed
+    mc_configs = ([MonteCarloConfig(trials=config.trials, master_seed=config.seed,
+                                    chunk_size=config.chunk_size, point=index)
+                   for index in range(len(values))]
                   if "monte_carlo" in config.engines else [])
     pool = monte_carlo_pool(workers, mc_configs)
     try:
-        outcomes = _points(config, values, mc_configs, pool)
+        outcomes = _points(config, values, scenarios, mc_configs, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

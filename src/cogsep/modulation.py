@@ -42,6 +42,9 @@ class ConstellationSpec:
     power: float
 
     def __post_init__(self) -> None:
+        for m in (self.m_inphase, self.m_quadrature):
+            if not isinstance(m, (int, np.integer)):
+                raise ValueError(f"axis sizes must be integers, got {m!r}")
         if self.m_inphase < 1 or self.m_quadrature < 1:
             raise ValueError("axis sizes must be >= 1")
         if self.size < 2:

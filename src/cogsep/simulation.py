@@ -87,6 +87,10 @@ class MonteCarloConfig:
     point: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed", "chunk_size", "point"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:

@@ -420,53 +420,57 @@ class TestOptimizer:
                 best = min(best, float(sep[feasible].min()))
         return best
 
-    def test_inactive_constraint(self, sensing, mixture):
+    def test_inactive_constraint(self, sensing):
         constraints = ConstraintSet(peak_power=1.0, avg_interference=5.0)
-        out = optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,
-                                  mixture, constraints)
+        out = optimize_powers_sss(make_scenario(sensing=sensing, constraints=constraints))
         assert (out.p0, out.p1) == (1.0, 1.0)
 
-    def test_perfect_detection_decouples(self, mixture):
+    def test_perfect_detection_decouples(self):
         sensing = SensingModel(1.0, 0.05, 0.4)
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
-        out = optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,
-                                  mixture, constraints)
+        scenario = make_scenario(sensing=sensing, constraints=constraints)
+        out = optimize_powers_sss(scenario)
         assert out.p0 == P_4DB
         assert out.p1 == pytest.approx(0.1, rel=1e-12)
-        scenario = make_scenario(sensing=sensing, constraints=constraints)
         assert out.sep <= self._grid_best(scenario, constraints, 600) + 1e-8
 
-    def test_matches_dense_grid_reference(self, sensing, mixture):
+    def test_matches_dense_grid_reference(self, sensing):
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
-        out = optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,
-                                  mixture, constraints)
         scenario = make_scenario(sensing=sensing, constraints=constraints)
+        out = optimize_powers_sss(scenario)
         assert out.sep <= self._grid_best(scenario, constraints, 2000) + 1e-8
         load = 0.1 * out.p0 + 0.9 * out.p1
         assert load <= 0.1 * (1 + 1e-9)
 
-    def test_high_false_alarm_prefers_busy_power(self, mixture):
+    def test_high_false_alarm_prefers_busy_power(self):
         sensing = SensingModel(0.9, 0.95, 0.4)
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
-        out = optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,
-                                  mixture, constraints)
+        out = optimize_powers_sss(make_scenario(sensing=sensing, constraints=constraints))
         assert out.p1 > out.p0
 
     @pytest.mark.parametrize("p_detect", [1e-12, 0.5, 0.9])
-    def test_budget_below_power_floor_stays_feasible(self, mixture, p_detect):
+    def test_budget_below_power_floor_stays_feasible(self, p_detect):
         # the budget 1e-20 is below 1e-12 of the peak: the floor must not
         # push the busy-decision power negative
         sensing = SensingModel(p_detect, 0.05, 0.4)
         constraints = ConstraintSet(peak_power=0.01, avg_interference=1e-20)
-        out = optimize_powers_sss(ConstellationSpec(2, 2, 0.01), sensing, 0.01,
-                                  mixture, constraints)
+        out = optimize_powers_sss(make_scenario(sensing=sensing, constraints=constraints))
         assert 0 < out.p0 <= 0.01 and 0 < out.p1 <= 0.01
         assert (1 - p_detect) * out.p0 + p_detect * out.p1 <= 1e-20 * (1 + 1e-12)
 
-    def test_requires_avg_constraint(self, sensing, mixture):
-        with pytest.raises(ValueError):
-            optimize_powers_sss(ConstellationSpec(2, 2, 1.0), sensing, 0.01,
-                                mixture, ConstraintSet(peak_power=1.0))
+    def test_requires_avg_constraint(self):
+        with pytest.raises(ValueError, match="avg_interference"):
+            optimize_powers_sss(make_scenario(constraints=ConstraintSet(peak_power=1.0)))
+
+    def test_rejects_osa_scenario(self):
+        with pytest.raises(ValueError, match="SSS"):
+            optimize_powers_sss(make_scenario(Scheme.OSA, p0=1.0))
+
+    def test_ignores_the_spec_powers(self, sensing):
+        constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
+        a = make_scenario(p0=P_4DB, sensing=sensing, constraints=constraints)
+        b = make_scenario(p0=1e-3, p1=0.7, sensing=sensing, constraints=constraints)
+        assert optimize_powers_sss(a) == optimize_powers_sss(b)
 
 
 class TestPeakInterference:

@@ -91,6 +91,19 @@ class TestParsing:
                                       "unknown key output.engine",
                                       "unknown key extra.mode")
 
+    @pytest.mark.parametrize("key,value", [
+        ("trials", "2.5"), ("seed", "7.9"), ("chunk_size", "0.5"), ("trials", "inf"),
+    ])
+    def test_non_integral_counts_named(self, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", make_text(), flags=re.M)
+        with pytest.raises(ConfigError, match=rf"monte_carlo\.{key} must be a whole number"):
+            parse_config(text)
+
+    def test_integral_float_counts_accepted(self):
+        config = parse_config(make_text(trials="1e6").replace("seed = 77", "seed = 7.0"))
+        assert (config.trials, config.seed) == (1_000_000, 7)
+        assert type(config.trials) is int and type(config.seed) is int
+
 
 class TestValidate:
     def test_valid_config_is_clean(self):
@@ -282,6 +295,57 @@ class TestRunExperiment:
         with pytest.raises(ZeroDivisionError, match="in a closed form"):
             run_experiment(config)
         assert not (tmp_path / "rows.csv").exists()
+
+
+def _analytic_fig1():
+    return replace(figure_preset("fig1"), engines=("analytic", "bound"),
+                   output_path=None, json_path=None)
+
+
+class TestSweepPointsBuiltOnce:
+    """The run uses the Scenarios validation built; no point is built twice."""
+
+    def _count_builds(self, monkeypatch):
+        calls = []
+        build = experiment._scenario
+
+        def counted(config, swept):
+            calls.append(swept)
+            return build(config, swept)
+
+        monkeypatch.setattr(experiment, "_scenario", counted)
+        return calls
+
+    def test_run_builds_each_point_once(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        rows = run_experiment(_analytic_fig1())
+        # the config as written, then the 27 sweep points
+        assert len(rows) == 27
+        assert calls == [None] + ["q_avg_db"] * 27
+
+    def test_validate_builds_the_same_points(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        assert validate(_analytic_fig1()) == []
+        assert calls == [None] + ["q_avg_db"] * 27
+
+    def test_traced_layers_see_every_point(self, monkeypatch):
+        # perfbench/tracer.py wraps these names on the experiment module; a
+        # layer the run stops calling there would vanish from its metrics
+        calls = {"optimize_powers_sss": 0, "sep_rayleigh": 0}
+
+        def wrap(name):
+            function = getattr(experiment, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counted)
+
+        for name in calls:
+            wrap(name)
+        run_experiment(_analytic_fig1())
+        assert calls == {"optimize_powers_sss": 27, "sep_rayleigh": 27}
 
 
 def _sweep_outputs(config, tmp_path, workers):

@@ -25,6 +25,15 @@ class TestMinDistance:
         with pytest.raises(DegenerateConstellationError):
             ConstellationSpec(1, 1, 1.0)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.0), (4, "2")])
+    def test_non_integral_axis_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="axis sizes must be integers"):
+            ConstellationSpec(*sizes, 1.0)
+
+    def test_numpy_integer_axis_sizes_accepted(self):
+        spec = ConstellationSpec(np.int64(4), np.int32(2), 1.0)
+        assert spec.size == 8 and spec.class_counts()[PointClass.CORNER] == 4
+
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             ConstellationSpec(2, 2, 0.0)

@@ -56,6 +56,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="point must be >= 0"):
             MonteCarloConfig(trials=10, master_seed=1, point=-1)
 
+    @pytest.mark.parametrize("field", ["trials", "master_seed", "chunk_size", "point"])
+    def test_counts_must_be_integers(self, field):
+        fields = {"trials": 10, "master_seed": 1, "chunk_size": 4, "point": 0}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 1000000.0"):
+            MonteCarloConfig(**{**fields, field: 1e6})
+        assert MonteCarloConfig(**{**fields, field: np.int64(3)}).trials >= 1
+
 
 def _counts(scenario, trials, seed=21):
     """One chunk's per-cell (errors, transmitted) over ``trials`` channel uses."""

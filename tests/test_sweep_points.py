@@ -1,6 +1,6 @@
 """Property: a config that ``validate`` accepts runs at every sweep point.
 
-The runner builds each point with the builder ``validate`` calls, so either
+The run uses the very Scenarios that validation built, so either
 ``validate`` reports a problem and the run stops with a ConfigError before it
 writes anything, or every point yields a feasible row with a finite bound. A
 prior in (0, 1) and P_f < 1 keep the idle decision possible, so no row may be
