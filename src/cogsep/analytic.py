@@ -249,6 +249,28 @@ def _rayleigh_term(power, variance, mi: int, mq: int, bound: bool):
     return t1 - t2
 
 
+def _float_sep(table: _Table, mi: int, mq: int):
+    """SEP(P0, P1) on floats, bit for bit the exact (not bound) ``_sep`` of ``_rayleigh_term``."""
+    k_mod = mi * mi + mq * mq - 2
+    numerators = [2.0 * k_mod * v for v in table.variances.tolist()]
+    c1, c2 = 2.0 - 1.0 / mi - 1.0 / mq, 2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq)
+
+    def sep(p0, p1):
+        three_p = [3.0 * (p1 if d is Occupancy.BUSY else p0) for *_, d in table.rows]
+        beta = [math.sqrt(1.0 + num / tp) for tp in three_p for num in numerators]
+        inv = [1.0 / b for b in beta]
+        g = iter([c1 * (1.0 - i) - c2 * (2.0 / math.pi / b * a - i + 0.5)
+                  for b, i, a in zip(beta, inv, np.arctan(inv).tolist())])
+        total = 0.0
+        for weight, post_idle, post_busy, _ in table.rows:
+            idle, busy = next(g), 0.0
+            for lam in table.lam:
+                busy = busy + lam * next(g)
+            total = total + weight * (post_idle * idle + post_busy * busy)
+        return total
+    return sep
+
+
 def _peak_tail(qpk, variance, mi: int, mq: int, b1: float):
     """Gain average over y > b1 of one (1 - 1/beta) term at power Q_pk / y.
 
@@ -562,6 +584,12 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
     decreasing in each power, so the optimum sits on the upper boundary of the
     feasible set; a coarse scan along the active constraint segment brackets
     the best point and golden-section search refines it.
+
+    Every SEP but the scan's runs on Python floats in ``_float_sep``, without
+    numpy's per-call cost, bit for bit equal to ``_sep``, since one ulp moves
+    the golden p0* by up to ~1e-8 (ROADMAP item 2): it keeps the IEEE operation
+    order (2/pi/beta, not (2/pi)(1/beta)) and ``np.arctan``, from which
+    ``math.atan`` differs in the last bit for ~0.3% of arguments.
     """
     if scenario.scheme is not Scheme.SSS:
         raise ValueError("the power optimizer needs an SSS scenario")
@@ -573,10 +601,8 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
     p_d = scenario.sensing.p_detect
     floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
     table = _branches(scenario)
-
-    def sep_of(p0, p1):
-        return _sep(table, _rayleigh_term, _powers(table, p0, p1),
-                    scenario.m_inphase, scenario.m_quadrature, False)
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
+    sep_of = _float_sep(table, mi, mq)
 
     # Constraint inactive at the corner: both powers at the peak.
     if ppk <= budget:
@@ -589,41 +615,40 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
         p1 = min(ppk, budget)
         return OptimalPowers(ppk, p1, float(sep_of(ppk, p1)))
 
-    # Active segment: P1 = (budget - (1 - P_d) P0) / P_d, clipped to the box.
-    p0_min = max(floor, (budget - p_d * ppk) / (1.0 - p_d))
+    # Active segment: P1 = (budget - (1 - P_d) P0) / P_d, clipped to [floor, P_pk];
+    # P1 = P_pk up to P0 = p0_at_ppk, where the formula cancels at tiny P_d.
+    p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
+    p0_min = max(floor, p0_at_ppk)
     p0_max = min(ppk, (budget - p_d * floor) / (1.0 - p_d))
 
     def p1_of(p0):
-        return np.minimum(ppk, (budget - (1.0 - p_d) * p0) / p_d)
-
-    def objective(p0):
-        return sep_of(p0, p1_of(p0))
+        return ppk if p0 <= p0_at_ppk else min(ppk, max(floor, (budget - (1.0 - p_d) * p0) / p_d))
 
     grid = np.linspace(p0_min, p0_max, 513)
-    values = np.asarray(objective(grid))
+    p1s = np.where(grid <= p0_at_ppk, ppk, np.clip((budget - (1.0 - p_d) * grid) / p_d, floor, ppk))
+    values = _sep(table, _rayleigh_term, _powers(table, grid, p1s), mi, mq, False)
     best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, len(grid) - 1)])
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = float(objective(c)), float(objective(d))
+    fc, fd = sep_of(c, p1_of(c)), sep_of(d, p1_of(d))
     for _ in range(90):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = float(objective(c))
+            fc = sep_of(c, p1_of(c))
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = float(objective(d))
+            fd = sep_of(d, p1_of(d))
     p0_star = (a + b) / 2.0
     candidates = [p0_star, p0_min, p0_max]
-    p0_best = min(candidates, key=lambda p: float(objective(p)))
-    p1_best = float(p1_of(p0_best))
-    return OptimalPowers(float(p0_best), p1_best, float(objective(p0_best)))
+    p0_best = min(candidates, key=lambda p: sep_of(p, p1_of(p)))
+    p1_best = p1_of(p0_best)
+    return OptimalPowers(float(p0_best), float(p1_best), float(sep_of(p0_best, p1_best)))
 
 
 # ---------------------------------------------------------------------------

@@ -313,8 +313,10 @@ def monte_carlo_pool(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = sum(len(_chunk_bounds(config)) for config in configs)
-    if workers == 1 or chunks < 2:
+    if workers == 1:
+        return None
+    chunks = sum(-(-config.trials // config.chunk_size) for config in configs)  # ceil
+    if chunks < 2:
         return None
     return ProcessPoolExecutor(max_workers=min(workers, chunks))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from cogsep import analytic
@@ -27,7 +28,7 @@ from cogsep import (
     sep_rayleigh_numeric,
     sep_upper_bound,
 )
-from cogsep.analytic import (_axis_error, _branches, _powers, _q_term,
+from cogsep.analytic import (_axis_error, _branches, _float_sep, _powers, _q_term,
                              _rayleigh_term, _region_1d, _sep)
 from cogsep.mathcore import QuadratureError
 from cogsep.sensing import Occupancy
@@ -402,6 +403,26 @@ class TestPowerPolicies:
             peak_power_policy(constraints, 1.0)
 
 
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+POWERS = st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)  # 1e-6 .. 1e4, log-uniform
+
+
+@st.composite
+def sss_scenarios(draw):
+    """SSS scenarios over every grid shape, 1-3 mixture components, P_d and
+    P_f in (0, 1), and peak power and average budget from 1e-6 to 1e4."""
+    k = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    mixture = GaussianMixture.from_lists(
+        [w / sum(raw) for w in raw],
+        draw(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k)))
+    sensing = SensingModel(draw(OPEN_UNIT), draw(OPEN_UNIT), draw(st.floats(0.05, 0.95)))
+    constraints = ConstraintSet(peak_power=draw(POWERS), avg_interference=draw(POWERS))
+    return make_scenario(modulation=draw(st.sampled_from([(2, 1), (8, 1), (2, 2), (4, 4), (8, 8)])),
+                         sensing=sensing, noise_variance=draw(st.floats(1e-4, 1.0)),
+                         mixture=mixture, constraints=constraints)
+
+
 class TestOptimizer:
     def _grid_best(self, scenario, constraints, resolution=2000):
         """Dense feasible-grid reference minimum of the SSS Rayleigh SEP."""
@@ -417,8 +438,32 @@ class TestOptimizer:
                        scenario.m_inphase, scenario.m_quadrature, False)
             feasible = (1 - p_d) * p0 + p_d * p[None, :] <= budget
             if feasible.any():
-                best = min(best, float(sep[feasible].min()))
+                # a busy-decision row of weight 0 is dropped, and P1 with it
+                best = min(best, float(np.broadcast_to(sep, feasible.shape)[feasible].min()))
         return best
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scenario=sss_scenarios(), p0=POWERS, p1=POWERS)
+    def test_float_sep_equals_vector_sep_bit_for_bit(self, scenario, p0, p1):
+        # math.atan for np.arctan, or (2/pi)(1/beta) for 2/pi/beta, breaks this.
+        # A last-bit atan change reaches the SEP in ~1 of 1000 points, hence the sweep.
+        table, mi, mq = _branches(scenario), scenario.m_inphase, scenario.m_quadrature
+        sep = _float_sep(table, mi, mq)
+        sweep = [(p, p1) for p in np.logspace(-6.0, 4.0, 101).tolist()]
+        for q0, q1 in [(p0, p1), (p0, p0), *sweep]:
+            vector = _sep(table, _rayleigh_term, _powers(table, q0, q1), mi, mq, False)
+            assert sep(q0, q1) == float(vector)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scenario=sss_scenarios())
+    def test_feasible_and_no_worse_than_a_coarse_grid(self, scenario):
+        constraints = scenario.constraints
+        ppk, budget = constraints.peak_power, constraints.avg_interference
+        p_d = scenario.sensing.p_detect
+        out = optimize_powers_sss(scenario)
+        assert 0 < out.p0 <= ppk and 0 < out.p1 <= ppk
+        assert (1 - p_d) * out.p0 + p_d * out.p1 <= budget * (1 + 1e-12)
+        assert out.sep <= self._grid_best(scenario, constraints, 200) * (1 + 1e-12)
 
     def test_inactive_constraint(self, sensing):
         constraints = ConstraintSet(peak_power=1.0, avg_interference=5.0)

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -405,6 +409,21 @@ class TestPooledSweep:
 
 
 class TestCli:
+    def test_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "cogsep", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: cogsep ")
+        assert "{run,validate,preset}" in out.stdout
+        # importing the package does not run (or load) the module entry point
+        out = subprocess.run([sys.executable, "-c", "import sys, cogsep; "
+                              "print('cogsep.__main__' in sys.modules)"], env=env,
+                             check=True, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "good.ini"
         path.write_text(make_text())

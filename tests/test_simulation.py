@@ -34,6 +34,7 @@ from cogsep.simulation import (
     _chunk_counts,
     _chunk_rng,
     _simulate_chunk,
+    monte_carlo_pool,
 )
 
 from conftest import P_4DB, make_scenario
@@ -119,6 +120,20 @@ class TestDeterminism:
         config = MonteCarloConfig(trials=trials, master_seed=5, chunk_size=1_000)
         run_monte_carlo(scenario, config, workers=workers)
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers,sizes", [(1, []), (2, [2])])
+    def test_pool_counts_chunks_without_listing_them(self, pool_sizes, workers, sizes):
+        # a list of 10**9 chunk bounds would take tens of GB
+        config = MonteCarloConfig(trials=10**9, master_seed=5, chunk_size=1)
+        tracemalloc.start()
+        try:
+            pool = monte_carlo_pool(workers, [config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (pool is None) == (workers == 1)
+        assert pool_sizes == sizes
+        assert peak < 0.1e6
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
