@@ -23,7 +23,7 @@ import numpy as np
 
 from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate
 from .modulation import ConstellationSpec, PointClass
-from .sensing import Occupancy, SensingModel
+from .sensing import Occupancy, SensingModel, _check_prob
 
 __all__ = [
     "Scheme",
@@ -151,16 +151,21 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 class _Table(NamedTuple):
-    """Sensing-branch rows and the disturbance variances every row shares.
+    """Sensing-branch rows, the variances they share, and the grid's constants.
 
     ``rows`` holds (weight, post_idle, post_busy, decision) per transmitting
     branch; ``variances`` is [s0, s0 + s_1, ..., s0 + s_L] for noise variance
-    s0 and mixture variances s_l, whose weights lambda_l are ``lam``.
+    s0 and mixture variances s_l, whose weights lambda_l are ``lam``. For an
+    M_I x M_Q grid, ``k_mod`` is K = M_I^2 + M_Q^2 - 2 and ``c1``, ``c2`` are
+    the Q and Q^2 coefficients 2 - 1/M_I - 1/M_Q and 2(1 - 1/M_I)(1 - 1/M_Q).
     """
 
     rows: list
     lam: tuple
     variances: np.ndarray
+    k_mod: int
+    c1: float
+    c2: float
 
 
 def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
@@ -185,20 +190,24 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
                 rows.append((weight, s.posterior(Occupancy.IDLE, decision),
                              s.posterior(Occupancy.BUSY, decision), decision))
     mix, noise = scenario.interference, scenario.noise_variance
+    mi, mq = scenario.m_inphase, scenario.m_quadrature
     return _Table(rows, tuple(mix.weights.tolist()),
-                  np.concatenate(([noise], mix.variances + noise)))
+                  np.concatenate(([noise], mix.variances + noise)),
+                  mi * mi + mq * mq - 2, 2.0 - 1.0 / mi - 1.0 / mq,
+                  2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq))
 
 
 def _sep(table: _Table, term, x, *args):
     """sum_b w_b (post_idle_b g(x_b, s0) + post_busy_b sum_l lambda_l g(x_b, s0 + s_l)).
 
-    ``term(x, variance, *args)`` runs once over the whole (row x variance)
-    table. ``x`` holds one entry per row in its first axis; further axes,
-    e.g. a vector of powers, broadcast through. The sums run left to right,
-    so each vector entry equals the scalar evaluation bit for bit.
+    ``term(x, variance, table, *args)`` runs once over the whole (row x
+    variance) table and reads the grid constants (K, c1, c2) from ``table``.
+    ``x`` holds one entry per row in its first axis; further axes, e.g. a
+    vector of powers, broadcast through. The sums run left to right, so each
+    vector entry equals the scalar evaluation bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    g = term(x[:, None], table.variances.reshape((-1,) + (1,) * (x.ndim - 1)), *args)
+    g = term(x[:, None], table.variances.reshape((-1,) + (1,) * (x.ndim - 1)), table, *args)
     if g.ndim == 2:
         g = g.tolist()  # one point: the same IEEE sums run faster on Python floats
     total = 0.0
@@ -220,40 +229,35 @@ def _powers(table: _Table, p0, p1):
         *(p1 if decision is Occupancy.BUSY else p0 for *_, decision in table.rows)))
 
 
-def _q_term(d2h2, variance, mi: int, mq: int):
+def _q_term(d2h2, variance, table: _Table):
     """Conditional SEP term for one disturbance variance.
 
-    2(2 - 1/M_I - 1/M_Q) Q(a) - 4(1 - 1/M_I)(1 - 1/M_Q) Q^2(a) with
-    a = sqrt(d^2 |h|^2 / (4 v)).
+    2 c1 Q(a) - 2 c2 Q^2(a) with a = sqrt(d^2 |h|^2 / (4 v)); 2 c2 is exactly
+    4(1 - 1/M_I)(1 - 1/M_Q), since doubling rounds nothing.
     """
     qa = gaussian_q(np.sqrt(d2h2 / (4.0 * variance)))
-    return (2.0 * (2.0 - 1.0 / mi - 1.0 / mq) * qa
-            - 4.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq) * qa * qa)
+    return 2.0 * table.c1 * qa - 2.0 * table.c2 * qa * qa
 
 
-def _rayleigh_term(power, variance, mi: int, mq: int, bound: bool):
+def _rayleigh_term(power, variance, table: _Table, bound: bool):
     """Fading average (|h|^2 ~ Exp(1)) of one conditional term.
 
-    With beta = sqrt(1 + 2 K v / (3 P)), K = M_I^2 + M_Q^2 - 2, the Q term
-    averages to (1 - 1/beta)/2 and the Q^2 term to the arctangent expression
-    below. ``bound=True`` drops the (negative) Q^2 contribution, which is
-    exact for PAM since its coefficient vanishes at M_Q = 1.
+    With beta = sqrt(1 + 2 K v / (3 P)), the Q term averages to
+    (1 - 1/beta)/2 and the Q^2 term to the arctangent expression below.
+    ``bound=True`` drops the (negative) Q^2 contribution, which is exact for
+    PAM since c2 vanishes at M_Q = 1.
     """
-    k_mod = mi * mi + mq * mq - 2
-    beta = np.sqrt(1.0 + 2.0 * k_mod * variance / (3.0 * power))
-    t1 = (2.0 - 1.0 / mi - 1.0 / mq) * (1.0 - 1.0 / beta)
+    beta = np.sqrt(1.0 + 2.0 * table.k_mod * variance / (3.0 * power))
+    t1 = table.c1 * (1.0 - 1.0 / beta)
     if bound:
         return t1
-    t2 = (2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq)
-          * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5))
-    return t1 - t2
+    return t1 - table.c2 * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5)
 
 
-def _float_sep(table: _Table, mi: int, mq: int):
+def _float_sep(table: _Table):
     """SEP(P0, P1) on floats, bit for bit the exact (not bound) ``_sep`` of ``_rayleigh_term``."""
-    k_mod = mi * mi + mq * mq - 2
-    numerators = [2.0 * k_mod * v for v in table.variances.tolist()]
-    c1, c2 = 2.0 - 1.0 / mi - 1.0 / mq, 2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq)
+    numerators = [2.0 * table.k_mod * v for v in table.variances.tolist()]
+    c1, c2 = table.c1, table.c2
 
     def sep(p0, p1):
         three_p = [3.0 * (p1 if d is Occupancy.BUSY else p0) for *_, d in table.rows]
@@ -271,13 +275,12 @@ def _float_sep(table: _Table, mi: int, mq: int):
     return sep
 
 
-def _peak_tail(qpk, variance, mi: int, mq: int, b1: float):
+def _peak_tail(qpk, variance, table: _Table, b1: float):
     """Gain average over y > b1 of one (1 - 1/beta) term at power Q_pk / y.
 
-    e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))),
-    gamma = 3 Q_pk / (2 (M_I^2 + M_Q^2 - 2) v).
+    e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))), gamma = 3 Q_pk / (2 K v).
     """
-    gamma = 3.0 * qpk / (2.0 * (mi * mi + mq * mq - 2) * variance)
+    gamma = 3.0 * qpk / (2.0 * table.k_mod * variance)
     return math.exp(-b1) * (
         1.0 - np.sqrt(gamma * math.pi) * erfcx(np.sqrt(gamma + b1)))
 
@@ -346,10 +349,9 @@ def _conditional(scenario: Scenario, table: _Table):
     array of SEPs, by one ``_sep`` call over (rows x variances x magnitudes).
     """
     d2 = _squared_distances(scenario, table)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
 
     def conditional(magnitude):
-        value = _sep(table, _q_term, np.multiply.outer(d2, magnitude**2), mi, mq)
+        value = _sep(table, _q_term, np.multiply.outer(d2, magnitude**2))
         return float(value) if np.ndim(magnitude) == 0 else value
 
     return conditional
@@ -379,8 +381,7 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
 def _sep_rayleigh(scenario: Scenario, bound: bool) -> float:
     table = _branches(scenario)
     powers = [_spec(scenario, decision).power for *_, decision in table.rows]
-    return float(_sep(table, _rayleigh_term, powers,
-                      scenario.m_inphase, scenario.m_quadrature, bound))
+    return float(_sep(table, _rayleigh_term, powers, bound))
 
 
 def sep_rayleigh(scenario: Scenario) -> float:
@@ -536,10 +537,11 @@ def max_power_osa(constraints: ConstraintSet, p_detect: float) -> float:
     """Maximum idle-decision power under the average interference limit.
 
     min(P_pk, Q_avg / ((1 - P_d) E{|g|^2})); the second term is infinite at
-    P_d = 1, where only the peak cap binds.
+    P_d = 1, where only the peak cap binds. ``p_detect`` must lie in [0, 1].
     """
     if constraints.avg_interference is None:
         raise ValueError("avg_interference constraint required")
+    p_detect = _check_prob("p_detect", p_detect)
     if p_detect >= 1.0:
         return constraints.peak_power
     limit = constraints.avg_interference / (
@@ -601,8 +603,7 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
     p_d = scenario.sensing.p_detect
     floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
     table = _branches(scenario)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    sep_of = _float_sep(table, mi, mq)
+    sep_of = _float_sep(table)
 
     # Constraint inactive at the corner: both powers at the peak.
     if ppk <= budget:
@@ -626,7 +627,7 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
 
     grid = np.linspace(p0_min, p0_max, 513)
     p1s = np.where(grid <= p0_at_ppk, ppk, np.clip((budget - (1.0 - p_d) * grid) / p_d, floor, ppk))
-    values = _sep(table, _rayleigh_term, _powers(table, grid, p1s), mi, mq, False)
+    values = _sep(table, _rayleigh_term, _powers(table, grid, p1s), False)
     best = int(np.argmin(values))
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, len(grid) - 1)])
@@ -655,10 +656,17 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
 # Peak-interference constrained averages over the gain |g|^2 ~ Exp(1)
 # ---------------------------------------------------------------------------
 
-def _require_peak(scenario: Scenario) -> tuple[float, float]:
+def _peak_split(scenario: Scenario, bound: bool) -> tuple[_Table, float, float, float]:
+    """The peak policy's collapsed table, b1 = Q_pk / P_pk, Q_pk and the head
+    (1 - e^{-b1}) f(P_pk) where the cap binds, f the Rayleigh SEP (the bound
+    or the exact form). Each caller adds its own tail over |g|^2 > b1."""
     if scenario.power_policy != "peak_interference":  # Scenario checks the constraint
         raise ValueError("scenario needs the peak_interference power policy")
-    return scenario.constraints.peak_power, scenario.constraints.peak_interference
+    ppk, qpk = scenario.constraints.peak_power, scenario.constraints.peak_interference
+    b1 = qpk / ppk
+    table = _branches(scenario, collapse=True)
+    head = (1.0 - math.exp(-b1)) * float(_sep(table, _rayleigh_term, [ppk], bound))
+    return table, b1, qpk, head
 
 
 def sep_peak_interference(scenario: Scenario) -> float:
@@ -675,14 +683,8 @@ def sep_peak_interference(scenario: Scenario) -> float:
     variant with e^{+b1} grows without bound. Writing it with ``erfcx`` also
     stays finite where a literal e^{gamma} Q(...) product would overflow.
     """
-    ppk, qpk = _require_peak(scenario)
-    b1 = qpk / ppk
-    table = _branches(scenario, collapse=True)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    capped = (1.0 - math.exp(-b1)) * float(
-        _sep(table, _rayleigh_term, [ppk], mi, mq, True))
-    tail_sum = _sep(table, _peak_tail, [qpk], mi, mq, b1)
-    return float(capped + (2.0 - 1.0 / mi - 1.0 / mq) * tail_sum)
+    table, b1, qpk, capped = _peak_split(scenario, bound=True)
+    return float(capped + table.c1 * _sep(table, _peak_tail, [qpk], b1))
 
 
 # e^{-y} underflows past y = 745: no gain mass lies beyond it.
@@ -706,16 +708,12 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
     Raises QuadratureError if the error estimate exceeds 1e-8.
     """
-    ppk, qpk = _require_peak(scenario)
-    b1 = qpk / ppk
-    table = _branches(scenario, collapse=True)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    head = (1.0 - math.exp(-b1)) * float(_sep(table, _rayleigh_term, [ppk], mi, mq, bound))
+    table, b1, qpk, head = _peak_split(scenario, bound)
     if b1 >= _GAIN_END:
         return head
     breaks = [y for y in b1 + np.array([0.0, 1.0, 10.0, 50.0]) if y < _GAIN_END]
     tail, abserr = integrate(
-        lambda y: _sep(table, _rayleigh_term, [qpk / y], mi, mq, bound) * np.exp(-y),
+        lambda y: _sep(table, _rayleigh_term, [qpk / y], bound) * np.exp(-y),
         [*breaks, _GAIN_END], rtol=1e-10, atol=1e-12)
     if abserr > 1e-8:
         raise QuadratureError(
@@ -755,11 +753,6 @@ def sep_peak_interference_exact(scenario: Scenario) -> float:
     same collapsed branch weights as the bound, so SSS results are
     bitwise-independent of the sensing quality.
     """
-    ppk, qpk = _require_peak(scenario)
-    b1 = qpk / ppk
-    table = _branches(scenario, collapse=True)
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    head = (1.0 - math.exp(-b1)) * float(
-        _sep(table, _rayleigh_term, [ppk], mi, mq, False))
-    tail = _sep(table, _rayleigh_term, [qpk / (b1 + _EXP_SINH_NODES)], mi, mq, False)
+    table, b1, qpk, head = _peak_split(scenario, bound=False)
+    tail = _sep(table, _rayleigh_term, [qpk / (b1 + _EXP_SINH_NODES)], False)
     return head + math.exp(-b1) * float(_EXP_SINH_WEIGHTS @ tail)

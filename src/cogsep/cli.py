@@ -3,7 +3,7 @@
 Subcommands: ``run <config>`` executes a config file, ``validate <config>``
 reports every invariant violation without executing, and ``preset <name>``
 runs one of the built-in fig1..fig8 sweeps. Exit codes: 0 success, 2 config
-error, 3 runtime/infeasibility error.
+error, 3 runtime/infeasibility error; any other exception is a bug and raises.
 """
 
 import argparse
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"cogsep: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # infeasibility / numeric failure
+    except (RuntimeError, ValueError, ArithmeticError, OSError) as exc:  # a failure, not a bug
         print(f"cogsep: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

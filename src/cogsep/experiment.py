@@ -106,7 +106,8 @@ class SweepSpec:
         count = self.count()
         if count > MAX_SWEEP_POINTS:
             raise ConfigError(_too_many_points(count))
-        return [self.start + i * self.step for i in range(count)]
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, an ulp past stop = 1.0
+        return [min(self.start + i * self.step, self.stop) for i in range(count)]
 
 
 def _too_many_points(count: int) -> str:
@@ -259,7 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except Exception as exc:  # defensive: surface anything else as a config error
+    except (ValueError, configparser.Error) as exc:  # e.g. a stray '%' in a value
         raise ConfigError(f"invalid config: {exc}") from exc
     unknown = [f"{section}.{key}" for section in cp.sections() for key in cp[section]
                if f"{section}.{key}" not in read]

@@ -10,7 +10,7 @@ mpmath.
 
 import mpmath
 
-from cogsep.analytic import Scenario, _branches, _require_peak, _spec
+from cogsep.analytic import Scenario, _branches, _spec
 
 DIGITS = 40
 TAIL_DIGITS = 50
@@ -61,7 +61,7 @@ def peak_exact(scenario: Scenario):
     b1 + 10 and b1 + 50 so that the integrand's scale near b1 and the decay of
     e^{-y} each get their own panels.
     """
-    ppk, qpk = _require_peak(scenario)
+    ppk, qpk = scenario.constraints.peak_power, scenario.constraints.peak_interference
     table = _branches(scenario, collapse=True)
     mi, mq = scenario.m_inphase, scenario.m_quadrature
     with mpmath.workdps(DIGITS):

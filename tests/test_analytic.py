@@ -134,7 +134,7 @@ class TestSepKernel:
         table = _branches(scenario)
         p0 = np.logspace(-1.5, 1.5, 31)
         p1 = p0[::-1].copy()
-        vector = _sep(table, _rayleigh_term, _powers(table, p0, p1), 8, 2, bound)
+        vector = _sep(table, _rayleigh_term, _powers(table, p0, p1), bound)
         closed_form = sep_upper_bound if bound else sep_rayleigh
         points = [closed_form(make_scenario(scheme, (8, 2), p0=float(a), p1=float(b)))
                   for a, b in zip(p0, p1)]
@@ -146,7 +146,7 @@ class TestSepKernel:
         d2 = np.array([scenario.spec_idle.min_distance() ** 2,
                        scenario.spec_busy.min_distance() ** 2])
         magnitudes = np.linspace(0.0, 3.0, 31)
-        vector = _sep(table, _q_term, d2[:, None] * magnitudes**2, 4, 2)
+        vector = _sep(table, _q_term, d2[:, None] * magnitudes**2)
         points = [sep_conditional(scenario, float(m)) for m in magnitudes]
         assert vector.tolist() == points
 
@@ -364,6 +364,12 @@ class TestPowerPolicies:
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=1e9)
         assert max_power_osa(constraints, 0.9) == P_4DB
 
+    @pytest.mark.parametrize("p_detect", [math.nan, 1.5, -0.5])
+    def test_max_power_osa_rejects_p_detect_outside_unit_interval(self, p_detect):
+        constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
+        with pytest.raises(ValueError, match=r"p_detect must lie in \[0, 1\]"):
+            max_power_osa(constraints, p_detect)
+
     def test_peak_policy_low_gain(self):
         constraints = ConstraintSet(peak_power=P_4DB, peak_interference=1.0)
         assert peak_power_policy(constraints, 0.25) == P_4DB
@@ -434,8 +440,7 @@ class TestOptimizer:
         best = np.inf
         for start in range(0, resolution, 100):
             p0 = p[start:start + 100][:, None]
-            sep = _sep(table, _rayleigh_term, _powers(table, p0, p[None, :]),
-                       scenario.m_inphase, scenario.m_quadrature, False)
+            sep = _sep(table, _rayleigh_term, _powers(table, p0, p[None, :]), False)
             feasible = (1 - p_d) * p0 + p_d * p[None, :] <= budget
             if feasible.any():
                 # a busy-decision row of weight 0 is dropped, and P1 with it
@@ -447,11 +452,11 @@ class TestOptimizer:
     def test_float_sep_equals_vector_sep_bit_for_bit(self, scenario, p0, p1):
         # math.atan for np.arctan, or (2/pi)(1/beta) for 2/pi/beta, breaks this.
         # A last-bit atan change reaches the SEP in ~1 of 1000 points, hence the sweep.
-        table, mi, mq = _branches(scenario), scenario.m_inphase, scenario.m_quadrature
-        sep = _float_sep(table, mi, mq)
+        table = _branches(scenario)
+        sep = _float_sep(table)
         sweep = [(p, p1) for p in np.logspace(-6.0, 4.0, 101).tolist()]
         for q0, q1 in [(p0, p1), (p0, p0), *sweep]:
-            vector = _sep(table, _rayleigh_term, _powers(table, q0, q1), mi, mq, False)
+            vector = _sep(table, _rayleigh_term, _powers(table, q0, q1), False)
             assert sep(q0, q1) == float(vector)
 
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -103,6 +103,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"monte_carlo\.{key} must be a whole number"):
             parse_config(text)
 
+    def test_stray_percent_is_config_error(self):
+        with pytest.raises(ConfigError, match="invalid config: '%' must be followed"):
+            parse_config(make_text().replace("p_detect = 0.9", "p_detect = 0.9%"))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(text):
+            raise TypeError("a bug, not a config error")
+
+        monkeypatch.setattr(experiment, "_float_list", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            parse_config(make_text())
+
     def test_integral_float_counts_accepted(self):
         config = parse_config(make_text(trials="1e6").replace("seed = 77", "seed = 7.0"))
         assert (config.trials, config.seed) == (1_000_000, 7)
@@ -183,9 +195,9 @@ class TestValidate:
         assert any("peak power" in d for d in diags)
 
     @pytest.mark.parametrize("preset,updates,expected", [
-        # the last point is 0.09 + 13 * 0.07 = 1.0000000000000002
-        ("fig3", {"sweep": SweepSpec("p_detect", 0.09, 1.0, 0.07)},
-         "p_detect must lie in [0, 1], got 1.0000000000000002"),
+        # the last point, 1.5, lies above 1
+        ("fig3", {"sweep": SweepSpec("p_detect", 0.5, 1.5, 0.5)},
+         "p_detect must lie in [0, 1], got 1.5"),
         # p0 = 2.0 is above the 0.32 peak power of the point p_pk_db = -5
         ("fig5", {"q_pk_db": None, "q_avg_db": 10.0, "p0_db": 3.0, "p1_db": 0.0},
          "explicit powers exceed the peak power constraint"),
@@ -196,6 +208,12 @@ class TestValidate:
     def test_every_sweep_point_checked(self, preset, updates, expected):
         config = replace(figure_preset(preset), **updates)
         assert validate(config) == [expected]
+
+    def test_sweep_ends_at_its_stop(self):
+        """0.09 + 13 * 0.07 rounds to 1.0000000000000002; the sweep stops at 1.0."""
+        sweep = SweepSpec("p_detect", 0.09, 1.0, 0.07)
+        assert len(sweep.values()) == 14 and sweep.values()[-1] == 1.0
+        assert validate(replace(figure_preset("fig3"), sweep=sweep)) == []
 
     @pytest.mark.parametrize("start,stop", [
         (float("inf"), float("inf")), (float("-inf"), 0.0), (0.0, float("nan"))])
@@ -482,10 +500,9 @@ class TestCli:
 
     def test_validate_checks_every_sweep_point(self, tmp_path, capsys):
         path = tmp_path / "pd.ini"
-        path.write_text(make_text(axis="p_detect", start=0.09, stop=1.0, step=0.07))
+        path.write_text(make_text(axis="p_detect", start=0.5, stop=1.5, step=0.5))
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().out == (
-            "error: p_detect must lie in [0, 1], got 1.0000000000000002\n")
+        assert capsys.readouterr().out == "error: p_detect must lie in [0, 1], got 1.5\n"
 
     def test_runtime_failure_exit_code(self, tmp_path):
         path = tmp_path / "skip.ini"
@@ -495,3 +512,17 @@ class TestCli:
         text = text.replace("prior_busy = 0.4", "prior_busy = 0.0")
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig2.csv"
+        assert main(["preset", "fig2", "--engines", "analytic", "--out", str(out)]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(scenario):
+            raise TypeError("a bug, not a runtime failure")
+
+        monkeypatch.setattr(experiment, "sep_rayleigh", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["preset", "fig2", "--engines", "analytic",
+                  "--out", str(tmp_path / "fig2.csv")])

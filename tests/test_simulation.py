@@ -22,7 +22,7 @@ from cogsep import (
     sep_rayleigh,
 )
 from cogsep import simulation
-from cogsep.analytic import _rayleigh_term
+from cogsep.analytic import _branches, _rayleigh_term
 from cogsep.simulation import (
     BUSY,
     CELLS,
@@ -386,12 +386,12 @@ class TestDrawContract:
         errors, drawn = sum(_chunk_counts((scenario, config.master_seed, 0, i, start, stop))
                             for i, (start, stop) in enumerate(_chunk_bounds(config)))
         s0, mixture = scenario.noise_variance, scenario.interference
+        table = _branches(scenario)
         for (state, decision), e, k in zip(CELLS, errors, drawn):
             power = (scenario.spec_busy if decision == BUSY else spec).power
             terms = ([(1.0, s0)] if state == IDLE else
                      [(lam, s0 + v) for lam, v in mixture.components])
-            p = sum(lam * _rayleigh_term(power, v, spec.m_inphase, spec.m_quadrature, False)
-                    for lam, v in terms)
+            p = sum(lam * _rayleigh_term(power, v, table, False) for lam, v in terms)
             sigma = math.sqrt(p * (1 - p) / k)
             assert abs(e / k - p) <= 3 * sigma, (state, decision, (e / k - p) / sigma)
 
