@@ -15,6 +15,7 @@ All per-axis variances follow the pdf convention of
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -158,14 +159,16 @@ class _Table(NamedTuple):
     s0 and mixture variances s_l, whose weights lambda_l are ``lam``. For an
     M_I x M_Q grid, ``k_mod`` is K = M_I^2 + M_Q^2 - 2 and ``c1``, ``c2`` are
     the Q and Q^2 coefficients 2 - 1/M_I - 1/M_Q and 2(1 - 1/M_I)(1 - 1/M_Q).
+    A table stacked over points (``_stack``) holds an array over the points
+    in place of each number, and ``variances`` has shape (variance, point).
     """
 
     rows: list
     lam: tuple
     variances: np.ndarray
-    k_mod: int
-    c1: float
-    c2: float
+    k_mod: int | np.ndarray
+    c1: float | np.ndarray
+    c2: float | np.ndarray
 
 
 def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
@@ -197,17 +200,34 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
                   2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq))
 
 
+def _stack(tables: list[_Table]) -> _Table:
+    """One table over points whose tables share their shape: the row
+    decisions and the mixture size. Each number becomes the array of its
+    values over the points, so one ``_sep`` call evaluates every point."""
+    rows, lam, variances, k_mod, c1, c2 = zip(*tables)
+    stacked = []
+    for row in zip(*rows):  # one row across the points
+        weight, post_idle, post_busy, decisions = zip(*row)
+        stacked.append((np.array(weight), np.array(post_idle), np.array(post_busy),
+                        decisions[0]))
+    return _Table(stacked, tuple(map(np.array, zip(*lam))), np.stack(variances, axis=1),
+                  np.array(k_mod), np.array(c1), np.array(c2))
+
+
 def _sep(table: _Table, term, x, *args):
     """sum_b w_b (post_idle_b g(x_b, s0) + post_busy_b sum_l lambda_l g(x_b, s0 + s_l)).
 
     ``term(x, variance, table, *args)`` runs once over the whole (row x
     variance) table and reads the grid constants (K, c1, c2) from ``table``.
     ``x`` holds one entry per row in its first axis; further axes, e.g. a
-    vector of powers, broadcast through. The sums run left to right, so each
-    vector entry equals the scalar evaluation bit for bit.
+    vector of powers, broadcast through. For a stacked table, ``x`` is (row,
+    point). The sums run left to right, so each vector entry equals the
+    scalar evaluation bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    g = term(x[:, None], table.variances.reshape((-1,) + (1,) * (x.ndim - 1)), table, *args)
+    variances = table.variances
+    g = term(x[:, None], variances.reshape(variances.shape + (1,) * (x.ndim - variances.ndim)),
+             table, *args)
     if g.ndim == 2:
         g = g.tolist()  # one point: the same IEEE sums run faster on Python floats
     total = 0.0
@@ -252,27 +272,6 @@ def _rayleigh_term(power, variance, table: _Table, bound: bool):
     if bound:
         return t1
     return t1 - table.c2 * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5)
-
-
-def _float_sep(table: _Table):
-    """SEP(P0, P1) on floats, bit for bit the exact (not bound) ``_sep`` of ``_rayleigh_term``."""
-    numerators = [2.0 * table.k_mod * v for v in table.variances.tolist()]
-    c1, c2 = table.c1, table.c2
-
-    def sep(p0, p1):
-        three_p = [3.0 * (p1 if d is Occupancy.BUSY else p0) for *_, d in table.rows]
-        beta = [math.sqrt(1.0 + num / tp) for tp in three_p for num in numerators]
-        inv = [1.0 / b for b in beta]
-        g = iter([c1 * (1.0 - i) - c2 * (2.0 / math.pi / b * a - i + 0.5)
-                  for b, i, a in zip(beta, inv, np.arctan(inv).tolist())])
-        total = 0.0
-        for weight, post_idle, post_busy, _ in table.rows:
-            idle, busy = next(g), 0.0
-            for lam in table.lam:
-                busy = busy + lam * next(g)
-            total = total + weight * (post_idle * idle + post_busy * busy)
-        return total
-    return sep
 
 
 def _peak_tail(qpk, variance, table: _Table, b1: float):
@@ -576,10 +575,48 @@ class OptimalPowers:
     sep: float
 
 
-def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
-    """Minimize the SSS Rayleigh SEP over (P0, P1) under the constraints.
+def _p1(p0, ppk, budget, p_d, floor, p0_at_ppk):
+    """P1 on the active segment: (budget - (1 - P_d) P0) / P_d clipped to
+    [floor, P_pk], and P_pk up to P0 = p0_at_ppk, where it cancels at tiny P_d.
+    The segment's numbers are floats, or arrays over points."""
+    return np.where(p0 <= p0_at_ppk, ppk,
+                    np.clip((budget - (1.0 - p_d) * p0) / p_d, floor, ppk))
 
-    ``scenario`` gives the grid, sensing, noise, mixture and constraints; the
+
+def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
+    """(P0, P1, SEP) arrays: golden-section search on [a, b], then the best
+    of its midpoint and the segment's ends, for every point of a stacked
+    table at once, one ``_sep`` call per step. ``np.where`` takes each
+    point's branch, so each point's result is its own search's, bit for bit.
+    """
+    def sep_at(p0):
+        return _sep(table, _rayleigh_term, _powers(table, p0, _p1(p0, *segment)), False)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = sep_at(c), sep_at(d)
+    for _ in range(90):
+        left = fc < fd  # keep [a, d] and probe left of c, else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = sep_at(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    p0 = (a + b) / 2.0
+    sep = sep_at(p0)
+    for end in (p0_min, p0_max):  # the first of equal SEPs wins
+        value = sep_at(end)
+        better = value < sep
+        p0, sep = np.where(better, end, p0), np.where(better, value, sep)
+    return p0, _p1(p0, *segment), sep
+
+
+def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
+    """Minimize the SSS Rayleigh SEP over (P0, P1) under the constraints, at
+    each of ``scenarios``; one OptimalPowers per scenario, in order.
+
+    A scenario gives the grid, sensing, noise, mixture and constraints; the
     powers its specs carry are ignored. Subject to P0, P1 <= P_pk and the
     sensing-weighted average interference limit
     (1 - P_d) P0 E{|g|^2} + P_d P1 E{|g|^2} <= Q_avg. The SEP is strictly
@@ -587,69 +624,53 @@ def optimize_powers_sss(scenario: Scenario) -> OptimalPowers:
     feasible set; a coarse scan along the active constraint segment brackets
     the best point and golden-section search refines it.
 
-    Every SEP but the scan's runs on Python floats in ``_float_sep``, without
-    numpy's per-call cost, bit for bit equal to ``_sep``, since one ulp moves
-    the golden p0* by up to ~1e-8 (ROADMAP item 2): it keeps the IEEE operation
-    order (2/pi/beta, not (2/pi)(1/beta)) and ``np.arctan``, from which
-    ``math.atan`` differs in the last bit for ~0.3% of arguments.
+    The corner (both powers at the peak), P_d in {0, 1} and the 513-point scan
+    run per point. The 90 golden steps run in lockstep (``_lockstep``) over
+    every point whose table has the same shape, on one stacked table. Each
+    result equals that of a one-scenario call bit for bit, which matters
+    because one ulp of SEP moves the golden p0* by up to ~1e-8.
     """
-    if scenario.scheme is not Scheme.SSS:
-        raise ValueError("the power optimizer needs an SSS scenario")
-    constraints = scenario.constraints
-    if constraints is None or constraints.avg_interference is None:
-        raise ValueError("avg_interference constraint required")
-    ppk = constraints.peak_power
-    budget = constraints.avg_interference / constraints.mean_gain_to_primary
-    p_d = scenario.sensing.p_detect
-    floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
-    table = _branches(scenario)
-    sep_of = _float_sep(table)
+    results: list = [None] * len(scenarios)
+    groups: dict = {}
+    for index, scenario in enumerate(scenarios):
+        if scenario.scheme is not Scheme.SSS:
+            raise ValueError("the power optimizer needs an SSS scenario")
+        constraints = scenario.constraints
+        if constraints is None or constraints.avg_interference is None:
+            raise ValueError("avg_interference constraint required")
+        ppk = constraints.peak_power
+        budget = constraints.avg_interference / constraints.mean_gain_to_primary
+        p_d = scenario.sensing.p_detect
+        table = _branches(scenario)
 
-    # Constraint inactive at the corner: both powers at the peak.
-    if ppk <= budget:
-        return OptimalPowers(ppk, ppk, float(sep_of(ppk, ppk)))
+        # The constraint inactive at the corner, or only one power under the budget.
+        corner = ((ppk, ppk) if ppk <= budget else (budget, ppk) if p_d == 0.0
+                  else (ppk, budget) if p_d == 1.0 else None)
+        if corner is not None:
+            sep = _sep(table, _rayleigh_term, _powers(table, *corner), False)
+            results[index] = OptimalPowers(*corner, float(sep))
+            continue
 
-    if p_d == 0.0:
-        p0 = min(ppk, budget)
-        return OptimalPowers(p0, ppk, float(sep_of(p0, ppk)))
-    if p_d == 1.0:
-        p1 = min(ppk, budget)
-        return OptimalPowers(ppk, p1, float(sep_of(ppk, p1)))
+        floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
+        p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
+        segment = (ppk, budget, p_d, floor, p0_at_ppk)
+        p0_min = max(floor, p0_at_ppk)
+        p0_max = min(ppk, (budget - p_d * floor) / (1.0 - p_d))
+        grid = np.linspace(p0_min, p0_max, 513)
+        values = _sep(table, _rayleigh_term, _powers(table, grid, _p1(grid, *segment)), False)
+        best = int(np.argmin(values))
+        shape = (tuple(decision for *_, decision in table.rows), len(table.lam))
+        groups.setdefault(shape, []).append(
+            (index, table, segment, p0_min, p0_max,
+             float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])))
 
-    # Active segment: P1 = (budget - (1 - P_d) P0) / P_d, clipped to [floor, P_pk];
-    # P1 = P_pk up to P0 = p0_at_ppk, where the formula cancels at tiny P_d.
-    p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
-    p0_min = max(floor, p0_at_ppk)
-    p0_max = min(ppk, (budget - p_d * floor) / (1.0 - p_d))
-
-    def p1_of(p0):
-        return ppk if p0 <= p0_at_ppk else min(ppk, max(floor, (budget - (1.0 - p_d) * p0) / p_d))
-
-    grid = np.linspace(p0_min, p0_max, 513)
-    p1s = np.where(grid <= p0_at_ppk, ppk, np.clip((budget - (1.0 - p_d) * grid) / p_d, floor, ppk))
-    values = _sep(table, _rayleigh_term, _powers(table, grid, p1s), False)
-    best = int(np.argmin(values))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, len(grid) - 1)])
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = sep_of(c, p1_of(c)), sep_of(d, p1_of(d))
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sep_of(c, p1_of(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sep_of(d, p1_of(d))
-    p0_star = (a + b) / 2.0
-    candidates = [p0_star, p0_min, p0_max]
-    p0_best = min(candidates, key=lambda p: sep_of(p, p1_of(p)))
-    p1_best = p1_of(p0_best)
-    return OptimalPowers(float(p0_best), float(p1_best), float(sep_of(p0_best, p1_best)))
+    for members in groups.values():
+        indices, tables, segments, *bounds = zip(*members)
+        solved = _lockstep(_stack(tables), tuple(map(np.array, zip(*segments))),
+                           *map(np.array, bounds))
+        for index, *powers in zip(indices, *(array.tolist() for array in solved)):
+            results[index] = OptimalPowers(*powers)
+    return results
 
 
 # ---------------------------------------------------------------------------

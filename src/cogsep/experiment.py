@@ -191,7 +191,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def get(section: str, key: str, default: str | None = None) -> str | None:
         read.add(f"{section}.{key}")
-        return cp.get(section, key, fallback=default)
+        try:
+            return cp.get(section, key, fallback=default)
+        except configparser.InterpolationError as exc:  # e.g. a stray '%'
+            raise ConfigError(f"{section}.{key} has an invalid value: {exc.message}")
+
+    def flist(section: str, key: str) -> tuple[float, ...]:
+        raw = get(section, key, "")
+        try:
+            return _float_list(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key} is not a list of numbers: {raw!r}")
 
     try:
         scheme_raw = get("scenario", "scheme", "")
@@ -212,12 +222,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = get(section, key)
             if raw is None:
                 if default is None:
-                    raise ConfigError(f"missing required key {key!r}")
+                    raise ConfigError(f"missing required key {section}.{key}")
                 return default
             try:
                 return float(raw)
             except ValueError:
-                raise ConfigError(f"key {key!r} is not a number: {raw!r}")
+                raise ConfigError(f"{section}.{key} is not a number: {raw!r}")
 
         def fopt(section, key):
             raw = get(section, key)
@@ -237,8 +247,8 @@ def parse_config(text: str) -> ExperimentConfig:
             p_false_alarm=fget("scenario", "p_false_alarm"),
             prior_busy=fget("scenario", "prior_busy"),
             noise_variance=fget("scenario", "noise_variance"),
-            mixture_weights=_float_list(get("mixture", "weights", "")),
-            mixture_variances=_float_list(get("mixture", "variances", "")),
+            mixture_weights=flist("mixture", "weights"),
+            mixture_variances=flist("mixture", "variances"),
             p_pk_db=fget("constraints", "p_pk_db"),
             q_avg_db=fopt("constraints", "q_avg_db"),
             q_pk_db=fopt("constraints", "q_pk_db"),
@@ -260,7 +270,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (ValueError, configparser.Error) as exc:  # e.g. a stray '%' in a value
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     unknown = [f"{section}.{key}" for section in cp.sections() for key in cp[section]
                if f"{section}.{key}" not in read]
@@ -434,17 +444,25 @@ def validate(config: ExperimentConfig) -> list[str]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _closed_form_point(config: ExperimentConfig, sweep_value: float, scenario: Scenario):
-    """Resolve the powers and the closed-form columns of one built sweep point.
+def _resolve_powers(config: ExperimentConfig, scenarios: list[Scenario]) -> list[Scenario]:
+    """The sweep's Scenarios with the SSS powers under the average limit
+    solved, by one ``optimize_powers_sss`` call for the whole sweep.
 
-    Returns (scenario, row) with the Monte Carlo columns still empty.
+    The need is config-wide (SSS, average limit, no explicit powers), so the
+    optimizer runs at every point or at none.
     """
-    peak = scenario.power_policy == "peak_interference"
-    if scenario.scheme is Scheme.SSS and not peak and config.p0_db is None:
-        best = optimize_powers_sss(scenario)
-        scenario = replace(scenario, spec_idle=replace(scenario.spec_idle, power=best.p0),
-                           spec_busy=replace(scenario.spec_busy, power=best.p1))
+    if config.scheme is not Scheme.SSS or config.q_pk_db is not None or config.p0_db is not None:
+        return scenarios
+    return [replace(scenario, spec_idle=replace(scenario.spec_idle, power=best.p0),
+                    spec_busy=replace(scenario.spec_busy, power=best.p1))
+            for scenario, best in zip(scenarios, optimize_powers_sss(scenarios))]
 
+
+def _closed_form_row(config: ExperimentConfig, sweep_value: float,
+                     scenario: Scenario) -> ResultRow:
+    """The row of one sweep point with resolved powers, the Monte Carlo
+    columns still empty."""
+    peak = scenario.power_policy == "peak_interference"
     sep_analytic = sep_bound = None
     if "analytic" in config.engines:
         sep_analytic = (sep_peak_interference_exact(scenario) if peak
@@ -453,8 +471,7 @@ def _closed_form_point(config: ExperimentConfig, sweep_value: float, scenario: S
         sep_bound = (sep_peak_interference(scenario) if peak
                      else sep_upper_bound(scenario))
     p1 = 0.0 if scenario.spec_busy is None else scenario.spec_busy.power
-    return scenario, ResultRow(sweep_value, scenario.spec_idle.power, p1,
-                               sep_analytic, sep_bound)
+    return ResultRow(sweep_value, scenario.spec_idle.power, p1, sep_analytic, sep_bound)
 
 
 # The only errors that make a point infeasible: it is reported and emitted with
@@ -466,15 +483,15 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
             mc_configs: list[MonteCarloConfig], pool) -> list:
     """Each point's row, or its infeasibility error, in sweep order.
 
-    A point's Monte Carlo chunks start as soon as its powers and closed forms
-    are resolved; with a pool the workers simulate while this process
-    resolves the next points. The estimates are finished afterwards, in
-    sweep order.
+    The powers of the whole sweep are resolved first (``_resolve_powers``).
+    A point's Monte Carlo chunks start as soon as its closed forms are
+    evaluated; with a pool the workers simulate while this process evaluates
+    the next points. The estimates are finished afterwards, in sweep order.
     """
     started = []
-    for index, (value, scenario) in enumerate(zip(values, scenarios)):
+    for index, (value, scenario) in enumerate(zip(values, _resolve_powers(config, scenarios))):
         try:
-            scenario, row = _closed_form_point(config, value, scenario)
+            row = _closed_form_row(config, value, scenario)
             finish = (start_monte_carlo(scenario, mc_configs[index], pool)
                       if mc_configs else None)
         except _INFEASIBLE as exc:

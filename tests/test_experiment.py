@@ -104,8 +104,20 @@ class TestParsing:
             parse_config(text)
 
     def test_stray_percent_is_config_error(self):
-        with pytest.raises(ConfigError, match="invalid config: '%' must be followed"):
+        with pytest.raises(ConfigError, match=r"^scenario\.p_detect has an invalid value: "
+                                              "'%' must be followed"):
             parse_config(make_text().replace("p_detect = 0.9", "p_detect = 0.9%"))
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("p_detect = 0.9\n", "", "missing required key scenario.p_detect"),
+        ("p_detect = 0.9", "p_detect = x", "scenario.p_detect is not a number: 'x'"),
+        ("weights = 0.25,0.25,", "weights = 0.25,x,",
+         "mixture.weights is not a list of numbers: '0.25,x,0.25,0.25'"),
+    ], ids=["missing", "not-a-number", "not-a-list"])
+    def test_parse_errors_name_section_and_key(self, old, new, message):
+        with pytest.raises(ConfigError) as failure:
+            parse_config(make_text().replace(old, new))
+        assert str(failure.value) == message
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(text):
@@ -353,21 +365,23 @@ class TestSweepPointsBuiltOnce:
     def test_traced_layers_see_every_point(self, monkeypatch):
         # perfbench/tracer.py wraps these names on the experiment module; a
         # layer the run stops calling there would vanish from its metrics
-        calls = {"optimize_powers_sss": 0, "sep_rayleigh": 0}
+        calls = {"optimize_powers_sss": [], "sep_rayleigh": []}
 
         def wrap(name):
             function = getattr(experiment, name)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return function(*args, **kwargs)
+            def counted(arg):
+                calls[name].append(arg)
+                return function(arg)
 
             monkeypatch.setattr(experiment, name, counted)
 
         for name in calls:
             wrap(name)
         run_experiment(_analytic_fig1())
-        assert calls == {"optimize_powers_sss": 27, "sep_rayleigh": 27}
+        # the optimizer solves the whole sweep in one call
+        assert [len(batch) for batch in calls["optimize_powers_sss"]] == [27]
+        assert len(calls["sep_rayleigh"]) == 27
 
 
 def _sweep_outputs(config, tmp_path, workers):
