@@ -484,9 +484,10 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
     """Each point's row, or its infeasibility error, in sweep order.
 
     The powers of the whole sweep are resolved first (``_resolve_powers``).
-    A point's Monte Carlo chunks start as soon as its closed forms are
-    evaluated; with a pool the workers simulate while this process evaluates
-    the next points. The estimates are finished afterwards, in sweep order.
+    A point's Monte Carlo starts as soon as its closed forms are evaluated;
+    with a pool it goes there as one task (see ``monte_carlo_pool``), and
+    the workers simulate while this process evaluates the next points. The
+    estimates are finished afterwards, in sweep order.
     """
     started = []
     for index, (value, scenario) in enumerate(zip(values, _resolve_powers(config, scenarios))):
@@ -517,7 +518,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     Rows appear in sweep order. Infeasible points are reported on stderr and
     emitted with empty engine columns; a RuntimeError is raised afterwards so
     the CLI can map it to a nonzero exit. With ``workers > 1`` the Monte Carlo
-    chunks of all points share one pool of up to ``workers`` processes; the
+    estimates of all points share one pool of up to ``workers`` processes; the
     rows do not depend on ``workers``.
     """
     scenarios, diags = _build(config)

@@ -73,6 +73,12 @@ class InsufficientDataError(RuntimeError):
     """No non-skipped trials were available to estimate the error rate."""
 
 
+def _check_integer(name: str, value) -> None:
+    # bool is an int subclass, but True is not a count
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Trials and stream of one estimate.
@@ -88,9 +94,7 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "master_seed", "chunk_size", "point"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
@@ -285,6 +289,11 @@ def _chunk_counts(task) -> np.ndarray:
     return np.stack([_simulate_chunk(scenario, rng, drawn), drawn])
 
 
+def _run_chunks(tasks: list[tuple]) -> list[np.ndarray]:
+    """``_chunk_counts`` of each chunk task, in order: the unit a pool runs."""
+    return [_chunk_counts(task) for task in tasks]
+
+
 def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
     """Reduce per-chunk cell counts, in chunk order, to an estimate."""
     total = sum(counts)
@@ -301,16 +310,42 @@ def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
     )
 
 
-def monte_carlo_pool(
-    workers: int, configs: list[MonteCarloConfig]
-) -> ProcessPoolExecutor | None:
-    """A pool for the chunks of every estimate in ``configs``, or None if one process suffices.
+class _Pool(ProcessPoolExecutor):
+    """A process pool that knows how many estimates share it."""
+
+    def __init__(self, processes: int, estimates: int) -> None:
+        super().__init__(max_workers=processes)
+        self.processes = processes
+        self.estimates = estimates
+
+
+def _pool_tasks(tasks: list[tuple], pool: _Pool) -> list[list[tuple]]:
+    """Cut one estimate's chunk tasks into the runs its pool tasks hold.
+
+    An estimate becomes min(its chunks, ceil(processes / estimates)) runs of
+    contiguous chunks whose sizes differ by at most one, the longer first.
+    So a sweep with at least as many points as processes sends one task per
+    point, and a lone estimate still spreads over every process. Fewer,
+    larger tasks keep each worker busy without waiting on the executor
+    between chunks.
+    """
+    parts = min(len(tasks), -(-pool.processes // pool.estimates))  # ceil
+    size, longer = divmod(len(tasks), parts)
+    starts = [part * size + min(part, longer) for part in range(parts + 1)]
+    return [tasks[start:stop] for start, stop in zip(starts, starts[1:])]
+
+
+def monte_carlo_pool(workers: int, configs: list[MonteCarloConfig]) -> _Pool | None:
+    """A pool for the estimates in ``configs``, or None if one process suffices.
 
     The pool has ``min(workers, total chunks)`` processes: under the ``fork``
-    start method all of them start at once. It uses the platform's default
+    start method all of them start at once. ``start_monte_carlo`` sends each
+    estimate to it as one task, or as a few when the estimates are fewer
+    than the processes (``_pool_tasks``). It uses the platform's default
     start method; under ``spawn`` each worker would import cogsep and numpy
     again before its first chunk.
     """
+    _check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
@@ -318,27 +353,30 @@ def monte_carlo_pool(
     chunks = sum(-(-config.trials // config.chunk_size) for config in configs)  # ceil
     if chunks < 2:
         return None
-    return ProcessPoolExecutor(max_workers=min(workers, chunks))
+    return _Pool(min(workers, chunks), len(configs))
 
 
 def start_monte_carlo(
-    scenario: Scenario, config: MonteCarloConfig, pool: ProcessPoolExecutor | None = None
+    scenario: Scenario, config: MonteCarloConfig, pool: _Pool | None = None
 ) -> Callable[[], SepEstimate]:
     """Start the chunks of one estimate; return the function that finishes it.
 
-    With ``pool`` the chunks run in its workers while the caller goes on;
-    without one they run here, before this returns. The returned function
-    reduces the per-chunk counts in chunk order, so the estimate does not
-    depend on where the chunks ran, and raises InsufficientDataError when
-    every trial was skipped.
+    With ``pool`` (from ``monte_carlo_pool`` over a list that holds
+    ``config``) the chunks run in its workers while the caller goes on, as
+    one task or a few contiguous runs of chunks; without one they run here,
+    before this returns. The returned function reduces the per-chunk counts
+    in chunk order, so the estimate does not depend on where or in which
+    tasks the chunks ran, and raises InsufficientDataError when every trial
+    was skipped.
     """
     tasks = [(scenario, config.master_seed, config.point, i, start, stop)
              for i, (start, stop) in enumerate(_chunk_bounds(config))]
     if pool is None:
-        counts = [_chunk_counts(task) for task in tasks]
+        counts = _run_chunks(tasks)
         return lambda: _estimate(counts, config.trials)
-    futures = [pool.submit(_chunk_counts, task) for task in tasks]
-    return lambda: _estimate([future.result() for future in futures], config.trials)
+    futures = [pool.submit(_run_chunks, run) for run in _pool_tasks(tasks, pool)]
+    return lambda: _estimate([counts for future in futures for counts in future.result()],
+                             config.trials)
 
 
 def run_monte_carlo(

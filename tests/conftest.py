@@ -1,4 +1,5 @@
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,17 +12,20 @@ P_4DB = 10.0 ** 0.4
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the chunk pool's executor for an in-process stand-in.
+def pool_log(monkeypatch):
+    """Swap the Monte Carlo pool for an in-process stand-in that logs its use.
 
-    Returns the list of ``max_workers`` each pool was created with; no
-    process is started, so a large worker count is safe to pass.
+    ``sizes`` lists the process count each pool was created with, and
+    ``tasks`` the (point, chunk index) of every chunk of each submitted
+    task, in submit order. No process is started, so a large worker count
+    is safe to pass.
     """
-    sizes = []
+    log = SimpleNamespace(sizes=[], tasks=[])
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class RecordingPool:
+        def __init__(self, processes, estimates):
+            log.sizes.append(processes)
+            self.processes, self.estimates = processes, estimates
 
         def __enter__(self):
             return self
@@ -29,16 +33,17 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             self.shutdown()
 
-        def submit(self, fn, *args):
+        def submit(self, fn, tasks):
+            log.tasks.append([(task[2], task[3]) for task in tasks])
             future = Future()
-            future.set_result(fn(*args))
+            future.set_result(fn(tasks))
             return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingExecutor)
-    return sizes
+    monkeypatch.setattr(simulation, "_Pool", RecordingPool)
+    return log
 
 
 @pytest.fixture

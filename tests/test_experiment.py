@@ -427,10 +427,23 @@ class TestPooledSweep:
         ("analytic", 2, []),
         ("analytic,monte_carlo", 1, []),
     ])
-    def test_one_pool_per_sweep(self, pool_sizes, engines, workers, sizes):
+    def test_one_pool_per_sweep(self, pool_log, engines, workers, sizes):
         config = parse_config(make_text(trials=20_000, engines=engines))
         rows = run_experiment(config, workers=workers)
-        assert pool_sizes == sizes
+        assert pool_log.sizes == sizes
+        assert rows == run_experiment(config)
+
+    @pytest.mark.parametrize("workers,runs", [
+        (2, [[0, 1, 2]]),  # one task per point
+        (3, [[0, 1, 2]]),
+        (6, [[0, 1], [2]]),  # ceil(6 / 3) = 2 tasks per point
+        (1000, [[0], [1], [2]]),
+    ])
+    def test_tasks_per_point(self, pool_log, workers, runs):
+        config = parse_config(make_text(trials=20_000))  # 3 points x 3 chunks
+        rows = run_experiment(config, workers=workers)
+        assert pool_log.tasks == [[(point, i) for i in run]
+                                  for point in range(3) for run in runs]
         assert rows == run_experiment(config)
 
     @pytest.mark.parametrize("workers", [0, -3])

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestConfigValidation:
             MonteCarloConfig(**{**fields, field: 1e6})
         assert MonteCarloConfig(**{**fields, field: np.int64(3)}).trials >= 1
 
+    @pytest.mark.parametrize("field", ["trials", "master_seed", "chunk_size", "point"])
+    def test_counts_must_not_be_bools(self, field):
+        # bool is an int subclass: trials=True once ran as one trial
+        fields = {"trials": 10, "master_seed": 1, "chunk_size": 4, "point": 0}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+            MonteCarloConfig(**{**fields, field: True})
+
 
 def _counts(scenario, trials, seed=21):
     """One chunk's per-cell (errors, transmitted) over ``trials`` channel uses."""
@@ -107,22 +115,22 @@ class TestDeterminism:
         parallel = run_monte_carlo(scenario, config, workers=4)
         assert serial == parallel
 
-    def test_pool_capped_at_chunk_count(self, pool_sizes):
+    def test_pool_capped_at_chunk_count(self, pool_log):
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
         config = MonteCarloConfig(trials=2_500, master_seed=5, chunk_size=1_000)
         pooled = run_monte_carlo(scenario, config, workers=64)
-        assert pool_sizes == [3]
+        assert pool_log.sizes == [3]
         assert pooled == run_monte_carlo(scenario, config, workers=1)
 
     @pytest.mark.parametrize("workers,trials", [(1, 2_500), (8, 1_000)])
-    def test_no_pool_for_one_worker_or_one_chunk(self, pool_sizes, workers, trials):
+    def test_no_pool_for_one_worker_or_one_chunk(self, pool_log, workers, trials):
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
         config = MonteCarloConfig(trials=trials, master_seed=5, chunk_size=1_000)
         run_monte_carlo(scenario, config, workers=workers)
-        assert pool_sizes == []
+        assert pool_log.sizes == []
 
     @pytest.mark.parametrize("workers,sizes", [(1, []), (2, [2])])
-    def test_pool_counts_chunks_without_listing_them(self, pool_sizes, workers, sizes):
+    def test_pool_counts_chunks_without_listing_them(self, pool_log, workers, sizes):
         # a list of 10**9 chunk bounds would take tens of GB
         config = MonteCarloConfig(trials=10**9, master_seed=5, chunk_size=1)
         tracemalloc.start()
@@ -132,13 +140,20 @@ class TestDeterminism:
         finally:
             tracemalloc.stop()
         assert (pool is None) == (workers == 1)
-        assert pool_sizes == sizes
+        assert pool_log.sizes == sizes
         assert peak < 0.1e6
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         config = MonteCarloConfig(trials=1_000, master_seed=5)
         with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_monte_carlo(make_scenario(), config, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
+    def test_workers_must_be_an_integer(self, workers):
+        # 2.5 once failed inside ProcessPoolExecutor, and True ran on one worker
+        config = MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000)
+        with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
             run_monte_carlo(make_scenario(), config, workers=workers)
 
     def test_points_have_independent_streams(self):
@@ -154,6 +169,34 @@ class TestDeterminism:
         a = run_monte_carlo(scenario, MonteCarloConfig(trials=100_000, master_seed=1))
         b = run_monte_carlo(scenario, MonteCarloConfig(trials=100_000, master_seed=2))
         assert a.errors != b.errors
+
+
+class TestPoolTasks:
+    """How an estimate's chunks are cut into pool tasks (in-process stand-in)."""
+
+    @pytest.mark.parametrize("workers,runs", [
+        (4, [[0], [1], [2], [3]]),
+        (3, [[0, 1], [2], [3]]),
+        (2, [[0, 1], [2, 3]]),
+        (64, [[0], [1], [2], [3]]),
+    ])
+    def test_lone_estimate_spreads_over_the_processes(self, pool_log, workers, runs):
+        scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
+        config = MonteCarloConfig(trials=4_000, master_seed=5, chunk_size=1_000, point=2)
+        pooled = run_monte_carlo(scenario, config, workers=workers)
+        assert pool_log.tasks == [[(2, i) for i in run] for run in runs]
+        assert pooled == run_monte_carlo(scenario, config, workers=1)
+
+    @pytest.mark.parametrize("chunks,processes,estimates", [
+        (7, 4, 1), (7, 4, 2), (5, 8, 3), (3, 2, 5), (1, 3, 1), (9, 9, 2)])
+    def test_runs_are_contiguous_and_near_equal(self, chunks, processes, estimates):
+        tasks = [(None, 0, 0, i, 0, 0) for i in range(chunks)]
+        pool = SimpleNamespace(processes=processes, estimates=estimates)
+        runs = simulation._pool_tasks(tasks, pool)
+        assert len(runs) == min(chunks, -(-processes // estimates))
+        assert [task for run in runs for task in run] == tasks
+        sizes = [len(run) for run in runs]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
 class TestEstimate:
