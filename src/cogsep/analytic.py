@@ -24,7 +24,7 @@ import numpy as np
 
 from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate
 from .modulation import ConstellationSpec, PointClass
-from .sensing import Occupancy, SensingModel, _check_prob
+from .sensing import ConditioningError, Occupancy, SensingModel, _check_prob
 
 __all__ = [
     "Scheme",
@@ -160,15 +160,18 @@ class _Table(NamedTuple):
     M_I x M_Q grid, ``k_mod`` is K = M_I^2 + M_Q^2 - 2 and ``c1``, ``c2`` are
     the Q and Q^2 coefficients 2 - 1/M_I - 1/M_Q and 2(1 - 1/M_I)(1 - 1/M_Q).
     A table stacked over points (``_stack``) holds an array over the points
-    in place of each number, and ``variances`` has shape (variance, point).
+    in place of each number, with the point axis last: ``variances`` is
+    (variance, point), ``lam`` (component, point), and ``branch`` holds the
+    rows' weights and posteriors as one (3, row, point) array.
     """
 
     rows: list
-    lam: tuple
+    lam: tuple | np.ndarray
     variances: np.ndarray
     k_mod: int | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
+    branch: np.ndarray | None = None
 
 
 def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
@@ -179,8 +182,11 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
     ``collapse`` is the peak policy's single row: with P0* = P1* the SSS
     sensing-decision average collapses by total probability onto the
     occupancy priors, so error rates do not depend on (P_d, P_f); OSA still
-    conditions on an idle decision.
+    conditions on an idle decision. Raises ConditioningError where OSA's idle
+    decision has probability 0.
     """
+    if collapse and scenario.power_policy != "peak_interference":
+        raise ValueError("scenario needs the peak_interference power policy")
     s = scenario.sensing
     osa = scenario.scheme is Scheme.OSA
     if collapse and not osa:
@@ -200,18 +206,26 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
                   2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq))
 
 
+def _shape(table: _Table) -> tuple:
+    """What tables must share to be stacked: the row decisions and the mixture size."""
+    return tuple(decision for *_, decision in table.rows), len(table.lam)
+
+
 def _stack(tables: list[_Table]) -> _Table:
-    """One table over points whose tables share their shape: the row
-    decisions and the mixture size. Each number becomes the array of its
-    values over the points, so one ``_sep`` call evaluates every point."""
-    rows, lam, variances, k_mod, c1, c2 = zip(*tables)
-    stacked = []
-    for row in zip(*rows):  # one row across the points
-        weight, post_idle, post_busy, decisions = zip(*row)
-        stacked.append((np.array(weight), np.array(post_idle), np.array(post_busy),
-                        decisions[0]))
-    return _Table(stacked, tuple(map(np.array, zip(*lam))), np.stack(variances, axis=1),
-                  np.array(k_mod), np.array(c1), np.array(c2))
+    """One table over points whose tables share their ``_shape``. Each number
+    becomes the array of its values over the points, so one ``_sep`` call
+    evaluates every point."""
+    rows, lam, variances, k_mod, c1, c2, _ = zip(*tables)
+    branch = np.array([[row[:3] for row in point] for point in rows]).transpose(2, 1, 0).copy()
+    stacked = [(*numbers, decision) for numbers, (*_, decision)
+               in zip(branch.transpose(1, 0, 2), rows[0])]
+    return _Table(stacked, np.array(lam).T.copy(), np.stack(variances, axis=1),
+                  np.array(k_mod), np.array(c1), np.array(c2), branch)
+
+
+def _between(array: np.ndarray, count: int) -> np.ndarray:
+    """``array`` with ``count`` unit axes inserted after its first."""
+    return array.reshape(array.shape[:1] + (1,) * count + array.shape[1:])
 
 
 def _sep(table: _Table, term, x, *args):
@@ -220,14 +234,21 @@ def _sep(table: _Table, term, x, *args):
     ``term(x, variance, table, *args)`` runs once over the whole (row x
     variance) table and reads the grid constants (K, c1, c2) from ``table``.
     ``x`` holds one entry per row in its first axis; further axes, e.g. a
-    vector of powers, broadcast through. For a stacked table, ``x`` is (row,
-    point). The sums run left to right, so each vector entry equals the
-    scalar evaluation bit for bit.
+    vector of powers, broadcast through. For a stacked table the point axis
+    is last: ``x`` is (row, point) or (row, ..., point). The sums run left to
+    right, so each vector entry equals the scalar evaluation bit for bit: on
+    a stacked table as array operations over every row and term at once,
+    otherwise as a loop over them.
     """
     x = np.asarray(x, dtype=float)
     variances = table.variances
-    g = term(x[:, None], variances.reshape(variances.shape + (1,) * (x.ndim - variances.ndim)),
-             table, *args)
+    count = x.ndim - variances.ndim  # the axes x adds between its rows and the points
+    g = term(x[:, None], _between(variances, count), table, *args)
+    if table.branch is not None:
+        weight, post_idle, post_busy = (_between(a, count) for a in table.branch)
+        busy = np.add.accumulate(_between(table.lam, count) * g[:, 1:], axis=1)[:, -1]
+        # the loop below adds onto 0.0; so does this, for a sum of -0.0 terms
+        return 0.0 + np.add.accumulate(weight * (post_idle * g[:, 0] + post_busy * busy))[-1]
     if g.ndim == 2:
         g = g.tolist()  # one point: the same IEEE sums run faster on Python floats
     total = 0.0
@@ -244,9 +265,45 @@ def _spec(scenario: Scenario, decision: Occupancy) -> ConstellationSpec:
 
 
 def _powers(table: _Table, p0, p1):
-    """Per-row transmit powers (first axis): P0 on idle-decision rows, P1 on busy."""
-    return np.stack(np.broadcast_arrays(
-        *(p1 if decision is Occupancy.BUSY else p0 for *_, decision in table.rows)))
+    """Per-row transmit powers (first axis): P0 on idle-decision rows, P1 on
+    busy; P0 and P1 are floats or arrays of one shape."""
+    return np.array([p1 if decision is Occupancy.BUSY else p0 for *_, decision in table.rows])
+
+
+def _column(points, value):
+    """``value(scenario)`` of one Scenario, or the array of its values over a
+    stacked group of them, the point axis last."""
+    if isinstance(points, Scenario):
+        return value(points)
+    return np.array([value(scenario) for scenario in points]).T
+
+
+def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
+    """``evaluate(table, points, *args)`` of one Scenario, as a float, or of
+    each of a sequence of them, as a list in order.
+
+    A sequence is grouped by table shape, and each group is stacked
+    (``_stack``) and evaluated by one call, bit for bit the one-Scenario
+    values. A point that conditions on a sensing decision of probability 0
+    (OSA's idle decision) gets its ConditioningError in its place, and the
+    other points are still evaluated.
+    """
+    if isinstance(scenarios, Scenario):
+        return float(evaluate(_branches(scenarios, collapse), scenarios, *args))
+    results: list = [None] * len(scenarios)
+    groups: dict = {}
+    for index, scenario in enumerate(scenarios):
+        try:
+            table = _branches(scenario, collapse)
+        except ConditioningError as exc:
+            results[index] = exc
+        else:
+            groups.setdefault(_shape(table), []).append((index, scenario, table))
+    for members in groups.values():
+        indices, points, tables = zip(*members)
+        for index, value in zip(indices, evaluate(_stack(tables), points, *args).tolist()):
+            results[index] = value
+    return results
 
 
 def _q_term(d2h2, variance, table: _Table):
@@ -268,20 +325,21 @@ def _rayleigh_term(power, variance, table: _Table, bound: bool):
     PAM since c2 vanishes at M_Q = 1.
     """
     beta = np.sqrt(1.0 + 2.0 * table.k_mod * variance / (3.0 * power))
-    t1 = table.c1 * (1.0 - 1.0 / beta)
+    inverse = 1.0 / beta
+    t1 = table.c1 * (1.0 - inverse)
     if bound:
         return t1
-    return t1 - table.c2 * (2.0 / math.pi / beta * np.arctan(1.0 / beta) - 1.0 / beta + 0.5)
+    return t1 - table.c2 * (2.0 / math.pi / beta * np.arctan(inverse) - inverse + 0.5)
 
 
-def _peak_tail(qpk, variance, table: _Table, b1: float):
+def _peak_tail(qpk, variance, table: _Table, b1, decay):
     """Gain average over y > b1 of one (1 - 1/beta) term at power Q_pk / y.
 
-    e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))), gamma = 3 Q_pk / (2 K v).
+    e^{-b1} (1 - sqrt(pi gamma) erfcx(sqrt(gamma + b1))), gamma = 3 Q_pk / (2 K v),
+    with ``decay`` = e^{-b1}.
     """
     gamma = 3.0 * qpk / (2.0 * table.k_mod * variance)
-    return math.exp(-b1) * (
-        1.0 - np.sqrt(gamma * math.pi) * erfcx(np.sqrt(gamma + b1)))
+    return decay * (1.0 - np.sqrt(gamma * math.pi) * erfcx(np.sqrt(gamma + b1)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +435,30 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
 # Rayleigh-fading averages (closed forms) and their quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _sep_rayleigh(scenario: Scenario, bound: bool) -> float:
-    table = _branches(scenario)
-    powers = [_spec(scenario, decision).power for *_, decision in table.rows]
-    return float(_sep(table, _rayleigh_term, powers, bound))
+def _rayleigh(table: _Table, points, bound: bool):
+    powers = _column(points, lambda scenario: [_spec(scenario, decision).power
+                                               for *_, decision in table.rows])
+    return _sep(table, _rayleigh_term, powers, bound)
 
 
-def sep_rayleigh(scenario: Scenario) -> float:
+def sep_rayleigh(scenarios: Scenario | Sequence[Scenario]):
     """Closed-form unconditional SEP over unit-mean Rayleigh fading.
 
     SSS averages over both sensing decisions; OSA conditions on an idle
-    decision (transmission having occurred).
+    decision (transmission having occurred). One Scenario gives a float; a
+    sequence gives one value per scenario, or its ConditioningError, in
+    order (``_closed_form``).
     """
-    return _sep_rayleigh(scenario, bound=False)
+    return _closed_form(scenarios, _rayleigh, False)
 
 
-def sep_upper_bound(scenario: Scenario) -> float:
+def sep_upper_bound(scenarios: Scenario | Sequence[Scenario]):
     """Rayleigh-averaged SEP with the negative Q^2 terms dropped.
 
-    Coincides with the exact closed form whenever M_Q = 1 (PAM).
+    Coincides with the exact closed form whenever M_Q = 1 (PAM). Takes one
+    Scenario or a sequence, as ``sep_rayleigh`` does.
     """
-    return _sep_rayleigh(scenario, bound=True)
+    return _closed_form(scenarios, _rayleigh, True)
 
 
 # Relative tolerance the oracles integrate to, and the relative error
@@ -580,7 +641,7 @@ def _p1(p0, ppk, budget, p_d, floor, p0_at_ppk):
     [floor, P_pk], and P_pk up to P0 = p0_at_ppk, where it cancels at tiny P_d.
     The segment's numbers are floats, or arrays over points."""
     return np.where(p0 <= p0_at_ppk, ppk,
-                    np.clip((budget - (1.0 - p_d) * p0) / p_d, floor, ppk))
+                    np.minimum(np.maximum((budget - (1.0 - p_d) * p0) / p_d, floor), ppk))
 
 
 def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
@@ -659,8 +720,7 @@ def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
         grid = np.linspace(p0_min, p0_max, 513)
         values = _sep(table, _rayleigh_term, _powers(table, grid, _p1(grid, *segment)), False)
         best = int(np.argmin(values))
-        shape = (tuple(decision for *_, decision in table.rows), len(table.lam))
-        groups.setdefault(shape, []).append(
+        groups.setdefault(_shape(table), []).append(
             (index, table, segment, p0_min, p0_max,
              float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])))
 
@@ -677,20 +737,28 @@ def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
 # Peak-interference constrained averages over the gain |g|^2 ~ Exp(1)
 # ---------------------------------------------------------------------------
 
-def _peak_split(scenario: Scenario, bound: bool) -> tuple[_Table, float, float, float]:
-    """The peak policy's collapsed table, b1 = Q_pk / P_pk, Q_pk and the head
-    (1 - e^{-b1}) f(P_pk) where the cap binds, f the Rayleigh SEP (the bound
-    or the exact form). Each caller adds its own tail over |g|^2 > b1."""
-    if scenario.power_policy != "peak_interference":  # Scenario checks the constraint
-        raise ValueError("scenario needs the peak_interference power policy")
+def _peak_constants(scenario: Scenario) -> tuple[float, float, float, float]:
+    """P_pk, Q_pk, b1 = Q_pk / P_pk and e^{-b1}, by libm: ``np.exp`` need not
+    round as it does."""
     ppk, qpk = scenario.constraints.peak_power, scenario.constraints.peak_interference
-    b1 = qpk / ppk
-    table = _branches(scenario, collapse=True)
-    head = (1.0 - math.exp(-b1)) * float(_sep(table, _rayleigh_term, [ppk], bound))
-    return table, b1, qpk, head
+    return ppk, qpk, qpk / ppk, math.exp(-(qpk / ppk))
 
 
-def sep_peak_interference(scenario: Scenario) -> float:
+def _peak_split(table: _Table, points, bound: bool):
+    """b1, e^{-b1}, Q_pk and the head (1 - e^{-b1}) f(P_pk) where the cap
+    binds, f the Rayleigh SEP (the bound or the exact form) over the peak
+    policy's collapsed table. Each caller adds its own tail over |g|^2 > b1.
+    Floats for one Scenario, arrays over the points of a stacked group."""
+    ppk, qpk, b1, decay = _column(points, _peak_constants)
+    return b1, decay, qpk, (1.0 - decay) * _sep(table, _rayleigh_term, [ppk], bound)
+
+
+def _peak_bound(table: _Table, points):
+    b1, decay, qpk, capped = _peak_split(table, points, bound=True)
+    return capped + table.c1 * _sep(table, _peak_tail, [qpk], b1, decay)
+
+
+def sep_peak_interference(scenarios: Scenario | Sequence[Scenario]):
     """Closed-form gain-averaged SEP upper bound under the peak policy.
 
     With b1 = Q_pk / P_pk the cap binds for |g|^2 < b1; beyond it the bound's
@@ -703,9 +771,9 @@ def sep_peak_interference(scenario: Scenario) -> float:
     adaptive quadrature to better than 1e-12), while a commonly transcribed
     variant with e^{+b1} grows without bound. Writing it with ``erfcx`` also
     stays finite where a literal e^{gamma} Q(...) product would overflow.
+    Takes one Scenario or a sequence, as ``sep_rayleigh`` does.
     """
-    table, b1, qpk, capped = _peak_split(scenario, bound=True)
-    return float(capped + table.c1 * _sep(table, _peak_tail, [qpk], b1))
+    return _closed_form(scenarios, _peak_bound, collapse=True)
 
 
 # e^{-y} underflows past y = 745: no gain mass lies beyond it.
@@ -729,7 +797,8 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
     Raises QuadratureError if the error estimate exceeds 1e-8.
     """
-    table, b1, qpk, head = _peak_split(scenario, bound)
+    table = _branches(scenario, collapse=True)
+    b1, _, qpk, head = _peak_split(table, scenario, bound)
     if b1 >= _GAIN_END:
         return head
     breaks = [y for y in b1 + np.array([0.0, 1.0, 10.0, 50.0]) if y < _GAIN_END]
@@ -759,7 +828,16 @@ _EXP_SINH_WEIGHTS = (0.04 * 0.5 * math.pi * np.cosh(_EXP_SINH_U)
                      * _EXP_SINH_NODES * np.exp(-_EXP_SINH_NODES))
 
 
-def sep_peak_interference_exact(scenario: Scenario) -> float:
+def _peak_exact(table: _Table, points):
+    b1, decay, qpk, head = _peak_split(table, points, bound=False)
+    tail = _sep(table, _rayleigh_term, [qpk / np.add.outer(_EXP_SINH_NODES, b1)], False)
+    if np.ndim(b1) == 0:
+        return head + decay * float(_EXP_SINH_WEIGHTS @ tail)
+    # a 1-D dot per point: a matrix-vector product may sum in another order
+    return head + decay * np.array([_EXP_SINH_WEIGHTS @ point for point in tail.T.copy()])
+
+
+def sep_peak_interference_exact(scenarios: Scenario | Sequence[Scenario]):
     """Gain average of the exact Rayleigh SEP under the peak power policy.
 
     No closed form exists (the Q^2 terms do not average in closed form over
@@ -772,8 +850,8 @@ def sep_peak_interference_exact(scenario: Scenario) -> float:
     ``_gain_average`` is its quadrature oracle. It is the reference the Monte
     Carlo engine is compared against in peak-interference mode. Uses the
     same collapsed branch weights as the bound, so SSS results are
-    bitwise-independent of the sensing quality.
+    bitwise-independent of the sensing quality. Takes one Scenario or a
+    sequence, as ``sep_rayleigh`` does; a sequence evaluates each group of
+    points on one (rows x variances x nodes x points) table.
     """
-    table, b1, qpk, head = _peak_split(scenario, bound=False)
-    tail = _sep(table, _rayleigh_term, [qpk / (b1 + _EXP_SINH_NODES)], False)
-    return head + math.exp(-b1) * float(_EXP_SINH_WEIGHTS @ tail)
+    return _closed_form(scenarios, _peak_exact, collapse=True)

@@ -6,10 +6,12 @@ is the config with the swept key replaced by the point's value, built into a
 Scenario by ``_scenario``. ``_build`` builds the config as written and every
 sweep point; ``validate`` reports its diagnostics and the run uses the
 Scenarios it built, so each point is built once and a config ``validate``
-accepts runs at every point. For each point the runner resolves the transmit
-powers from the active constraint mode (average-interference optimization /
-cap, or the instantaneous peak policy), evaluates the requested engines, and
-writes one CSV row; an optional JSON mirror carries the identical numbers.
+accepts runs at every point. The runner resolves the transmit powers from
+the active constraint mode (average-interference optimization / cap, or the
+instantaneous peak policy) and evaluates each requested closed form once per
+sweep, over all its points, before any Monte Carlo task starts; then it runs
+the Monte Carlo estimates and writes one CSV row per point; an optional JSON
+mirror carries the identical numbers.
 Only a zero-probability sensing decision or a Monte Carlo estimate with every
 trial skipped makes a point infeasible (an empty row); any other error aborts
 the run.
@@ -67,7 +69,7 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
     return tuple(ENGINE_ALIASES.get(tok, tok) for tok in tokens if tok)
 
 
-# each sweep point is built once, in 40-70 us (2-core x86-64 VM): 10 000 take < 1 s
+# each sweep point is built once, in 35-45 us (2-core x86-64 VM): 10 000 take < 0.5 s
 MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
@@ -292,11 +294,14 @@ def parse_config_file(path: str) -> ExperimentConfig:
 # Operating points: every model object is built and checked here
 # ---------------------------------------------------------------------------
 
-def _scenario(config: ExperimentConfig, swept: str | None) -> Scenario:
+def _scenario(config: ExperimentConfig, swept: str | None,
+              mixture: GaussianMixture | None = None) -> Scenario:
     """Build the Scenario of one operating point, checking every model rule.
 
     ``config`` carries the point's own values and ``swept`` names the sweep
     axis it was made for, whose dB value is then reported as a sweep value.
+    ``mixture`` is the config's mixture, already built and checked; None
+    builds it from ``config``.
     The specs carry the explicit powers, the OSA cap or the peak power; the
     last is the peak policy's cap and, for SSS under the average limit, a
     placeholder the optimizer ignores. Assumes the config-wide rules of
@@ -334,8 +339,9 @@ def _scenario(config: ExperimentConfig, swept: str | None) -> Scenario:
     converted = not diags
     sensing = build(lambda: SensingModel(config.p_detect, config.p_false_alarm,
                                          config.prior_busy))
-    mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
-                                                       config.mixture_variances))
+    if mixture is None:
+        mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
+                                                           config.mixture_variances))
     # unit power: the grid is checked here, each transmit power in the Scenario
     build(lambda: spec(1.0))
     constraints = build(lambda: ConstraintSet(
@@ -384,8 +390,10 @@ def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
 
     The config-wide rules are checked first. When they hold, the config as
     written and then each sweep point are built (``_scenario``) until one
-    fails, and every violation of that point is reported. The run uses the
-    Scenarios, one per sweep point in order, only when nothing was found.
+    fails, and every violation of that point is reported. The mixture is
+    never swept: the points share the one the config as written built. The
+    run uses the Scenarios, one per sweep point in order, only when nothing
+    was found.
     """
     diags: list[str] = []
     if config.q_avg_db is None and config.q_pk_db is None:
@@ -414,9 +422,9 @@ def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
     scenarios: list[Scenario] = []
     if not diags:
         try:
-            _scenario(config, None)
+            mixture = _scenario(config, None).interference
             for value in config.sweep.values():
-                scenarios.append(_scenario(replace(config, **{axis: value}), axis))
+                scenarios.append(_scenario(replace(config, **{axis: value}), axis, mixture))
         except ConfigError as exc:
             diags.extend(exc.args)
 
@@ -458,20 +466,31 @@ def _resolve_powers(config: ExperimentConfig, scenarios: list[Scenario]) -> list
             for scenario, best in zip(scenarios, optimize_powers_sss(scenarios))]
 
 
-def _closed_form_row(config: ExperimentConfig, sweep_value: float,
-                     scenario: Scenario) -> ResultRow:
-    """The row of one sweep point with resolved powers, the Monte Carlo
-    columns still empty."""
-    peak = scenario.power_policy == "peak_interference"
-    sep_analytic = sep_bound = None
+def _closed_form_rows(config: ExperimentConfig, values: list[float],
+                      scenarios: list[Scenario]) -> list:
+    """Each sweep point's row with resolved powers and the Monte Carlo columns
+    still empty, or its ConditioningError, in sweep order.
+
+    Each requested closed form runs once for the whole sweep, on the
+    sequence of its Scenarios. The power policy is config-wide, as the
+    optimizer's need is (``_resolve_powers``).
+    """
+    peak = config.q_pk_db is not None
+    columns = {}
     if "analytic" in config.engines:
-        sep_analytic = (sep_peak_interference_exact(scenario) if peak
-                        else sep_rayleigh(scenario))
+        columns["sep_analytic"] = (sep_peak_interference_exact if peak
+                                   else sep_rayleigh)(scenarios)
     if "bound" in config.engines:
-        sep_bound = (sep_peak_interference(scenario) if peak
-                     else sep_upper_bound(scenario))
-    p1 = 0.0 if scenario.spec_busy is None else scenario.spec_busy.power
-    return ResultRow(sweep_value, scenario.spec_idle.power, p1, sep_analytic, sep_bound)
+        columns["sep_bound"] = (sep_peak_interference if peak else sep_upper_bound)(scenarios)
+    rows = []
+    for index, (value, scenario) in enumerate(zip(values, scenarios)):
+        cells = {name: column[index] for name, column in columns.items()}
+        error = next((cell for cell in cells.values() if isinstance(cell, ConditioningError)),
+                     None)
+        p1 = 0.0 if scenario.spec_busy is None else scenario.spec_busy.power
+        rows.append(ResultRow(value, scenario.spec_idle.power, p1, **cells)
+                    if error is None else error)
+    return rows
 
 
 # The only errors that make a point infeasible: it is reported and emitted with
@@ -483,20 +502,24 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
             mc_configs: list[MonteCarloConfig], pool) -> list:
     """Each point's row, or its infeasibility error, in sweep order.
 
-    The powers of the whole sweep are resolved first (``_resolve_powers``).
-    A point's Monte Carlo starts as soon as its closed forms are evaluated;
-    with a pool it goes there as one task (see ``monte_carlo_pool``), and
-    the workers simulate while this process evaluates the next points. The
-    estimates are finished afterwards, in sweep order.
+    The powers of the whole sweep are resolved first (``_resolve_powers``),
+    then its closed forms, each by one call for the whole sweep
+    (``_closed_form_rows``), before any Monte Carlo (MC) task starts. Then
+    each feasible point's MC starts; with a pool it goes there as one task
+    (see ``monte_carlo_pool``), and the workers simulate while this process
+    starts the next points. The estimates are finished afterwards, in sweep
+    order.
     """
+    scenarios = _resolve_powers(config, scenarios)
     started = []
-    for index, (value, scenario) in enumerate(zip(values, _resolve_powers(config, scenarios))):
-        try:
-            row = _closed_form_row(config, value, scenario)
-            finish = (start_monte_carlo(scenario, mc_configs[index], pool)
-                      if mc_configs else None)
-        except _INFEASIBLE as exc:
-            row, finish = exc, None
+    for index, (row, scenario) in enumerate(
+            zip(_closed_form_rows(config, values, scenarios), scenarios)):
+        finish = None
+        if mc_configs and isinstance(row, ResultRow):
+            try:
+                finish = start_monte_carlo(scenario, mc_configs[index], pool)
+            except _INFEASIBLE as exc:
+                row = exc
         started.append((row, finish))
 
     outcomes = []
@@ -515,11 +538,13 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Run every sweep point and write the configured outputs.
 
-    Rows appear in sweep order. Infeasible points are reported on stderr and
-    emitted with empty engine columns; a RuntimeError is raised afterwards so
-    the CLI can map it to a nonzero exit. With ``workers > 1`` the Monte Carlo
-    estimates of all points share one pool of up to ``workers`` processes; the
-    rows do not depend on ``workers``.
+    Rows appear in sweep order. The sweep's powers and then its closed forms
+    are evaluated first, each by one call for the whole sweep, before any
+    Monte Carlo task starts (``_points``). Infeasible points are reported on
+    stderr and emitted with empty engine columns; a RuntimeError is raised
+    afterwards so the CLI can map it to a nonzero exit. With ``workers > 1``
+    the Monte Carlo estimates of all points share one pool of up to
+    ``workers`` processes; the rows do not depend on ``workers``.
     """
     scenarios, diags = _build(config)
     if workers < 1:
@@ -599,5 +624,4 @@ def write_json(rows: list[ResultRow], path: str) -> None:
                 record[column] = float(cell)
         payload.append(record)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")

@@ -496,7 +496,8 @@ class TestOptimizer:
         best = np.inf
         for start in range(0, resolution, 100):
             p0 = p[start:start + 100][:, None]
-            sep = _sep(table, _rayleigh_term, _powers(table, p0, p[None, :]), False)
+            sep = _sep(table, _rayleigh_term,
+                       _powers(table, *np.broadcast_arrays(p0, p[None, :])), False)
             feasible = (1 - p_d) * p0 + p_d * p[None, :] <= budget
             if feasible.any():
                 # a busy-decision row of weight 0 is dropped, and P1 with it

@@ -280,6 +280,21 @@ class TestRunExperiment:
             assert record["sep_mc"] == float(cells[5])
             assert record["sep_bound"] is None
 
+    @pytest.mark.parametrize("count", [2, 0])
+    def test_json_bytes_equal_json_dump(self, tmp_path, count):
+        # an int trials, and an infeasible row with every engine column empty
+        rows = [experiment.ResultRow(1.5, 0.25, 0.0, 0.125, None, 0.0625, 0.001, 0.5, 4000),
+                experiment.ResultRow(2.0)][:count]
+        payload = [{"sweep_value": 1.5, "p0": 0.25, "p1": 0.0, "sep_analytic": 0.125,
+                    "sep_bound": None, "sep_mc": 0.0625, "sep_mc_ci95": 0.001,
+                    "skip_fraction": 0.5, "trials": 4000},
+                   dict.fromkeys(experiment.CSV_COLUMNS, None) | {"sweep_value": 2.0}][:count]
+        experiment.write_json(rows, str(tmp_path / "rows.json"))
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
         base = parse_config(make_text(trials=30000))
@@ -319,6 +334,21 @@ class TestRunExperiment:
         assert len(lines) == 2
         assert lines[1].split(",")[5] == ""
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig6"])  # fixed power, peak policy
+    def test_closed_form_infeasible_point_is_an_empty_row(self, tmp_path, capsys, preset):
+        # at P_d = P_f = 1 OSA never senses idle; the other points still evaluate
+        config = replace(figure_preset(preset), p_detect=1.0, engines=("analytic", "bound"),
+                         sweep=SweepSpec("p_false_alarm", 0.5, 1.0, 0.25),
+                         output_path=str(tmp_path / "rows.csv"))
+        message = "decision IDLE has probability 0; posterior undefined"
+        with pytest.raises(RuntimeError, match=f"^1 sweep point\\(s\\) failed: sweep point 1: "
+                                               f"{re.escape(message)}$"):
+            run_experiment(config)
+        assert capsys.readouterr().err == f"cogsep: infeasible sweep point 1: {message}\n"
+        rows = [line.split(",") for line in (tmp_path / "rows.csv").read_text().split("\n")[1:-1]]
+        assert [row[0] for row in rows] == ["0.5", "0.75", "1"]
+        assert all(row[3] and row[4] for row in rows[:2]) and rows[2][1:] == [""] * 8
+
     def test_programming_error_aborts_the_run(self, tmp_path, monkeypatch):
         def broken(scenario):
             raise ZeroDivisionError("division by zero in a closed form")
@@ -343,9 +373,9 @@ class TestSweepPointsBuiltOnce:
         calls = []
         build = experiment._scenario
 
-        def counted(config, swept):
+        def counted(config, swept, *mixture):
             calls.append(swept)
-            return build(config, swept)
+            return build(config, swept, *mixture)
 
         monkeypatch.setattr(experiment, "_scenario", counted)
         return calls
@@ -365,7 +395,8 @@ class TestSweepPointsBuiltOnce:
     def test_traced_layers_see_every_point(self, monkeypatch):
         # perfbench/tracer.py wraps these names on the experiment module; a
         # layer the run stops calling there would vanish from its metrics
-        calls = {"optimize_powers_sss": [], "sep_rayleigh": []}
+        calls = {name: [] for name in ("optimize_powers_sss", "sep_rayleigh", "sep_upper_bound",
+                                       "sep_peak_interference_exact", "sep_peak_interference")}
 
         def wrap(name):
             function = getattr(experiment, name)
@@ -378,10 +409,13 @@ class TestSweepPointsBuiltOnce:
 
         for name in calls:
             wrap(name)
-        run_experiment(_analytic_fig1())
-        # the optimizer solves the whole sweep in one call
-        assert [len(batch) for batch in calls["optimize_powers_sss"]] == [27]
-        assert len(calls["sep_rayleigh"]) == 27
+        for preset in ("fig1", "fig5"):  # 27 points, average limit; 21, peak policy
+            run_experiment(replace(figure_preset(preset), engines=("analytic", "bound"),
+                                   output_path=None, json_path=None))
+        # the optimizer and each closed form see the whole sweep in one call
+        assert {name: [len(batch) for batch in batches] for name, batches in calls.items()} == {
+            "optimize_powers_sss": [27], "sep_rayleigh": [27], "sep_upper_bound": [27],
+            "sep_peak_interference_exact": [21], "sep_peak_interference": [21]}
 
 
 def _sweep_outputs(config, tmp_path, workers):

@@ -1,11 +1,15 @@
-"""Property: a config that ``validate`` accepts runs at every sweep point.
+"""Properties of sweeps.
 
-The run uses the very Scenarios that validation built, so either
-``validate`` reports a problem and the run stops with a ConfigError before it
-writes anything, or every point yields a feasible row with a finite bound. A
-prior in (0, 1) and P_f < 1 keep the idle decision possible, so no row may be
-infeasible. Noise and mixture values include NaN and inf, and the mean gain
-to the primary reaches 1e300, where the interference budget underflows.
+A config that ``validate`` accepts runs at every sweep point. The run uses
+the very Scenarios that validation built, so either ``validate`` reports a
+problem and the run stops with a ConfigError before it writes anything, or
+every point yields a feasible row with a finite bound. A prior in (0, 1) and
+P_f < 1 keep the idle decision possible, so no row may be infeasible. Noise
+and mixture values include NaN and inf, and the mean gain to the primary
+reaches 1e300, where the interference budget underflows.
+
+The closed forms evaluate a whole sweep in one call, bit for bit as one
+Scenario at a time, an infeasible point included.
 """
 
 import math
@@ -16,9 +20,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cogsep.analytic import Scheme
-from cogsep.experiment import ConfigError, SweepSpec, run_experiment, validate
+from cogsep import experiment
+from cogsep.analytic import (
+    Scheme,
+    sep_peak_interference,
+    sep_peak_interference_exact,
+    sep_rayleigh,
+    sep_upper_bound,
+)
+from cogsep.experiment import SWEEP_AXES, ConfigError, SweepSpec, run_experiment, validate
 from cogsep.presets import figure_preset
+from cogsep.sensing import ConditioningError
 
 # values near the ends of [0, 1], and dB values near the float limits of 10^(x/10)
 PROBABILITIES = st.sampled_from([0.0, 1e-12, 0.05, 0.5, 0.9, 1 - 1e-12, 1.0])
@@ -119,3 +131,91 @@ def test_validated_config_runs_at_every_point(config):
     for row in rows:
         assert row.sep_bound is not None and math.isfinite(row.sep_bound)
         assert_feasible(config, row)
+
+
+# P_d and P_f at 0 or 1 leave one sensing decision with probability 0: a
+# zero-weight row, or for OSA an infeasible point
+EDGE_PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+SWEPT_DECIBELS = st.floats(-20.0, 30.0)
+
+
+def sweep_of(config, axis, values):
+    """The Scenarios the runner evaluates at ``values`` of ``axis``, powers resolved."""
+    scenarios = [experiment._scenario(replace(config, **{axis: value}), axis)
+                 for value in values]
+    return experiment._resolve_powers(config, scenarios)
+
+
+@st.composite
+def closed_form_sweep(draw, peak):
+    """Either scheme, grids 2x1 to 8x8, 1-4 mixture components, and 1-8
+    points along any sweep axis, under the fixed or the ``peak`` policy."""
+    axis = draw(st.sampled_from([axis for axis in SWEEP_AXES
+                                 if not (peak and axis == "q_avg_db")]))
+    k = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    mi, mq = draw(st.sampled_from([(2, 1), (8, 1), (2, 2), (4, 2), (4, 4), (8, 8)]))
+    config = replace(
+        figure_preset("fig1"),
+        scheme=draw(st.sampled_from(Scheme)),
+        m_inphase=mi,
+        m_quadrature=mq,
+        p_detect=draw(EDGE_PROBABILITIES),
+        p_false_alarm=draw(EDGE_PROBABILITIES),
+        prior_busy=draw(st.floats(0.05, 0.95)),
+        noise_variance=draw(st.floats(1e-3, 1.0)),
+        mixture_weights=tuple(w / sum(raw) for w in raw),
+        mixture_variances=tuple(draw(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k))),
+        p_pk_db=draw(SWEPT_DECIBELS),
+        q_avg_db=None if peak else draw(SWEPT_DECIBELS),
+        q_pk_db=draw(SWEPT_DECIBELS) if peak else None,
+    )
+    values = draw(st.lists(SWEPT_DECIBELS if axis.endswith("_db") else EDGE_PROBABILITIES,
+                           min_size=1, max_size=8))
+    return sweep_of(config, axis, values)
+
+
+# one sweep, or two back to back: only then can an idle-decision-only row
+# (P_d = P_f = 0) meet a busy-decision-only one (P_d = P_f = 1)
+CLOSED_FORM_SWEEPS = st.booleans().flatmap(
+    lambda peak: st.lists(closed_form_sweep(peak), min_size=1, max_size=2)
+    .map(lambda sweeps: [scenario for sweep in sweeps for scenario in sweep]))
+
+
+def one_at_a_time(form, scenarios):
+    outcomes = []
+    for scenario in scenarios:
+        try:
+            outcomes.append(form(scenario))
+        except ConditioningError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def bits(outcomes):
+    """Floats by their bits, errors by type and message."""
+    return [(type(value), str(value)) if isinstance(value, Exception) else value.hex()
+            for value in outcomes]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios=CLOSED_FORM_SWEEPS)
+# P_f = 1 at P_d = 1: OSA's idle decision has probability 0
+@example(scenarios=sweep_of(replace(figure_preset("fig2"), p_detect=1.0),
+                            "p_false_alarm", [0.05, 1.0, 0.5]))
+@example(scenarios=sweep_of(replace(figure_preset("fig6"), p_detect=1.0),
+                            "p_false_alarm", [1.0, 0.2]))
+# P_d = 0 at P_f = 0 drops the busy row, P_f = 1 at P_d = 1 the idle row
+@example(scenarios=sweep_of(replace(figure_preset("fig3"), p_false_alarm=0.0),
+                            "p_detect", [0.0, 0.6, 1.0, 0.0]))
+@example(scenarios=sweep_of(replace(figure_preset("fig4"), p_detect=1.0),
+                            "p_false_alarm", [1.0, 0.3])
+         + sweep_of(replace(figure_preset("fig3"), p_false_alarm=0.0), "p_detect", [0.0]))
+def test_sequence_form_equals_one_scenario_calls(scenarios):
+    forms = [sep_rayleigh, sep_upper_bound]
+    if scenarios[0].power_policy == "peak_interference":
+        forms += [sep_peak_interference, sep_peak_interference_exact]
+    for form in forms:
+        out = form(scenarios)
+        assert bits(out) == bits(one_at_a_time(form, scenarios))
+        assert bits(form(scenarios[::-1])) == bits(out)[::-1]
