@@ -160,18 +160,15 @@ class _Table(NamedTuple):
     M_I x M_Q grid, ``k_mod`` is K = M_I^2 + M_Q^2 - 2 and ``c1``, ``c2`` are
     the Q and Q^2 coefficients 2 - 1/M_I - 1/M_Q and 2(1 - 1/M_I)(1 - 1/M_Q).
     A table stacked over points (``_stack``) holds an array over the points
-    in place of each number, with the point axis last: ``variances`` is
-    (variance, point), ``lam`` (component, point), and ``branch`` holds the
-    rows' weights and posteriors as one (3, row, point) array.
+    in place of each number, and ``variances`` has shape (variance, point).
     """
 
     rows: list
-    lam: tuple | np.ndarray
+    lam: tuple
     variances: np.ndarray
     k_mod: int | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
-    branch: np.ndarray | None = None
 
 
 def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
@@ -215,17 +212,14 @@ def _stack(tables: list[_Table]) -> _Table:
     """One table over points whose tables share their ``_shape``. Each number
     becomes the array of its values over the points, so one ``_sep`` call
     evaluates every point."""
-    rows, lam, variances, k_mod, c1, c2, _ = zip(*tables)
-    branch = np.array([[row[:3] for row in point] for point in rows]).transpose(2, 1, 0).copy()
-    stacked = [(*numbers, decision) for numbers, (*_, decision)
-               in zip(branch.transpose(1, 0, 2), rows[0])]
-    return _Table(stacked, np.array(lam).T.copy(), np.stack(variances, axis=1),
-                  np.array(k_mod), np.array(c1), np.array(c2), branch)
-
-
-def _between(array: np.ndarray, count: int) -> np.ndarray:
-    """``array`` with ``count`` unit axes inserted after its first."""
-    return array.reshape(array.shape[:1] + (1,) * count + array.shape[1:])
+    rows, lam, variances, k_mod, c1, c2 = zip(*tables)
+    stacked = []
+    for row in zip(*rows):  # one row across the points
+        weight, post_idle, post_busy, decisions = zip(*row)
+        stacked.append((np.array(weight), np.array(post_idle), np.array(post_busy),
+                        decisions[0]))
+    return _Table(stacked, tuple(map(np.array, zip(*lam))), np.stack(variances, axis=1),
+                  np.array(k_mod), np.array(c1), np.array(c2))
 
 
 def _sep(table: _Table, term, x, *args):
@@ -236,19 +230,12 @@ def _sep(table: _Table, term, x, *args):
     ``x`` holds one entry per row in its first axis; further axes, e.g. a
     vector of powers, broadcast through. For a stacked table the point axis
     is last: ``x`` is (row, point) or (row, ..., point). The sums run left to
-    right, so each vector entry equals the scalar evaluation bit for bit: on
-    a stacked table as array operations over every row and term at once,
-    otherwise as a loop over them.
+    right, so each vector entry equals the scalar evaluation bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    variances = table.variances
-    count = x.ndim - variances.ndim  # the axes x adds between its rows and the points
-    g = term(x[:, None], _between(variances, count), table, *args)
-    if table.branch is not None:
-        weight, post_idle, post_busy = (_between(a, count) for a in table.branch)
-        busy = np.add.accumulate(_between(table.lam, count) * g[:, 1:], axis=1)[:, -1]
-        # the loop below adds onto 0.0; so does this, for a sum of -0.0 terms
-        return 0.0 + np.add.accumulate(weight * (post_idle * g[:, 0] + post_busy * busy))[-1]
+    shape = table.variances.shape  # the axes x adds go between its rows and the points
+    variances = table.variances.reshape(shape[:1] + (1,) * (x.ndim - len(shape)) + shape[1:])
+    g = term(x[:, None], variances, table, *args)
     if g.ndim == 2:
         g = g.tolist()  # one point: the same IEEE sums run faster on Python floats
     total = 0.0
@@ -278,15 +265,21 @@ def _column(points, value):
     return np.array([value(scenario) for scenario in points]).T
 
 
+# Points per stacked closed-form call: the peak form's temporaries are
+# (rows x variances x 149 nodes x points), ~1.5 MB each at 256 points with a
+# 4-component mixture, however long the sweep (up to MAX_SWEEP_POINTS).
+_STACK_POINTS = 256
+
+
 def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
     """``evaluate(table, points, *args)`` of one Scenario, as a float, or of
     each of a sequence of them, as a list in order.
 
     A sequence is grouped by table shape, and each group is stacked
-    (``_stack``) and evaluated by one call, bit for bit the one-Scenario
-    values. A point that conditions on a sensing decision of probability 0
-    (OSA's idle decision) gets its ConditioningError in its place, and the
-    other points are still evaluated.
+    (``_stack``) and evaluated by one call per ``_STACK_POINTS`` points, bit
+    for bit the one-Scenario values. A point that conditions on a sensing
+    decision of probability 0 (OSA's idle decision) gets its
+    ConditioningError in its place, and the other points are still evaluated.
     """
     if isinstance(scenarios, Scenario):
         return float(evaluate(_branches(scenarios, collapse), scenarios, *args))
@@ -300,9 +293,10 @@ def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
         else:
             groups.setdefault(_shape(table), []).append((index, scenario, table))
     for members in groups.values():
-        indices, points, tables = zip(*members)
-        for index, value in zip(indices, evaluate(_stack(tables), points, *args).tolist()):
-            results[index] = value
+        for start in range(0, len(members), _STACK_POINTS):
+            indices, points, tables = zip(*members[start:start + _STACK_POINTS])
+            for index, value in zip(indices, evaluate(_stack(tables), points, *args).tolist()):
+                results[index] = value
     return results
 
 

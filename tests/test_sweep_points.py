@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cogsep import experiment
+from cogsep import analytic, experiment
 from cogsep.analytic import (
     Scheme,
     sep_peak_interference,
@@ -219,3 +219,24 @@ def test_sequence_form_equals_one_scenario_calls(scenarios):
         out = form(scenarios)
         assert bits(out) == bits(one_at_a_time(form, scenarios))
         assert bits(form(scenarios[::-1])) == bits(out)[::-1]
+
+
+def test_long_sweep_is_stacked_in_slices(monkeypatch):
+    """A sweep longer than ``_STACK_POINTS`` is evaluated a slice at a time,
+    so its temporaries do not grow with the sweep, with the same values."""
+    scenarios = sweep_of(figure_preset("fig5"), "p_pk_db",
+                         [-10.0 + 0.05 * i for i in range(2 * analytic._STACK_POINTS + 3)])
+    sizes = []
+    stack = analytic._stack
+
+    def counted(tables):
+        sizes.append(len(tables))
+        return stack(tables)
+
+    monkeypatch.setattr(analytic, "_stack", counted)
+    for form in (sep_rayleigh, sep_upper_bound, sep_peak_interference,
+                 sep_peak_interference_exact):
+        sizes.clear()
+        out = form(scenarios)
+        assert sizes == [analytic._STACK_POINTS, analytic._STACK_POINTS, 3]
+        assert bits(out) == bits(one_at_a_time(form, scenarios))
