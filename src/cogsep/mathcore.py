@@ -14,7 +14,11 @@ numpy arrays costs one call per round rather than one per node.
 This is the one module that touches scipy. It imports only ``scipy.special``,
 and only on first use: it is a large part of the time of ``import cogsep``,
 and no closed-form or Monte Carlo engine but the peak-policy bound needs it.
+Annotations are not evaluated at import, so the samplers' ``np.random``
+parameter types do not load ``numpy.random``.
 """
+
+from __future__ import annotations
 
 import functools
 import importlib

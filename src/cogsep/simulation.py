@@ -31,12 +31,18 @@ Randomness is counter-based: chunk i of sweep point k draws from an SFC64
 stream keyed by ``SeedSequence(master_seed, spawn_key=(k, i))``, so results
 depend only on (master_seed, point, chunk_size), never on scheduling or
 worker count, and no two (seed, point) pairs share a stream.
+
+Importing this module loads neither ``numpy.random`` nor the process pool
+machinery (``concurrent.futures`` and ``multiprocessing``), since no
+closed-form run uses them. The first estimate's first chunk loads
+``numpy.random``; the first pool (``_Pool``) loads both.
 """
+
+from __future__ import annotations
 
 import math
 import threading
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -310,13 +316,35 @@ def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
     )
 
 
-class _Pool(ProcessPoolExecutor):
-    """A process pool that knows how many estimates share it."""
+class _Pool:
+    """A process pool that knows how many estimates share it.
+
+    It holds a ``ProcessPoolExecutor``, imported here rather than with the
+    module, so that a run without a pool never loads ``multiprocessing``.
+    ``numpy.random`` is imported before the executor starts its processes:
+    forked workers then inherit it instead of each importing it on its
+    first task.
+    """
 
     def __init__(self, processes: int, estimates: int) -> None:
-        super().__init__(max_workers=processes)
+        import numpy.random  # noqa: F401  (before the workers fork)
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._executor = ProcessPoolExecutor(max_workers=processes)
         self.processes = processes
         self.estimates = estimates
+
+    def submit(self, fn, *args):
+        return self._executor.submit(fn, *args)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        self._executor.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 def _pool_tasks(tasks: list[tuple], pool: _Pool) -> list[list[tuple]]:
@@ -339,7 +367,9 @@ def monte_carlo_pool(workers: int, configs: list[MonteCarloConfig]) -> _Pool | N
     """A pool for the estimates in ``configs``, or None if one process suffices.
 
     The pool has ``min(workers, total chunks)`` processes: under the ``fork``
-    start method all of them start at once. ``start_monte_carlo`` sends each
+    start method all of them start at the first task. Only a pool loads
+    ``multiprocessing``, and it loads ``numpy.random`` first, so the forked
+    workers have it (``_Pool``). ``start_monte_carlo`` sends each
     estimate to it as one task, or as a few when the estimates are fewer
     than the processes (``_pool_tasks``). It uses the platform's default
     start method; under ``spawn`` each worker would import cogsep and numpy

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -479,6 +480,24 @@ class TestPooledSweep:
         assert pool_log.tasks == [[(point, i) for i in run]
                                   for point in range(3) for run in runs]
         assert rows == run_experiment(config)
+
+    def test_no_process_left_running(self):
+        run_experiment(parse_config(make_text(trials=20_000)), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_aborted_run_leaves_no_process_running(self, monkeypatch):
+        start = experiment.start_monte_carlo
+
+        def broken(scenario, config, pool):
+            # the first point's task is already running in the pool
+            if config.point == 1:
+                raise ZeroDivisionError("division by zero in a Monte Carlo start")
+            return start(scenario, config, pool)
+
+        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
+        with pytest.raises(ZeroDivisionError, match="Monte Carlo start"):
+            run_experiment(parse_config(make_text(trials=20_000)), workers=2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

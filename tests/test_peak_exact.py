@@ -151,17 +151,20 @@ from cogsep.experiment import _scenario, run_experiment
 from cogsep.presets import figure_preset
 
 WATCHED = ("mpmath", "sympy", "scipy.integrate", "scipy.special")
-def loaded():
-    return [name for name in WATCHED if name in sys.modules]
+RUNTIME = ("numpy.random", "multiprocessing", "concurrent.futures")
+def loaded(names=WATCHED):
+    return [name for name in names if name in sys.modules]
 
-after_import = loaded()
+after_import, runtime = loaded(), [loaded(RUNTIME)]
 run_experiment(replace(figure_preset("fig1"), engines=("analytic", "bound")))
+runtime.append(loaded(RUNTIME))
 run_experiment(replace(figure_preset("fig2"), engines=("analytic", "monte_carlo"),
                        trials=2000))
+runtime.append(loaded(RUNTIME))
 after_sweeps = loaded()
 values = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
           craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
-print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values]]))
+print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values], runtime]))
 """
 
 
@@ -170,16 +173,22 @@ def test_import_loads_no_symbolic_or_multiprecision_package():
     oracle nor scipy's quadrature and special functions. ``scipy.special``
     loads on the first call that needs it, and the calls give the same
     doubles as here; no call loads ``scipy.integrate``, since every oracle
-    runs on ``mathcore.integrate``."""
+    runs on ``mathcore.integrate``.
+
+    Neither the import nor a closed-form sweep loads ``numpy.random`` or the
+    process pool machinery; a one-worker Monte Carlo sweep loads
+    ``numpy.random`` only."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    after_import, after_sweeps, after_calls, cold = json.loads(out.stdout.splitlines()[-1])
+    after_import, after_sweeps, after_calls, cold, runtime = json.loads(
+        out.stdout.splitlines()[-1])
     assert after_import == []
     assert after_sweeps == []
     assert after_calls == ["scipy.special"]
+    assert runtime == [[], [], ["numpy.random"]]
     warm = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
             craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
     assert [float.fromhex(v) for v in cold] == warm

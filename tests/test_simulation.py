@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -197,6 +200,35 @@ class TestPoolTasks:
         assert [task for run in runs for task in run] == tasks
         sizes = [len(run) for run in runs]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+
+# Run in a fresh interpreter: what a two-process pool has loaded once
+# ``monte_carlo_pool`` returns it, before any task forks a worker.
+PRE_FORK = """
+import json, sys
+from cogsep.simulation import MonteCarloConfig, monte_carlo_pool
+watched = ("numpy.random", "multiprocessing")
+before = [name for name in watched if name in sys.modules]
+pool = monte_carlo_pool(2, [MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000)])
+try:
+    print(json.dumps([before, [name for name in watched if name in sys.modules]]))
+finally:
+    pool.shutdown()
+"""
+
+
+def test_pool_loads_numpy_random_before_its_workers_fork():
+    """A forked worker inherits ``numpy.random`` rather than importing it on
+    its first task; without a pool, neither it nor ``multiprocessing`` is
+    loaded by importing the engine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PRE_FORK], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    before, after = json.loads(out.stdout.splitlines()[-1])
+    assert before == []
+    assert after == ["numpy.random", "multiprocessing"]
 
 
 class TestEstimate:
