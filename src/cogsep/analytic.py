@@ -50,7 +50,7 @@ def __getattr__(name: str):
     """``quad`` and ``dblquad`` from ``scipy.integrate``, which no code here
     calls: every oracle runs on ``mathcore.integrate``. The names stay
     reachable only because perfbench/tracer.py wraps them by name; they go
-    when the tracer reads trace records instead (ROADMAP item 3)."""
+    when the tracer reads trace records instead (ROADMAP item 2)."""
     if name in ("quad", "dblquad"):
         return getattr(_scipy("integrate"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -172,7 +172,7 @@ class _Table(NamedTuple):
 
 
 def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
-    """Branch table of a scenario; build it once, outside any hot loop.
+    """Branch table of a scenario; build it once per sweep (``_tables``).
 
     For SSS the weights are the sensing-decision probabilities; for OSA only
     the idle decision transmits and the (conditional) weight is 1.
@@ -191,16 +191,47 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
     else:
         rows = []
         for decision in (Occupancy.IDLE,) if osa else tuple(Occupancy):
-            weight = 1.0 if osa else s.decision_prob(decision)
-            if weight != 0.0:
-                rows.append((weight, s.posterior(Occupancy.IDLE, decision),
-                             s.posterior(Occupancy.BUSY, decision), decision))
+            try:
+                weight, post_idle, post_busy = s.posteriors(decision)
+            except ConditioningError:
+                if osa:
+                    raise
+                continue  # an SSS decision of probability 0 has no row
+            rows.append((1.0 if osa else weight, post_idle, post_busy, decision))
     mix, noise = scenario.interference, scenario.noise_variance
     mi, mq = scenario.m_inphase, scenario.m_quadrature
     return _Table(rows, tuple(mix.weights.tolist()),
                   np.concatenate(([noise], mix.variances + noise)),
                   mi * mi + mq * mq - 2, 2.0 - 1.0 / mi - 1.0 / mq,
                   2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq))
+
+
+class _Sweep(list):
+    """A sweep's Scenarios and the branch tables ``_tables`` built for them,
+    shared by its optimizer and closed forms and kept at resolved powers. In a
+    sweep only the SensingModel and the collapse flag vary a table."""
+
+    def __init__(self, scenarios=(), tables: dict | None = None):
+        super().__init__(scenarios)
+        self.tables = {} if tables is None else tables
+
+
+def _tables(scenarios: Sequence[Scenario], collapse: bool = False) -> list:
+    """Each scenario's branch table, or its ConditioningError, in order: one
+    build per distinct table input, which a ``_Sweep`` keeps for later calls."""
+    kept = scenarios.tables if isinstance(scenarios, _Sweep) else {}
+    tables = []
+    for scenario in scenarios:
+        key = (scenario.sensing, collapse, scenario.scheme, scenario.power_policy,
+               scenario.noise_variance, scenario.interference.components,
+               scenario.m_inphase, scenario.m_quadrature)
+        if key not in kept:
+            try:
+                kept[key] = _branches(scenario, collapse)
+            except ConditioningError as exc:
+                kept[key] = exc
+        tables.append(kept[key])
+    return tables
 
 
 def _shape(table: _Table) -> tuple:
@@ -275,22 +306,19 @@ def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
     """``evaluate(table, points, *args)`` of one Scenario, as a float, or of
     each of a sequence of them, as a list in order.
 
-    A sequence is grouped by table shape, and each group is stacked
-    (``_stack``) and evaluated by one call per ``_STACK_POINTS`` points, bit
-    for bit the one-Scenario values. A point that conditions on a sensing
-    decision of probability 0 (OSA's idle decision) gets its
-    ConditioningError in its place, and the other points are still evaluated.
+    A sequence (its tables from ``_tables``) is grouped by table shape, and
+    each group is stacked (``_stack``) and evaluated by one call per
+    ``_STACK_POINTS`` points, bit for bit the one-Scenario values. A point
+    that conditions on a sensing decision of probability 0 (OSA's idle
+    decision) gets its ConditioningError in its place, and the other points
+    are still evaluated.
     """
     if isinstance(scenarios, Scenario):
         return float(evaluate(_branches(scenarios, collapse), scenarios, *args))
-    results: list = [None] * len(scenarios)
+    results = _tables(scenarios, collapse)
     groups: dict = {}
-    for index, scenario in enumerate(scenarios):
-        try:
-            table = _branches(scenario, collapse)
-        except ConditioningError as exc:
-            results[index] = exc
-        else:
+    for index, (scenario, table) in enumerate(zip(scenarios, results)):
+        if not isinstance(table, ConditioningError):
             groups.setdefault(_shape(table), []).append((index, scenario, table))
     for members in groups.values():
         for start in range(0, len(members), _STACK_POINTS):
@@ -680,14 +708,15 @@ def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
     the best point and golden-section search refines it.
 
     The corner (both powers at the peak), P_d in {0, 1} and the 513-point scan
-    run per point. The 90 golden steps run in lockstep (``_lockstep``) over
-    every point whose table has the same shape, on one stacked table. Each
-    result equals that of a one-scenario call bit for bit, which matters
-    because one ulp of SEP moves the golden p0* by up to ~1e-8.
+    run per point, on the tables of ``_tables``. The 90 golden steps run in
+    lockstep (``_lockstep``) over every point whose table has the same shape,
+    on one stacked table. Each result equals that of a one-scenario call bit
+    for bit, which matters because one ulp of SEP moves the golden p0* by up
+    to ~1e-8.
     """
     results: list = [None] * len(scenarios)
     groups: dict = {}
-    for index, scenario in enumerate(scenarios):
+    for index, (scenario, table) in enumerate(zip(scenarios, _tables(scenarios))):
         if scenario.scheme is not Scheme.SSS:
             raise ValueError("the power optimizer needs an SSS scenario")
         constraints = scenario.constraints
@@ -696,7 +725,6 @@ def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
         ppk = constraints.peak_power
         budget = constraints.avg_interference / constraints.mean_gain_to_primary
         p_d = scenario.sensing.p_detect
-        table = _branches(scenario)
 
         # The constraint inactive at the corner, or only one power under the budget.
         corner = ((ppk, ppk) if ppk <= budget else (budget, ppk) if p_d == 0.0

@@ -99,8 +99,7 @@ def map_detect_numeric(
     convolved = mix.convolve_with_gaussian(noise_variance)
     z, mag = _finite_samples("map_detect_numeric", derotated, magnitude)
     spec = spec_busy if decision == Occupancy.BUSY else spec_idle
-    post_idle = model.posterior(Occupancy.IDLE, decision)
-    post_busy = model.posterior(Occupancy.BUSY, decision)
+    _, post_idle, post_busy = model.posteriors(decision)
 
     z = np.atleast_1d(z)
     mag = np.broadcast_to(mag, z.shape)

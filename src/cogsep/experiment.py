@@ -2,9 +2,9 @@
 
 Configs are flat ``key = value`` files with ``[section]`` headers (sections:
 scenario, mixture, constraints, sweep, monte_carlo, output). Each sweep point
-is the config with the swept key replaced by the point's value, built into a
-Scenario by ``_scenario``. ``_build`` builds the config as written and every
-sweep point; ``validate`` reports its diagnostics and the run uses the
+is the config with the point's value in place of the swept key's, built into
+a Scenario by ``_scenario``. ``_build`` builds the config as written and
+every sweep point; ``validate`` reports its diagnostics and the run uses the
 Scenarios it built, so each point is built once and a config ``validate``
 accepts runs at every point. The runner resolves the transmit powers from
 the active constraint mode (average-interference optimization / cap, or the
@@ -27,6 +27,7 @@ from .analytic import (
     ConstraintSet,
     Scenario,
     Scheme,
+    _Sweep,
     max_power_osa,
     optimize_powers_sss,
     sep_peak_interference,
@@ -69,7 +70,7 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
     return tuple(ENGINE_ALIASES.get(tok, tok) for tok in tokens if tok)
 
 
-# each sweep point is built once, in 35-45 us (2-core x86-64 VM): 10 000 take < 0.5 s
+# each sweep point is built once, in 15-25 us (2-core x86-64 VM): 10 000 take < 0.3 s
 MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
@@ -294,14 +295,15 @@ def parse_config_file(path: str) -> ExperimentConfig:
 # Operating points: every model object is built and checked here
 # ---------------------------------------------------------------------------
 
-def _scenario(config: ExperimentConfig, swept: str | None,
+def _scenario(config: ExperimentConfig, swept: str | None, value: float | None = None,
               mixture: GaussianMixture | None = None) -> Scenario:
     """Build the Scenario of one operating point, checking every model rule.
 
-    ``config`` carries the point's own values and ``swept`` names the sweep
-    axis it was made for, whose dB value is then reported as a sweep value.
-    ``mixture`` is the config's mixture, already built and checked; None
-    builds it from ``config``.
+    ``swept`` names the sweep axis the point was made for, and ``value`` is
+    its value there, read in place of the config's; a swept dB value is
+    reported as a sweep value. With ``swept`` None the point is the config as
+    written. ``mixture`` is the config's mixture, already built and checked
+    with the grid; None builds and checks both from ``config``.
     The specs carry the explicit powers, the OSA cap or the peak power; the
     last is the peak policy's cap and, for SSS under the average limit, a
     placeholder the optimizer ignores. Assumes the config-wide rules of
@@ -316,18 +318,21 @@ def _scenario(config: ExperimentConfig, swept: str | None,
             diags.append(str(exc))
             return None
 
+    def get(key: str):
+        return value if key == swept else getattr(config, key)
+
     def linear(section: str, key: str) -> float | None:
-        db = getattr(config, key)
+        db = get(key)
         if db is None:
             return None
         try:
-            value = db_to_linear(db)
+            power = db_to_linear(db)
         except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
+            power = math.inf
+        if not math.isfinite(power):
             name = f"sweep value {key}" if key == swept else f"{section}.{key}"
             diags.append(f"{name} = {db:g} dB is out of range")
-        return value
+        return power
 
     def spec(power: float) -> ConstellationSpec:
         return ConstellationSpec(config.m_inphase, config.m_quadrature, power)
@@ -337,13 +342,13 @@ def _scenario(config: ExperimentConfig, swept: str | None,
     p0, p1 = (linear("scenario", key) for key in ("p0_db", "p1_db"))
     # the constraints and the powers need every dB value as a finite float
     converted = not diags
-    sensing = build(lambda: SensingModel(config.p_detect, config.p_false_alarm,
-                                         config.prior_busy))
+    p_d = get("p_detect")
+    sensing = build(lambda: SensingModel(p_d, get("p_false_alarm"), config.prior_busy))
     if mixture is None:
         mixture = build(lambda: GaussianMixture.from_lists(config.mixture_weights,
                                                            config.mixture_variances))
-    # unit power: the grid is checked here, each transmit power in the Scenario
-    build(lambda: spec(1.0))
+        # unit power: the grid is checked here, each transmit power in the Scenario
+        build(lambda: spec(1.0))
     constraints = build(lambda: ConstraintSet(
         peak_power=p_pk, avg_interference=q_avg, peak_interference=q_pk,
         mean_gain_to_primary=config.mean_gain_to_primary)) if converted else None
@@ -357,7 +362,7 @@ def _scenario(config: ExperimentConfig, swept: str | None,
         policy = "peak_interference"
     elif p0 is not None:
         p1 = 0.0 if p1 is None else p1
-        gain, p_d = config.mean_gain_to_primary, config.p_detect
+        gain = config.mean_gain_to_primary
         if p0 > p_pk * (1 + 1e-12) or p1 > p_pk * (1 + 1e-12):
             diags.append("explicit powers exceed the peak power constraint")
         if (1 - p_d) * p0 * gain + p_d * p1 * gain > q_avg * (1 + 1e-12):
@@ -365,7 +370,7 @@ def _scenario(config: ExperimentConfig, swept: str | None,
     elif sss:
         p0 = p1 = p_pk
     else:
-        p0 = max_power_osa(constraints, config.p_detect)
+        p0 = max_power_osa(constraints, p_d)
     scenario = build(lambda: Scenario(
         scheme=config.scheme,
         spec_idle=spec(p0),
@@ -385,14 +390,14 @@ def _scenario(config: ExperimentConfig, swept: str | None,
 # Validation (structural + invariants, no execution)
 # ---------------------------------------------------------------------------
 
-def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
+def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
     """Build every sweep point; return their Scenarios and every violation found.
 
     The config-wide rules are checked first. When they hold, the config as
     written and then each sweep point are built (``_scenario``) until one
     fails, and every violation of that point is reported. The mixture is
     never swept: the points share the one the config as written built. The
-    run uses the Scenarios, one per sweep point in order, only when nothing
+    run uses the Scenarios, one ``_Sweep`` in sweep order, only when nothing
     was found.
     """
     diags: list[str] = []
@@ -419,12 +424,12 @@ def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
     if axis == "q_avg_db" and config.q_pk_db is not None:
         diags.append("sweeping q_avg_db requires the average-interference mode")
 
-    scenarios: list[Scenario] = []
+    scenarios = _Sweep()
     if not diags:
         try:
             mixture = _scenario(config, None).interference
             for value in config.sweep.values():
-                scenarios.append(_scenario(replace(config, **{axis: value}), axis, mixture))
+                scenarios.append(_scenario(config, axis, value, mixture))
         except ConfigError as exc:
             diags.extend(exc.args)
 
@@ -452,18 +457,21 @@ def validate(config: ExperimentConfig) -> list[str]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _resolve_powers(config: ExperimentConfig, scenarios: list[Scenario]) -> list[Scenario]:
+def _resolve_powers(config: ExperimentConfig, scenarios: _Sweep) -> _Sweep:
     """The sweep's Scenarios with the SSS powers under the average limit
     solved, by one ``optimize_powers_sss`` call for the whole sweep.
 
     The need is config-wide (SSS, average limit, no explicit powers), so the
-    optimizer runs at every point or at none.
+    optimizer runs at every point or at none. The tables it built stay.
     """
     if config.scheme is not Scheme.SSS or config.q_pk_db is not None or config.p0_db is not None:
         return scenarios
-    return [replace(scenario, spec_idle=replace(scenario.spec_idle, power=best.p0),
-                    spec_busy=replace(scenario.spec_busy, power=best.p1))
-            for scenario, best in zip(scenarios, optimize_powers_sss(scenarios))]
+    mi, mq = config.m_inphase, config.m_quadrature
+    return _Sweep((Scenario(s.scheme, ConstellationSpec(mi, mq, best.p0),
+                            ConstellationSpec(mi, mq, best.p1), s.sensing, s.noise_variance,
+                            s.interference, s.constraints, s.power_policy)
+                   for s, best in zip(scenarios, optimize_powers_sss(scenarios))),
+                  scenarios.tables)
 
 
 def _closed_form_rows(config: ExperimentConfig, values: list[float],
@@ -589,16 +597,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
 # Output formats
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.9g}"
-
-
 def _row_strings(row: ResultRow) -> list[str]:
-    return [_fmt(getattr(row, column)) for column in CSV_COLUMNS]
+    """Each column's CSV cell: empty, an integer, or 9 significant digits."""
+    return ["" if value is None else str(value) if isinstance(value, int) else f"{value:.9g}"
+            for value in (getattr(row, column) for column in CSV_COLUMNS)]
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:
@@ -609,19 +611,22 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_cell(column: str, cell: str) -> str:
+    """The JSON text of one CSV cell: null, an integer, or the float the cell reads as."""
+    if cell == "":
+        return "null"
+    if column == "trials":
+        return str(int(cell))
+    value = float(cell)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
 def write_json(rows: list[ResultRow], path: str) -> None:
-    """JSON mirror of the CSV carrying numerically identical values."""
-    payload = []
-    for row in rows:
-        cells = _row_strings(row)
-        record = {}
-        for column, cell in zip(CSV_COLUMNS, cells):
-            if cell == "":
-                record[column] = None
-            elif column == "trials":
-                record[column] = int(cell)
-            else:
-                record[column] = float(cell)
-        payload.append(record)
+    """JSON mirror of the CSV carrying numerically identical values, in the
+    bytes ``json.dumps(records, indent=2)`` gives, written out directly."""
+    records = [",\n".join(f'    "{column}": {_json_cell(column, cell)}'
+                          for column, cell in zip(CSV_COLUMNS, _row_strings(row)))
+               for row in rows]
+    text = "[\n  {\n" + "\n  },\n  {\n".join(records) + "\n  }\n]" if records else "[]"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")

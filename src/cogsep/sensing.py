@@ -64,12 +64,13 @@ class SensingModel:
         p_busy = self.prior_busy * self.p_detect + self.prior_idle * self.p_false_alarm
         return p_busy if decision == Occupancy.BUSY else 1.0 - p_busy
 
-    def posterior(self, true_state: Occupancy, decision: Occupancy) -> float:
-        """Bayes posterior Pr{true state | sensing decision}."""
+    def posteriors(self, decision: Occupancy) -> tuple[float, float, float]:
+        """Pr{decision} and the Bayes posteriors Pr{idle | decision} and
+        Pr{busy | decision}, all from one evaluation of Pr{decision}."""
         denom = self.decision_prob(decision)
         if denom <= 0.0:
             raise ConditioningError(
                 f"decision {decision.name} has probability 0; posterior undefined"
             )
-        joint = self.prior(true_state) * self.decision_given_state(decision, true_state)
-        return joint / denom
+        return denom, *(self.prior(state) * self.decision_given_state(decision, state) / denom
+                        for state in Occupancy)

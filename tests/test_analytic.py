@@ -114,8 +114,7 @@ class TestSepClassConditional:
         total = 0.0
         for decision, spec in ((Occupancy.IDLE, scenario.spec_idle),
                                (Occupancy.BUSY, scenario.spec_busy)):
-            weight = sensing.decision_prob(decision)
-            post_idle = sensing.posterior(Occupancy.IDLE, decision)
+            weight, post_idle, _ = sensing.posteriors(decision)
             counts = spec.class_counts()
             branch = sum(
                 count * sep_class_conditional(cls, spec, magnitude, post_idle,
@@ -189,9 +188,7 @@ class TestSepGeneralNumeric:
         expected = 0.0
         for decision, spec in ((Occupancy.IDLE, scenario.spec_idle),
                                (Occupancy.BUSY, scenario.spec_busy)):
-            w = sensing.decision_prob(decision)
-            post_idle = sensing.posterior(Occupancy.IDLE, decision)
-            post_busy = sensing.posterior(Occupancy.BUSY, decision)
+            w, post_idle, post_busy = sensing.posteriors(decision)
             a = spec.min_distance() * magnitude / 2.0
             term_idle = gaussian_q(a / math.sqrt(0.01))
             term_busy = sum(l * gaussian_q(a / math.sqrt(v + 0.01))

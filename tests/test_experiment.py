@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cogsep import experiment
+from cogsep import analytic, experiment
 from cogsep.cli import main
 from cogsep.experiment import (
     ConfigError,
@@ -245,6 +245,28 @@ class TestValidate:
             sweep.values()
 
 
+INF, NAN = float("inf"), float("nan")
+EMPTY_RECORD = dict.fromkeys(experiment.CSV_COLUMNS, None)
+# (row, the record json.dump must write for it) per row of each case: an int
+# trials, an infeasible row with every engine column empty, non-finite cells,
+# which JSON spells Infinity and NaN, and negative zeros
+JSON_CASES = {
+    2: [(experiment.ResultRow(1.5, 0.25, 0.0, 0.125, None, 0.0625, 0.001, 0.5, 4000),
+         {"sweep_value": 1.5, "p0": 0.25, "p1": 0.0, "sep_analytic": 0.125,
+          "sep_bound": None, "sep_mc": 0.0625, "sep_mc_ci95": 0.001,
+          "skip_fraction": 0.5, "trials": 4000}),
+        (experiment.ResultRow(2.0), EMPTY_RECORD | {"sweep_value": 2.0})],
+    0: [],
+    "nonfinite": [(experiment.ResultRow(3.0, INF, 0.0, NAN, -INF, None, INF, NAN, 7),
+                   {"sweep_value": 3.0, "p0": INF, "p1": 0.0, "sep_analytic": NAN,
+                    "sep_bound": -INF, "sep_mc": None, "sep_mc_ci95": INF,
+                    "skip_fraction": NAN, "trials": 7})],
+    "negative_zero": [(experiment.ResultRow(-0.0, 1e-300, -0.0, 0.1),
+                       EMPTY_RECORD | {"sweep_value": -0.0, "p0": 1e-300, "p1": -0.0,
+                                       "sep_analytic": 0.1})],
+}
+
+
 class TestRunExperiment:
     def test_sweep_rows_and_formats(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -281,18 +303,12 @@ class TestRunExperiment:
             assert record["sep_mc"] == float(cells[5])
             assert record["sep_bound"] is None
 
-    @pytest.mark.parametrize("count", [2, 0])
-    def test_json_bytes_equal_json_dump(self, tmp_path, count):
-        # an int trials, and an infeasible row with every engine column empty
-        rows = [experiment.ResultRow(1.5, 0.25, 0.0, 0.125, None, 0.0625, 0.001, 0.5, 4000),
-                experiment.ResultRow(2.0)][:count]
-        payload = [{"sweep_value": 1.5, "p0": 0.25, "p1": 0.0, "sep_analytic": 0.125,
-                    "sep_bound": None, "sep_mc": 0.0625, "sep_mc_ci95": 0.001,
-                    "skip_fraction": 0.5, "trials": 4000},
-                   dict.fromkeys(experiment.CSV_COLUMNS, None) | {"sweep_value": 2.0}][:count]
-        experiment.write_json(rows, str(tmp_path / "rows.json"))
+    @pytest.mark.parametrize("case", list(JSON_CASES))
+    def test_json_bytes_equal_json_dump(self, tmp_path, case):
+        rows, payload = zip(*JSON_CASES[case]) if JSON_CASES[case] else ((), ())
+        experiment.write_json(list(rows), str(tmp_path / "rows.json"))
         with open(tmp_path / "dumped.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(list(payload), fh, indent=2)
             fh.write("\n")
         assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
@@ -392,6 +408,28 @@ class TestSweepPointsBuiltOnce:
         calls = self._count_builds(monkeypatch)
         assert validate(_analytic_fig1()) == []
         assert calls == [None] + ["q_avg_db"] * 27
+
+    def test_branch_tables_built_once_per_sensing_model(self, monkeypatch):
+        # a sweep's optimizer and closed forms share one table per distinct
+        # sensing model: one for the q_avg_db and p_pk_db sweeps, one per point
+        # for the p_detect and p_false_alarm sweeps
+        builds = []
+        branches = analytic._branches
+
+        def counted(scenario, collapse=False):
+            builds.append(collapse)
+            return branches(scenario, collapse)
+
+        monkeypatch.setattr(analytic, "_branches", counted)
+        counts, points = {}, {}
+        for preset in PRESET_NAMES:
+            builds.clear()
+            rows = run_experiment(replace(figure_preset(preset), engines=("analytic", "bound"),
+                                          output_path=None, json_path=None))
+            counts[preset], points[preset] = len(builds), len(rows)
+            assert len(set(builds)) == 1  # one collapse mode per sweep
+        assert counts == {"fig1": 1, "fig2": 1, "fig3": points["fig3"], "fig4": points["fig4"],
+                          "fig5": 1, "fig6": 1, "fig7": points["fig7"], "fig8": points["fig8"]}
 
     def test_traced_layers_see_every_point(self, monkeypatch):
         # perfbench/tracer.py wraps these names on the experiment module; a

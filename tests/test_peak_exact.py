@@ -44,7 +44,7 @@ def peak_scenario(case: str, ppk_db: float, qpk_db: float):
 def preset_scenarios(name: str, every: int = 1):
     config = figure_preset(name)
     axis = config.sweep.axis
-    return [_scenario(replace(config, **{axis: value}), axis)
+    return [_scenario(config, axis, value)
             for value in config.sweep.values()[::every]]
 
 

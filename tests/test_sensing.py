@@ -44,20 +44,23 @@ class TestDecisionProb:
 class TestPosterior:
     def test_perfect_sensing(self):
         model = SensingModel(1.0, 0.0, 0.4)
-        assert model.posterior(BUSY, BUSY) == pytest.approx(1.0)
-        assert model.posterior(IDLE, IDLE) == pytest.approx(1.0)
+        assert model.posteriors(BUSY)[1:] == pytest.approx((0.0, 1.0))
+        assert model.posteriors(IDLE)[1:] == pytest.approx((1.0, 0.0))
 
     def test_default_model(self, sensing):
-        assert sensing.posterior(BUSY, BUSY) == pytest.approx(0.36 / 0.39, rel=1e-14)
-        assert sensing.posterior(BUSY, IDLE) == pytest.approx(0.04 / 0.61, rel=1e-14)
+        # Pr{decision} comes first, then Pr{idle | decision} and Pr{busy | decision}
+        assert sensing.posteriors(BUSY) == pytest.approx((0.39, 0.03 / 0.39, 0.36 / 0.39),
+                                                         rel=1e-14)
+        assert sensing.posteriors(IDLE) == pytest.approx((0.61, 0.57 / 0.61, 0.04 / 0.61),
+                                                         rel=1e-14)
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             model = SensingModel(*rng.uniform(0.01, 0.99, 3))
             for decision in (IDLE, BUSY):
-                total = (model.posterior(IDLE, decision)
-                         + model.posterior(BUSY, decision))
+                _, post_idle, post_busy = model.posteriors(decision)
+                total = post_idle + post_busy
                 assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_law_of_total_probability(self):
@@ -70,13 +73,13 @@ class TestPosterior:
                     weight = model.decision_prob(decision)
                     if weight == 0.0:
                         continue
-                    total += weight * model.posterior(state, decision)
+                    total += weight * model.posteriors(decision)[1 + state]
                 assert abs(total - model.prior(state)) <= 1e-12
 
     def test_zero_probability_decision_raises(self):
         model = SensingModel(p_detect=0.9, p_false_alarm=0.0, prior_busy=0.0)
         with pytest.raises(ConditioningError):
-            model.posterior(BUSY, BUSY)
+            model.posteriors(BUSY)
 
 
 class TestSampling:

@@ -29,7 +29,7 @@ from cogsep.analytic import (
     sep_upper_bound,
 )
 from cogsep.experiment import SWEEP_AXES, ConfigError, SweepSpec, run_experiment, validate
-from cogsep.presets import figure_preset
+from cogsep.presets import PRESET_NAMES, figure_preset
 from cogsep.sensing import ConditioningError
 
 # values near the ends of [0, 1], and dB values near the float limits of 10^(x/10)
@@ -141,8 +141,7 @@ SWEPT_DECIBELS = st.floats(-20.0, 30.0)
 
 def sweep_of(config, axis, values):
     """The Scenarios the runner evaluates at ``values`` of ``axis``, powers resolved."""
-    scenarios = [experiment._scenario(replace(config, **{axis: value}), axis)
-                 for value in values]
+    scenarios = analytic._Sweep(experiment._scenario(config, axis, value) for value in values)
     return experiment._resolve_powers(config, scenarios)
 
 
@@ -240,3 +239,19 @@ def test_long_sweep_is_stacked_in_slices(monkeypatch):
         out = form(scenarios)
         assert sizes == [analytic._STACK_POINTS, analytic._STACK_POINTS, 3]
         assert bits(out) == bits(one_at_a_time(form, scenarios))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_rows_equal_one_scenario_forms_bit_for_bit(preset):
+    """Each row's closed forms are the public one-Scenario forms at the row's
+    resolved powers, to the bit, whatever tables the sweep shared."""
+    config = replace(figure_preset(preset), engines=("analytic", "bound"),
+                     output_path=None, json_path=None)
+    exact, bound = ((sep_peak_interference_exact, sep_peak_interference)
+                    if config.q_pk_db is not None else (sep_rayleigh, sep_upper_bound))
+    for row in run_experiment(config):
+        point = experiment._scenario(config, config.sweep.axis, row.sweep_value)
+        busy = point.spec_busy and replace(point.spec_busy, power=row.p1)
+        point = replace(point, spec_idle=replace(point.spec_idle, power=row.p0), spec_busy=busy)
+        assert row.sep_analytic.hex() == exact(point).hex()
+        assert row.sep_bound.hex() == bound(point).hex()
