@@ -15,7 +15,7 @@ All per-axis variances follow the pdf convention of
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -209,22 +209,38 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
 class _Sweep(list):
     """A sweep's Scenarios and the branch tables ``_tables`` built for them,
     shared by its optimizer and closed forms and kept at resolved powers. In a
-    sweep only the SensingModel and the collapse flag vary a table."""
+    sweep only the SensingModel and the collapse flag vary a table: its points
+    share one scheme, power policy, noise, mixture and grid, so ``_tables``
+    keys its tables by those two alone."""
 
     def __init__(self, scenarios=(), tables: dict | None = None):
         super().__init__(scenarios)
         self.tables = {} if tables is None else tables
 
 
+def _sequence(scenarios) -> Sequence:
+    """``scenarios`` as a sequence: any other iterable is read once into a
+    list. One Scenario, or anything else that is not an iterable, is a
+    TypeError."""
+    if isinstance(scenarios, Sequence):
+        return scenarios
+    if isinstance(scenarios, Scenario) or not isinstance(scenarios, Iterable):
+        raise TypeError("expected a sequence or an iterable of Scenarios, "
+                        f"got {type(scenarios).__name__}")
+    return list(scenarios)
+
+
 def _tables(scenarios: Sequence[Scenario], collapse: bool = False) -> list:
     """Each scenario's branch table, or its ConditioningError, in order: one
     build per distinct table input, which a ``_Sweep`` keeps for later calls."""
-    kept = scenarios.tables if isinstance(scenarios, _Sweep) else {}
+    sweep = isinstance(scenarios, _Sweep)
+    kept = scenarios.tables if sweep else {}
     tables = []
     for scenario in scenarios:
-        key = (scenario.sensing, collapse, scenario.scheme, scenario.power_policy,
-               scenario.noise_variance, scenario.interference.components,
-               scenario.m_inphase, scenario.m_quadrature)
+        key = ((scenario.sensing, collapse) if sweep else
+               (scenario.sensing, collapse, scenario.scheme, scenario.power_policy,
+                scenario.noise_variance, scenario.interference.components,
+                scenario.m_inphase, scenario.m_quadrature))
         if key not in kept:
             try:
                 kept[key] = _branches(scenario, collapse)
@@ -242,7 +258,11 @@ def _shape(table: _Table) -> tuple:
 def _stack(tables: list[_Table]) -> _Table:
     """One table over points whose tables share their ``_shape``. Each number
     becomes the array of its values over the points, so one ``_sep`` call
-    evaluates every point."""
+    evaluates every point. Points that share one table get it back as it is:
+    the powers alone carry the point axis, and each number broadcasts over
+    it to the same values, bit for bit."""
+    if all(table is tables[0] for table in tables):
+        return tables[0]
     rows, lam, variances, k_mod, c1, c2 = zip(*tables)
     stacked = []
     for row in zip(*rows):  # one row across the points
@@ -304,7 +324,8 @@ _STACK_POINTS = 256
 
 def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
     """``evaluate(table, points, *args)`` of one Scenario, as a float, or of
-    each of a sequence of them, as a list in order.
+    each of a sequence (or any iterable, read once) of them, as a list in
+    order.
 
     A sequence (its tables from ``_tables``) is grouped by table shape, and
     each group is stacked (``_stack``) and evaluated by one call per
@@ -315,6 +336,7 @@ def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
     """
     if isinstance(scenarios, Scenario):
         return float(evaluate(_branches(scenarios, collapse), scenarios, *args))
+    scenarios = _sequence(scenarios)
     results = _tables(scenarios, collapse)
     groups: dict = {}
     for index, (scenario, table) in enumerate(zip(scenarios, results)):
@@ -463,18 +485,18 @@ def _rayleigh(table: _Table, points, bound: bool):
     return _sep(table, _rayleigh_term, powers, bound)
 
 
-def sep_rayleigh(scenarios: Scenario | Sequence[Scenario]):
+def sep_rayleigh(scenarios: Scenario | Iterable[Scenario]):
     """Closed-form unconditional SEP over unit-mean Rayleigh fading.
 
     SSS averages over both sensing decisions; OSA conditions on an idle
     decision (transmission having occurred). One Scenario gives a float; a
-    sequence gives one value per scenario, or its ConditioningError, in
-    order (``_closed_form``).
+    sequence, or any iterable read once, gives one value per scenario, or
+    its ConditioningError, in order (``_closed_form``).
     """
     return _closed_form(scenarios, _rayleigh, False)
 
 
-def sep_upper_bound(scenarios: Scenario | Sequence[Scenario]):
+def sep_upper_bound(scenarios: Scenario | Iterable[Scenario]):
     """Rayleigh-averaged SEP with the negative Q^2 terms dropped.
 
     Coincides with the exact closed form whenever M_Q = 1 (PAM). Takes one
@@ -666,26 +688,88 @@ def _p1(p0, ppk, budget, p_d, floor, p0_at_ppk):
                     np.minimum(np.maximum((budget - (1.0 - p_d) * p0) / p_d, floor), ppk))
 
 
+# The optimizer's scan (``_scan_best``): indices 0..512 along the active
+# segment, a coarse pass at every 16th, and the relative margin by which a
+# window's ends must exceed its least SEP.
+_SCAN_LAST = 512
+_SCAN_STRIDE = 16
+_SCAN_MARGIN = 1e-13
+
+
+def _scan_p0(index, p0_min, p0_max):
+    """P0 at scan index ``index`` (a float array; its first axes broadcast
+    before the point axis), bit for bit ``np.linspace(p0_min, p0_max, 513)``:
+    the same products and sums, the end set to ``p0_max``."""
+    delta = p0_max - p0_min
+    step = delta / _SCAN_LAST
+    # linspace divides by 512 first, then scales, where the step underflows to 0
+    p0 = np.where(step == 0.0, index / _SCAN_LAST * delta, index * step) + p0_min
+    return np.where(index == _SCAN_LAST, p0_max, p0)
+
+
+def _segment_sep(table: _Table, segment: tuple, p0):
+    """The exact Rayleigh SEP at P0 on the active segment (P1 from ``_p1``)."""
+    return _sep(table, _rayleigh_term, _powers(table, p0, _p1(p0, *segment)), False)
+
+
+def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
+    """Each point's scan index of the first least SEP over the 513-point scan,
+    or -1 where its window cannot stand for the scan.
+
+    Two ``_sep`` calls cover every point: one at every 16th scan point, one
+    at the 33 around the coarse minimum (the window). If the SEP along the
+    segment is unimodal, and its rounding noise below half of _SCAN_MARGIN,
+    the window holds the first least of all 513 whenever each end of the
+    window is an end of the scan or exceeds the window's least by
+    _SCAN_MARGIN relative: every scan point beyond such an end is then above
+    that least. A flat segment, like that of P_d = P_f = 1e-12, where
+    neither power moves the SEP by more than ~1e-12, fails that test and
+    gets -1.
+    """
+    coarse = _segment_sep(table, segment, _scan_p0(
+        np.arange(0.0, _SCAN_LAST + 1.0, _SCAN_STRIDE)[:, None], p0_min, p0_max))
+    last_low = _SCAN_LAST - 2 * _SCAN_STRIDE
+    low = np.clip(_SCAN_STRIDE * (np.argmin(coarse, axis=0) - 1), 0, last_low)
+    values = _segment_sep(table, segment, _scan_p0(
+        low + np.arange(2.0 * _SCAN_STRIDE + 1.0)[:, None], p0_min, p0_max))
+    above = values.min(axis=0) * (1.0 + _SCAN_MARGIN)
+    clear = (((low == 0) | (values[0] > above))
+             & ((low == last_low) | (values[-1] > above)))
+    return np.where(clear, low + np.argmin(values, axis=0), -1)
+
+
 def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
-    """(P0, P1, SEP) arrays: golden-section search on [a, b], then the best
-    of its midpoint and the segment's ends, for every point of a stacked
-    table at once, one ``_sep`` call per step. ``np.where`` takes each
-    point's branch, so each point's result is its own search's, bit for bit.
+    """(P0, P1, SEP) arrays: golden-section search (Kiefer, 1953) on [a, b],
+    then the best of its midpoint and the segment's ends, for every point of
+    a stacked table at once, one ``_sep`` call per step. ``np.where`` takes
+    each point's branch, so each point's result is its own search's, bit for
+    bit.
+
+    The search stops at 90 steps, or once every point's state (a, b, c, d,
+    fc, fd) equals its state two steps earlier. A step is a function of that
+    state alone, so from there the states alternate, and the state of step
+    90 is the current one or the one before, by parity: the result is the
+    90-step result, bit for bit, at fewer ``_sep`` calls.
     """
     def sep_at(p0):
-        return _sep(table, _rayleigh_term, _powers(table, p0, _p1(p0, *segment)), False)
+        return _segment_sep(table, segment, p0)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = sep_at(c), sep_at(d)
-    for _ in range(90):
+    states = [np.array((a, b, c, d, fc, fd))]  # the last three
+    for step in range(1, 91):
         left = fc < fd  # keep [a, d] and probe left of c, else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
         fx = sep_at(x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fx, fd), np.where(left, fc, fx))
+        states = [*states[-2:], np.array((a, b, c, d, fc, fd))]
+        if len(states) == 3 and (states[2] == states[0]).all():
+            a, b = states[2 - step % 2][:2]  # step 90's state, by parity
+            break
     p0 = (a + b) / 2.0
     sep = sep_at(p0)
     for end in (p0_min, p0_max):  # the first of equal SEPs wins
@@ -695,25 +779,33 @@ def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
     return p0, _p1(p0, *segment), sep
 
 
-def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
+def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     """Minimize the SSS Rayleigh SEP over (P0, P1) under the constraints, at
-    each of ``scenarios``; one OptimalPowers per scenario, in order.
+    each of ``scenarios`` (a sequence, or any iterable read once); one
+    OptimalPowers per scenario, in order.
 
     A scenario gives the grid, sensing, noise, mixture and constraints; the
     powers its specs carry are ignored. Subject to P0, P1 <= P_pk and the
     sensing-weighted average interference limit
     (1 - P_d) P0 E{|g|^2} + P_d P1 E{|g|^2} <= Q_avg. The SEP is strictly
     decreasing in each power, so the optimum sits on the upper boundary of the
-    feasible set; a coarse scan along the active constraint segment brackets
-    the best point and golden-section search refines it.
+    feasible set; a 513-point scan along the active constraint segment
+    brackets the best point and golden-section search refines it.
 
-    The corner (both powers at the peak), P_d in {0, 1} and the 513-point scan
-    run per point, on the tables of ``_tables``. The 90 golden steps run in
-    lockstep (``_lockstep``) over every point whose table has the same shape,
-    on one stacked table. Each result equals that of a one-scenario call bit
-    for bit, which matters because one ulp of SEP moves the golden p0* by up
-    to ~1e-8.
+    The corner (both powers at the peak) and P_d in {0, 1} are solved per
+    point, on the tables of ``_tables``. The other points are grouped by
+    table shape and solved ``_STACK_POINTS`` at a time on one stacked table
+    (``_stack``): the scan (``_scan_best``) is two ``_sep`` calls, at every
+    16th scan point and at the 33 around the coarse minimum, and a point
+    whose window fails the margin test scans all 513 alone; then the golden
+    steps run in lockstep (``_lockstep``) until every point repeats its
+    state of two steps before. Each result equals that of a one-scenario
+    call bit for bit, which matters because one ulp of SEP moves the golden
+    p0* by up to ~1e-8: each SEP is the same float the per-point scan and
+    search compute, the window's first least is the scan's, and the stop
+    returns the 90-step state.
     """
+    scenarios = _sequence(scenarios)
     results: list = [None] * len(scenarios)
     groups: dict = {}
     for index, (scenario, table) in enumerate(zip(scenarios, _tables(scenarios))):
@@ -736,22 +828,24 @@ def optimize_powers_sss(scenarios: Sequence[Scenario]) -> list[OptimalPowers]:
 
         floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
         p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
-        segment = (ppk, budget, p_d, floor, p0_at_ppk)
-        p0_min = max(floor, p0_at_ppk)
-        p0_max = min(ppk, (budget - p_d * floor) / (1.0 - p_d))
-        grid = np.linspace(p0_min, p0_max, 513)
-        values = _sep(table, _rayleigh_term, _powers(table, grid, _p1(grid, *segment)), False)
-        best = int(np.argmin(values))
         groups.setdefault(_shape(table), []).append(
-            (index, table, segment, p0_min, p0_max,
-             float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])))
+            (index, table, (ppk, budget, p_d, floor, p0_at_ppk), max(floor, p0_at_ppk),
+             min(ppk, (budget - p_d * floor) / (1.0 - p_d))))
 
     for members in groups.values():
-        indices, tables, segments, *bounds = zip(*members)
-        solved = _lockstep(_stack(tables), tuple(map(np.array, zip(*segments))),
-                           *map(np.array, bounds))
-        for index, *powers in zip(indices, *(array.tolist() for array in solved)):
-            results[index] = OptimalPowers(*powers)
+        for start in range(0, len(members), _STACK_POINTS):
+            indices, tables, segments, p0_min, p0_max = zip(*members[start:start + _STACK_POINTS])
+            table, segment = _stack(tables), tuple(map(np.array, zip(*segments)))
+            p0_min, p0_max = np.array(p0_min), np.array(p0_max)
+            best = _scan_best(table, segment, p0_min, p0_max)
+            for point in np.flatnonzero(best < 0):
+                scan = _scan_p0(np.arange(_SCAN_LAST + 1.0), p0_min[point], p0_max[point])
+                best[point] = np.argmin(_segment_sep(tables[point], segments[point], scan))
+            bracket = (_scan_p0(np.maximum(best - 1, 0).astype(float), p0_min, p0_max),
+                       _scan_p0(np.minimum(best + 1, _SCAN_LAST).astype(float), p0_min, p0_max))
+            solved = _lockstep(table, segment, p0_min, p0_max, *bracket)
+            for index, *powers in zip(indices, *(array.tolist() for array in solved)):
+                results[index] = OptimalPowers(*powers)
     return results
 
 
@@ -780,7 +874,7 @@ def _peak_bound(table: _Table, points):
     return capped + table.c1 * _sep(table, _peak_tail, [qpk], b1, decay)
 
 
-def sep_peak_interference(scenarios: Scenario | Sequence[Scenario]):
+def sep_peak_interference(scenarios: Scenario | Iterable[Scenario]):
     """Closed-form gain-averaged SEP upper bound under the peak policy.
 
     With b1 = Q_pk / P_pk the cap binds for |g|^2 < b1; beyond it the bound's
@@ -859,7 +953,7 @@ def _peak_exact(table: _Table, points):
     return head + decay * np.array([_EXP_SINH_WEIGHTS @ point for point in tail.T.copy()])
 
 
-def sep_peak_interference_exact(scenarios: Scenario | Sequence[Scenario]):
+def sep_peak_interference_exact(scenarios: Scenario | Iterable[Scenario]):
     """Gain average of the exact Rayleigh SEP under the peak power policy.
 
     No closed form exists (the Q^2 terms do not average in closed form over

@@ -583,10 +583,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
         print(f"cogsep: infeasible sweep point {value:g}: {outcome}", file=sys.stderr)
         rows.append(ResultRow(value))
 
-    if config.output_path:
-        write_csv(rows, config.output_path)
-    if config.json_path:
-        write_json(rows, config.json_path)
+    if config.output_path or config.json_path:
+        cells = [_row_strings(row) for row in rows]  # formatted once for both writers
+        if config.output_path:
+            write_csv(rows, config.output_path, cells=cells)
+        if config.json_path:
+            write_json(rows, config.json_path, cells=cells)
     if failures:
         raise RuntimeError(f"{len(failures)} sweep point(s) failed: " +
                            "; ".join(failures))
@@ -603,10 +605,12 @@ def _row_strings(row: ResultRow) -> list[str]:
             for value in (getattr(row, column) for column in CSV_COLUMNS)]
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    """UTF-8 CSV, LF line endings, 9 significant digits per decimal value."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_row_strings(row)) for row in rows)
+def write_csv(rows: list[ResultRow], path: str, *, cells: list | None = None) -> None:
+    """UTF-8 CSV, LF line endings, 9 significant digits per decimal value.
+    ``cells`` are the rows' ``_row_strings``, if the caller has them already."""
+    if cells is None:
+        cells = map(_row_strings, rows)
+    lines = [",".join(CSV_COLUMNS), *map(",".join, cells)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -621,12 +625,15 @@ def _json_cell(column: str, cell: str) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-def write_json(rows: list[ResultRow], path: str) -> None:
+def write_json(rows: list[ResultRow], path: str, *, cells: list | None = None) -> None:
     """JSON mirror of the CSV carrying numerically identical values, in the
-    bytes ``json.dumps(records, indent=2)`` gives, written out directly."""
+    bytes ``json.dumps(records, indent=2)`` gives, written out directly.
+    ``cells`` are as for ``write_csv``."""
+    if cells is None:
+        cells = map(_row_strings, rows)
     records = [",\n".join(f'    "{column}": {_json_cell(column, cell)}'
-                          for column, cell in zip(CSV_COLUMNS, _row_strings(row)))
-               for row in rows]
+                          for column, cell in zip(CSV_COLUMNS, row_cells))
+               for row_cells in cells]
     text = "[\n  {\n" + "\n  },\n  {\n".join(records) + "\n  }\n]" if records else "[]"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
-from cogsep import analytic
+from cogsep import analytic, experiment
 from cogsep import (
     ConstellationSpec,
     ConstraintSet,
@@ -31,6 +32,7 @@ from cogsep import (
 from cogsep.analytic import (_axis_error, _branches, _powers, _q_term, _rayleigh_term,
                              _region_1d, _sep)
 from cogsep.mathcore import QuadratureError
+from cogsep.presets import figure_preset
 from cogsep.sensing import Occupancy
 
 from conftest import P_4DB, make_scenario
@@ -577,6 +579,130 @@ class TestOptimizer:
         b = make_scenario(p0=1e-3, p1=0.7, sensing=sensing, constraints=constraints)
         first, second = optimize_powers_sss([a, b])
         assert first == second
+
+
+def active_segment(scenario):
+    """(table, segment, p0_min, p0_max) of a point whose constraint binds, as
+    the optimizer builds them, Python floats; None at a corner."""
+    constraints, p_d = scenario.constraints, scenario.sensing.p_detect
+    ppk = constraints.peak_power
+    budget = constraints.avg_interference / constraints.mean_gain_to_primary
+    if ppk <= budget or p_d in (0.0, 1.0):
+        return None
+    floor = min(ppk * 1e-12, budget / 2.0)
+    p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
+    return (_branches(scenario), (ppk, budget, p_d, floor, p0_at_ppk), max(floor, p0_at_ppk),
+            min(ppk, (budget - p_d * floor) / (1.0 - p_d)))
+
+
+def binding(scenario):
+    """The scenario with its peak power and budget ordered so that the
+    average limit binds: the larger is the peak power."""
+    low, high = sorted((scenario.constraints.peak_power, scenario.constraints.avg_interference))
+    return replace(scenario, constraints=ConstraintSet(
+        peak_power=high if high > low else 2.0 * low, avg_interference=low))
+
+
+def degenerate(p_d=0.9, p_f=0.05, modulation=(2, 2), peak_power=P_4DB, budget=0.1):
+    return make_scenario(modulation=modulation, sensing=SensingModel(p_d, p_f, 0.4),
+                         constraints=ConstraintSet(peak_power=peak_power, avg_interference=budget))
+
+
+# at P_d = P_f = 1e-12 both powers barely move the SEP along the segment
+FLAT = degenerate(1e-12, 1e-12)
+# the least inside the segment (P_d = P_f, PAM) and at either end of it (P_d
+# near 0 and 1, a budget just below P_pk): each window stands for the scan
+WINDOWED = (degenerate(0.5, 0.5), degenerate(modulation=(8, 1)), degenerate(1e-9),
+            degenerate(1.0 - 1e-9), degenerate(peak_power=1.0, budget=1.0 - 1e-9))
+
+
+class TestScanAndStop:
+    """The optimizer's two-call scan finds the 513-point scan's first least,
+    and its golden steps stop at a 2-cycle with the 90-step result."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(scenario=sss_scenarios(edges=True).map(binding))
+    @example(scenario=FLAT)
+    @example(scenario=WINDOWED[0])
+    @example(scenario=WINDOWED[1])
+    @example(scenario=WINDOWED[2])
+    @example(scenario=WINDOWED[3])
+    @example(scenario=WINDOWED[4])
+    def test_bracket_index_is_the_full_scans_argmin(self, scenario):
+        segment = active_segment(scenario)
+        assume(segment is not None)  # P_d in {0, 1}: no scan
+        table, segment, p0_min, p0_max = segment
+        grid = np.linspace(p0_min, p0_max, 513)
+        scan = analytic._scan_p0(np.arange(513.0), p0_min, p0_max)
+        assert grid.tobytes() == scan.tobytes()
+        full = _sep(table, _rayleigh_term, _powers(table, grid, analytic._p1(grid, *segment)),
+                    False)
+        stacked = analytic._stack([table, _branches(scenario)])  # two points, one table each
+        best = analytic._scan_best(stacked, tuple(np.array([x, x]) for x in segment),
+                                   np.array([p0_min, p0_min]), np.array([p0_max, p0_max]))
+        assert best[0] == best[1]
+        if scenario is FLAT:
+            assert best[0] == -1  # the window's ends do not clear its least
+        if any(scenario is case for case in WINDOWED):
+            assert best[0] >= 0
+        if best[0] >= 0:
+            assert best[0] == np.argmin(full)
+        # the optimizer's result is the scalar search's, fallback or not
+        out = optimize(scenario)
+        assert (out.p0, out.p1, out.sep) == scalar_search(scenario)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scenario=sss_scenarios(edges=True).map(binding))
+    def test_sep_changes_direction_at_most_once_along_the_segment(self, scenario):
+        # ROADMAP item 1's unimodality, which the scan window and the golden
+        # search assume: down to the least, then up, on a 3 000-point grid,
+        # up to a rounding noise of a few ulp of 1 (from 1 - 1/beta)
+        segment = active_segment(scenario)
+        assume(segment is not None)
+        table, segment, p0_min, p0_max = segment
+        grid = np.linspace(p0_min, p0_max, 3000)
+        sep = _sep(table, _rayleigh_term, _powers(table, grid, analytic._p1(grid, *segment)),
+                   False)
+        least = int(np.argmin(sep))
+        noise = 8 * np.finfo(float).eps
+        assert np.all(sep[:least + 1] <= np.minimum.accumulate(sep[:least + 1]) + noise)
+        assert np.all(sep[least:] >= np.maximum.accumulate(sep[least:]) - noise)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4"])
+    def test_presets_stop_early_with_the_90_step_result(self, monkeypatch, preset):
+        scenarios = experiment._build(figure_preset(preset))[0]
+        calls = []
+        sep = analytic._sep
+        monkeypatch.setattr(analytic, "_sep", lambda *args: calls.append(1) or sep(*args))
+        out = optimize_powers_sss(scenarios)
+        # corners, the scan's two calls, the first probes, the steps, the last three
+        corners = sum(active_segment(scenario) is None for scenario in scenarios)
+        assert len(calls) - corners - 2 - 2 - 3 < 80  # the search stopped before step 80
+        monkeypatch.setattr(analytic, "_sep", sep)
+        for scenario, result in zip(scenarios, out):
+            if active_segment(scenario) is not None:
+                assert (result.p0, result.p1, result.sep) == scalar_search(scenario)
+
+    def test_long_sweep_is_scanned_in_slices(self, monkeypatch):
+        """A 10 000-point fig1-style sweep is scanned ``_STACK_POINTS`` points
+        at a time, so the scan's temporaries do not grow with the sweep."""
+        config = figure_preset("fig1")
+        scenarios = analytic._Sweep(experiment._scenario(config, "q_avg_db", -20.0 + 0.0026 * i)
+                                    for i in range(10_000))
+        sizes = []
+        scan = analytic._scan_best
+
+        def counted(table, segment, p0_min, p0_max):
+            sizes.append(len(p0_min))
+            return scan(table, segment, p0_min, p0_max)
+
+        monkeypatch.setattr(analytic, "_scan_best", counted)
+        out = optimize_powers_sss(scenarios)
+        searched = sum(active_segment(scenario) is not None for scenario in scenarios)
+        slices, rest = divmod(searched, analytic._STACK_POINTS)
+        assert slices > 30 and sizes == [analytic._STACK_POINTS] * slices + [rest]
+        for index in (0, analytic._STACK_POINTS - 1, analytic._STACK_POINTS, searched - 1, 9_999):
+            assert out[index] == optimize(scenarios[index])
 
 
 class TestPeakInterference:

@@ -431,6 +431,25 @@ class TestSweepPointsBuiltOnce:
         assert counts == {"fig1": 1, "fig2": 1, "fig3": points["fig3"], "fig4": points["fig4"],
                           "fig5": 1, "fig6": 1, "fig7": points["fig7"], "fig8": points["fig8"]}
 
+    def test_rows_formatted_once_for_both_writers(self, monkeypatch, tmp_path):
+        formatted = []
+        row_strings = experiment._row_strings
+
+        def counted(row):
+            formatted.append(row)
+            return row_strings(row)
+
+        monkeypatch.setattr(experiment, "_row_strings", counted)
+        rows = run_experiment(replace(_analytic_fig1(), output_path=str(tmp_path / "rows.csv"),
+                                      json_path=str(tmp_path / "rows.json")))
+        assert formatted == rows  # each row once, though both files were written
+        monkeypatch.setattr(experiment, "_row_strings", row_strings)
+        experiment.write_csv(rows, str(tmp_path / "alone.csv"))
+        experiment.write_json(rows, str(tmp_path / "alone.json"))
+        for suffix in ("csv", "json"):
+            assert ((tmp_path / f"rows.{suffix}").read_bytes()
+                    == (tmp_path / f"alone.{suffix}").read_bytes())
+
     def test_traced_layers_see_every_point(self, monkeypatch):
         # perfbench/tracer.py wraps these names on the experiment module; a
         # layer the run stops calling there would vanish from its metrics

@@ -255,3 +255,64 @@ def test_rows_equal_one_scenario_forms_bit_for_bit(preset):
         point = replace(point, spec_idle=replace(point.spec_idle, power=row.p0), spec_busy=busy)
         assert row.sep_analytic.hex() == exact(point).hex()
         assert row.sep_bound.hex() == bound(point).hex()
+
+
+def test_iterables_are_read_once():
+    """Each sweep form takes any iterable of Scenarios, a generator included,
+    with the values of the list; the optimizer refuses one Scenario."""
+    scenarios = sweep_of(figure_preset("fig5"), "p_pk_db", [-5.0, 0.0, 10.0])
+    average = experiment._build(figure_preset("fig1"))[0][:4]
+    for form, points in ((sep_rayleigh, scenarios), (sep_upper_bound, scenarios),
+                         (sep_peak_interference, scenarios),
+                         (sep_peak_interference_exact, scenarios),
+                         (analytic.optimize_powers_sss, average)):
+        assert form(point for point in points) == form(list(points))
+    with pytest.raises(TypeError, match="sequence or an iterable of Scenarios, got Scenario"):
+        analytic.optimize_powers_sss(average[0])
+    with pytest.raises(TypeError, match="iterable of Scenarios, got int"):
+        sep_rayleigh(3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=configs())
+@example(config=_preset("fig1"))
+@example(config=_preset("fig2"))
+@example(config=_preset("fig3"))
+@example(config=_preset("fig4"))
+@example(config=_preset("fig5"))
+@example(config=_preset("fig6"))
+@example(config=_preset("fig7"))
+@example(config=_preset("fig8"))
+def test_built_sweeps_share_all_but_the_sensing_model(config):
+    """``_tables`` keys a ``_Sweep``'s tables by the sensing model and the
+    collapse flag alone, so every ``_Sweep`` that ``_build`` (and with it
+    ``_resolve_powers``) returns must share the other table inputs."""
+    scenarios, diags = experiment._build(config)
+    if diags:
+        return  # nothing built to run
+    for sweep in (scenarios, experiment._resolve_powers(config, scenarios)):
+        assert isinstance(sweep, analytic._Sweep)
+        assert len({(s.scheme, s.power_policy, s.noise_variance, s.interference.components,
+                     s.m_inphase, s.m_quadrature) for s in sweep}) == 1
+
+
+def test_plain_list_keeps_the_full_table_key():
+    """A plain list whose points share one sensing model but differ in grid,
+    mixture or noise gives each point its own value, bit for bit."""
+    config = replace(figure_preset("fig3"), p_detect=0.8)
+    variants = [config, replace(config, m_inphase=8, m_quadrature=1),
+                replace(config, noise_variance=0.3),
+                replace(config, mixture_weights=(1.0,), mixture_variances=(2.0,))]
+    scenarios = [experiment._scenario(variant, None) for variant in variants]
+    assert len({scenario.sensing for scenario in scenarios}) == 1
+    for form in (sep_rayleigh, sep_upper_bound):
+        assert bits(form(scenarios)) == bits(one_at_a_time(form, scenarios))
+    optimized = analytic.optimize_powers_sss(scenarios)
+    assert optimized == [analytic.optimize_powers_sss([s])[0] for s in scenarios]
+    assert len(set(optimized)) == len(scenarios)
+
+
+def test_shared_table_is_not_stacked():
+    """Points that share one table are evaluated on it: ``_stack`` gives it back."""
+    [table] = analytic._tables([experiment._scenario(figure_preset("fig1"), None)])
+    assert analytic._stack([table] * 3) is table
