@@ -677,7 +677,6 @@ def peak_power_policy(constraints: ConstraintSet, gain):
 class OptimalPowers:
     p0: float
     p1: float
-    sep: float
 
 
 def _p1(p0, ppk, budget, p_d, floor, p0_at_ppk):
@@ -713,8 +712,7 @@ def _segment_sep(table: _Table, segment: tuple, p0):
 
 
 def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
-    """Each point's scan index of the first least SEP over the 513-point scan,
-    or -1 where its window cannot stand for the scan.
+    """Each point's scan index of the first least SEP over the 513-point scan.
 
     Two ``_sep`` calls cover every point: one at every 16th scan point, one
     at the 33 around the coarse minimum (the window). If the SEP along the
@@ -723,8 +721,9 @@ def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
     window is an end of the scan or exceeds the window's least by
     _SCAN_MARGIN relative: every scan point beyond such an end is then above
     that least. A flat segment, like that of P_d = P_f = 1e-12, where
-    neither power moves the SEP by more than ~1e-12, fails that test and
-    gets -1.
+    neither power moves the SEP by more than ~1e-12, fails that test; if a
+    point fails it, a third call scans all 513 points of every point, and
+    ``np.where`` takes that scan's index for the failing points only.
     """
     coarse = _segment_sep(table, segment, _scan_p0(
         np.arange(0.0, _SCAN_LAST + 1.0, _SCAN_STRIDE)[:, None], p0_min, p0_max))
@@ -735,15 +734,21 @@ def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
     above = values.min(axis=0) * (1.0 + _SCAN_MARGIN)
     clear = (((low == 0) | (values[0] > above))
              & ((low == last_low) | (values[-1] > above)))
-    return np.where(clear, low + np.argmin(values, axis=0), -1)
+    best = low + np.argmin(values, axis=0)
+    if clear.all():
+        return best
+    scan = _segment_sep(table, segment, _scan_p0(
+        np.arange(_SCAN_LAST + 1.0)[:, None], p0_min, p0_max))
+    return np.where(clear, best, np.argmin(scan, axis=0))
 
 
 def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
-    """(P0, P1, SEP) arrays: golden-section search (Kiefer, 1953) on [a, b],
-    then the best of its midpoint and the segment's ends, for every point of
-    a stacked table at once, one ``_sep`` call per step. ``np.where`` takes
-    each point's branch, so each point's result is its own search's, bit for
-    bit.
+    """(P0, P1) arrays: golden-section search (Kiefer, 1953) on [a, b], then
+    the first least SEP of its midpoint, ``p0_min`` and ``p0_max``, in that
+    order, for every point of a stacked table at once: one ``_sep`` call for
+    the first two probes, one per step and one for the three candidates.
+    ``np.where`` takes each point's branch, so each point's result is its
+    own search's, bit for bit.
 
     The search stops at 90 steps, or once every point's state (a, b, c, d,
     fc, fd) equals its state two steps earlier. A step is a function of that
@@ -751,32 +756,26 @@ def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
     90 is the current one or the one before, by parity: the result is the
     90-step result, bit for bit, at fewer ``_sep`` calls.
     """
-    def sep_at(p0):
-        return _segment_sep(table, segment, p0)
-
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = sep_at(c), sep_at(d)
+    fc, fd = _segment_sep(table, segment, np.array((c, d)))
     states = [np.array((a, b, c, d, fc, fd))]  # the last three
     for step in range(1, 91):
         left = fc < fd  # keep [a, d] and probe left of c, else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        fx = sep_at(x)
+        fx = _segment_sep(table, segment, x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fx, fd), np.where(left, fc, fx))
         states = [*states[-2:], np.array((a, b, c, d, fc, fd))]
         if len(states) == 3 and (states[2] == states[0]).all():
             a, b = states[2 - step % 2][:2]  # step 90's state, by parity
             break
-    p0 = (a + b) / 2.0
-    sep = sep_at(p0)
-    for end in (p0_min, p0_max):  # the first of equal SEPs wins
-        value = sep_at(end)
-        better = value < sep
-        p0, sep = np.where(better, end, p0), np.where(better, value, sep)
-    return p0, _p1(p0, *segment), sep
+    candidates = np.array(((a + b) / 2.0, p0_min, p0_max))
+    choice = np.argmin(_segment_sep(table, segment, candidates), axis=0)
+    p0 = candidates[choice, np.arange(len(choice))]
+    return p0, _p1(p0, *segment)
 
 
 def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
@@ -792,18 +791,19 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     feasible set; a 513-point scan along the active constraint segment
     brackets the best point and golden-section search refines it.
 
-    The corner (both powers at the peak) and P_d in {0, 1} are solved per
-    point, on the tables of ``_tables``. The other points are grouped by
-    table shape and solved ``_STACK_POINTS`` at a time on one stacked table
-    (``_stack``): the scan (``_scan_best``) is two ``_sep`` calls, at every
-    16th scan point and at the 33 around the coarse minimum, and a point
-    whose window fails the margin test scans all 513 alone; then the golden
-    steps run in lockstep (``_lockstep``) until every point repeats its
-    state of two steps before. Each result equals that of a one-scenario
-    call bit for bit, which matters because one ulp of SEP moves the golden
-    p0* by up to ~1e-8: each SEP is the same float the per-point scan and
-    search compute, the window's first least is the scan's, and the stop
-    returns the 90-step state.
+    Only powers come back; the SEP at them is ``sep_rayleigh`` of the
+    Scenario that carries them. The corner (both powers at the peak) and
+    P_d in {0, 1} take no SEP call. The other points are grouped by table
+    shape and solved ``_STACK_POINTS`` at a time on one stacked table
+    (``_stack``), one ``_sep`` call per evaluation for all of them: the scan
+    (``_scan_best``) is two calls, plus one over all 513 scan points where a
+    window fails the margin test; then the golden steps run in lockstep
+    (``_lockstep``) until every point repeats its state of two steps before.
+    Each result equals that of a one-scenario call bit for bit, which
+    matters because one ulp of SEP moves the golden p0* by up to ~1e-8: each
+    SEP is the same float the per-point scan and search compute, the
+    window's first least is the scan's, and the stop returns the 90-step
+    state.
     """
     scenarios = _sequence(scenarios)
     results: list = [None] * len(scenarios)
@@ -822,8 +822,7 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
         corner = ((ppk, ppk) if ppk <= budget else (budget, ppk) if p_d == 0.0
                   else (ppk, budget) if p_d == 1.0 else None)
         if corner is not None:
-            sep = _sep(table, _rayleigh_term, _powers(table, *corner), False)
-            results[index] = OptimalPowers(*corner, float(sep))
+            results[index] = OptimalPowers(*corner)
             continue
 
         floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
@@ -838,13 +837,10 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
             table, segment = _stack(tables), tuple(map(np.array, zip(*segments)))
             p0_min, p0_max = np.array(p0_min), np.array(p0_max)
             best = _scan_best(table, segment, p0_min, p0_max)
-            for point in np.flatnonzero(best < 0):
-                scan = _scan_p0(np.arange(_SCAN_LAST + 1.0), p0_min[point], p0_max[point])
-                best[point] = np.argmin(_segment_sep(tables[point], segments[point], scan))
             bracket = (_scan_p0(np.maximum(best - 1, 0).astype(float), p0_min, p0_max),
                        _scan_p0(np.minimum(best + 1, _SCAN_LAST).astype(float), p0_min, p0_max))
-            solved = _lockstep(table, segment, p0_min, p0_max, *bracket)
-            for index, *powers in zip(indices, *(array.tolist() for array in solved)):
+            p0, p1 = _lockstep(table, segment, p0_min, p0_max, *bracket)
+            for index, *powers in zip(indices, p0.tolist(), p1.tolist()):
                 results[index] = OptimalPowers(*powers)
     return results
 

@@ -18,7 +18,6 @@ the run.
 """
 
 import configparser
-import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -524,10 +523,7 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
             zip(_closed_form_rows(config, values, scenarios), scenarios)):
         finish = None
         if mc_configs and isinstance(row, ResultRow):
-            try:
-                finish = start_monte_carlo(scenario, mc_configs[index], pool)
-            except _INFEASIBLE as exc:
-                row = exc
+            finish = start_monte_carlo(scenario, mc_configs[index], pool)
         started.append((row, finish))
 
     outcomes = []
@@ -615,14 +611,18 @@ def write_csv(rows: list[ResultRow], path: str, *, cells: list | None = None) ->
         fh.write("\n".join(lines) + "\n")
 
 
+# ``json.dumps``'s spelling of the floats JSON has no literal for, by their repr
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
 def _json_cell(column: str, cell: str) -> str:
     """The JSON text of one CSV cell: null, an integer, or the float the cell reads as."""
     if cell == "":
         return "null"
     if column == "trials":
         return str(int(cell))
-    value = float(cell)
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+    text = repr(float(cell))
+    return _NONFINITE.get(text, text)
 
 
 def write_json(rows: list[ResultRow], path: str, *, cells: list | None = None) -> None:

@@ -484,6 +484,21 @@ def scalar_search(scenario):
     return p0, p1_of(p0), sep_of(p0)
 
 
+def at_powers(scenario, out):
+    """The scenario carrying the optimizer's powers, as the sweep runner
+    resolves it."""
+    return replace(scenario, spec_idle=replace(scenario.spec_idle, power=out.p0),
+                   spec_busy=replace(scenario.spec_busy, power=out.p1))
+
+
+def assert_scalar_search(scenario, out):
+    """The optimizer's powers are ``scalar_search``'s, and ``sep_rayleigh``
+    at them is its SEP, bit for bit."""
+    p0, p1, sep = scalar_search(scenario)
+    assert (out.p0, out.p1) == (p0, p1)
+    assert sep_rayleigh(at_powers(scenario, out)).hex() == sep.hex()
+
+
 class TestOptimizer:
     def _grid_best(self, scenario, constraints, resolution=2000):
         """Dense feasible-grid reference minimum of the SSS Rayleigh SEP."""
@@ -514,7 +529,7 @@ class TestOptimizer:
         for scenario, result in zip(batch, out):
             constraints, p_d = scenario.constraints, scenario.sensing.p_detect
             if constraints.peak_power > constraints.avg_interference and 0.0 < p_d < 1.0:
-                assert (result.p0, result.p1, result.sep) == scalar_search(scenario)
+                assert_scalar_search(scenario, result)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(scenario=sss_scenarios())
@@ -525,7 +540,8 @@ class TestOptimizer:
         out = optimize(scenario)
         assert 0 < out.p0 <= ppk and 0 < out.p1 <= ppk
         assert (1 - p_d) * out.p0 + p_d * out.p1 <= budget * (1 + 1e-12)
-        assert out.sep <= self._grid_best(scenario, constraints, 200) * (1 + 1e-12)
+        sep = sep_rayleigh(at_powers(scenario, out))
+        assert sep <= self._grid_best(scenario, constraints, 200) * (1 + 1e-12)
 
     def test_inactive_constraint(self, sensing):
         constraints = ConstraintSet(peak_power=1.0, avg_interference=5.0)
@@ -539,13 +555,15 @@ class TestOptimizer:
         out = optimize(scenario)
         assert out.p0 == P_4DB
         assert out.p1 == pytest.approx(0.1, rel=1e-12)
-        assert out.sep <= self._grid_best(scenario, constraints, 600) + 1e-8
+        sep = sep_rayleigh(at_powers(scenario, out))
+        assert sep <= self._grid_best(scenario, constraints, 600) + 1e-8
 
     def test_matches_dense_grid_reference(self, sensing):
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
         scenario = make_scenario(sensing=sensing, constraints=constraints)
         out = optimize(scenario)
-        assert out.sep <= self._grid_best(scenario, constraints, 2000) + 1e-8
+        sep = sep_rayleigh(at_powers(scenario, out))
+        assert sep <= self._grid_best(scenario, constraints, 2000) + 1e-8
         load = 0.1 * out.p0 + 0.9 * out.p1
         assert load <= 0.1 * (1 + 1e-9)
 
@@ -608,7 +626,8 @@ def degenerate(p_d=0.9, p_f=0.05, modulation=(2, 2), peak_power=P_4DB, budget=0.
                          constraints=ConstraintSet(peak_power=peak_power, avg_interference=budget))
 
 
-# at P_d = P_f = 1e-12 both powers barely move the SEP along the segment
+# at P_d = P_f = 1e-12 both powers barely move the SEP along the segment, so
+# its window cannot stand for the scan
 FLAT = degenerate(1e-12, 1e-12)
 # the least inside the segment (P_d = P_f, PAM) and at either end of it (P_d
 # near 0 and 1, a budget just below P_pk): each window stands for the scan
@@ -616,9 +635,26 @@ WINDOWED = (degenerate(0.5, 0.5), degenerate(modulation=(8, 1)), degenerate(1e-9
             degenerate(1.0 - 1e-9), degenerate(peak_power=1.0, budget=1.0 - 1e-9))
 
 
+def counting_sep(monkeypatch):
+    """Record the shape of every ``_sep`` call's argument between its rows
+    and its points: (33,) for a scan call, (513,) for a full scan, (2,) for
+    the first probes, () for a golden step and (3,) for the final choice."""
+    calls = []
+    sep = analytic._sep
+
+    def counted(table, term, x, *args):
+        calls.append(np.shape(x)[1:-1])
+        return sep(table, term, x, *args)
+
+    monkeypatch.setattr(analytic, "_sep", counted)
+    return calls
+
+
 class TestScanAndStop:
-    """The optimizer's two-call scan finds the 513-point scan's first least,
-    and its golden steps stop at a 2-cycle with the 90-step result."""
+    """The optimizer's scan finds the 513-point scan's first least, by two
+    stacked calls where every window stands and by a third over the full scan
+    where one does not, and its golden steps stop at a 2-cycle with the
+    90-step result."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(scenario=sss_scenarios(edges=True).map(binding))
@@ -640,16 +676,34 @@ class TestScanAndStop:
         stacked = analytic._stack([table, _branches(scenario)])  # two points, one table each
         best = analytic._scan_best(stacked, tuple(np.array([x, x]) for x in segment),
                                    np.array([p0_min, p0_min]), np.array([p0_max, p0_max]))
-        assert best[0] == best[1]
-        if scenario is FLAT:
-            assert best[0] == -1  # the window's ends do not clear its least
-        if any(scenario is case for case in WINDOWED):
-            assert best[0] >= 0
-        if best[0] >= 0:
-            assert best[0] == np.argmin(full)
-        # the optimizer's result is the scalar search's, fallback or not
-        out = optimize(scenario)
-        assert (out.p0, out.p1, out.sep) == scalar_search(scenario)
+        assert best.tolist() == [np.argmin(full)] * 2
+        # the optimizer's result is the scalar search's, full scan or not
+        assert_scalar_search(scenario, optimize(scenario))
+
+    def test_flat_point_is_scanned_in_full_in_its_run(self, monkeypatch):
+        # one stacked run: the windowed points alone take the two scan calls;
+        # with the flat point a third call scans all 513 points of each, and
+        # every point still gets its full scan's first least
+        segments = [active_segment(scenario) for scenario in (FLAT, *WINDOWED)]
+        least = []
+        for table, segment, p0_min, p0_max in segments:
+            grid = np.linspace(p0_min, p0_max, 513)
+            least.append(np.argmin(_sep(table, _rayleigh_term,
+                                        _powers(table, grid, analytic._p1(grid, *segment)),
+                                        False)))
+        calls = counting_sep(monkeypatch)
+        for members, scans in ((segments[1:], [(33,), (33,)]),
+                               (segments, [(33,), (33,), (513,)])):
+            tables, run, p0_min, p0_max = zip(*members)
+            calls.clear()
+            best = analytic._scan_best(analytic._stack(tables),
+                                       tuple(map(np.array, zip(*run))),
+                                       np.array(p0_min), np.array(p0_max))
+            assert calls == scans
+            assert best.tolist() == least[-len(members):]
+        out = optimize_powers_sss([FLAT, *WINDOWED])
+        for scenario, result in zip((FLAT, *WINDOWED), out):
+            assert_scalar_search(scenario, result)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(scenario=sss_scenarios(edges=True).map(binding))
@@ -671,17 +725,29 @@ class TestScanAndStop:
     @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4"])
     def test_presets_stop_early_with_the_90_step_result(self, monkeypatch, preset):
         scenarios = experiment._build(figure_preset(preset))[0]
-        calls = []
-        sep = analytic._sep
-        monkeypatch.setattr(analytic, "_sep", lambda *args: calls.append(1) or sep(*args))
+        calls = counting_sep(monkeypatch)
         out = optimize_powers_sss(scenarios)
-        # corners, the scan's two calls, the first probes, the steps, the last three
-        corners = sum(active_segment(scenario) is None for scenario in scenarios)
-        assert len(calls) - corners - 2 - 2 - 3 < 80  # the search stopped before step 80
-        monkeypatch.setattr(analytic, "_sep", sep)
+        # one stacked run: the scan's two calls, one for the first probes, the
+        # steps and one for the final choice; none for a corner point
+        steps = len(calls) - 4
+        assert calls == [(33,), (33,), (2,)] + [()] * steps + [(3,)]
+        assert steps < 80  # the search stopped before step 80
+        monkeypatch.undo()
         for scenario, result in zip(scenarios, out):
             if active_segment(scenario) is not None:
-                assert (result.p0, result.p1, result.sep) == scalar_search(scenario)
+                assert_scalar_search(scenario, result)
+
+    def test_corner_sweep_makes_no_sep_call(self, monkeypatch):
+        """At Q_avg >= P_pk (fig1's P_pk is 4 dB) both powers sit at the peak:
+        a 10 000-point sweep of such points evaluates no SEP."""
+        config = figure_preset("fig1")
+        scenarios = analytic._Sweep(experiment._scenario(config, "q_avg_db", 4.0 + 0.0026 * i)
+                                    for i in range(10_000))
+        calls = counting_sep(monkeypatch)
+        out = optimize_powers_sss(scenarios)
+        assert calls == []
+        ppk = scenarios[0].constraints.peak_power
+        assert set(out) == {analytic.OptimalPowers(ppk, ppk)}
 
     def test_long_sweep_is_scanned_in_slices(self, monkeypatch):
         """A 10 000-point fig1-style sweep is scanned ``_STACK_POINTS`` points

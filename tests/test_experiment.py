@@ -19,6 +19,7 @@ from cogsep.experiment import (
     validate,
 )
 from cogsep.presets import PRESET_NAMES, figure_preset
+from cogsep.simulation import InsufficientDataError
 
 CONFIG_TEMPLATE = """\
 # demo sweep
@@ -555,6 +556,23 @@ class TestPooledSweep:
         with pytest.raises(ZeroDivisionError, match="Monte Carlo start"):
             run_experiment(parse_config(make_text(trials=20_000)), workers=2)
         assert multiprocessing.active_children() == []
+
+    def test_error_at_monte_carlo_start_aborts_the_run(self, monkeypatch, tmp_path, capsys):
+        # only finishing an estimate finds every trial skipped: an
+        # InsufficientDataError at start is a bug, not an infeasible point
+        def broken(scenario, config, pool):
+            raise InsufficientDataError("raised at start")
+
+        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
+        out = tmp_path / "rows.csv"
+        config = replace(parse_config(make_text(trials=5000)), output_path=str(out))
+        with pytest.raises(InsufficientDataError, match="raised at start"):
+            run_experiment(config)
+        assert not out.exists()
+        path = tmp_path / "run.ini"
+        path.write_text(make_text(trials=5000))
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "raised at start" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

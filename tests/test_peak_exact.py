@@ -142,7 +142,7 @@ def test_bound_dominates_exact_for_qam(case, ppk_db, qpk_db):
 # and Monte Carlo sweeps loads, then the first call of each scipy-backed
 # function and of the two quadrature oracles on ``mathcore.integrate``.
 COLD_START = """
-import json, sys
+import sys
 from dataclasses import replace
 import cogsep, cogsep.cli, cogsep.presets
 from cogsep import (craig_q_numeric, gaussian_q, sep_peak_interference,
@@ -155,16 +155,19 @@ RUNTIME = ("numpy.random", "multiprocessing", "concurrent.futures")
 def loaded(names=WATCHED):
     return [name for name in names if name in sys.modules]
 
-after_import, runtime = loaded(), [loaded(RUNTIME)]
+after_import, runtime, json_loaded = loaded(), [loaded(RUNTIME)], ["json" in sys.modules]
 run_experiment(replace(figure_preset("fig1"), engines=("analytic", "bound")))
 runtime.append(loaded(RUNTIME))
+json_loaded.append("json" in sys.modules)
 run_experiment(replace(figure_preset("fig2"), engines=("analytic", "monte_carlo"),
                        trials=2000))
 runtime.append(loaded(RUNTIME))
 after_sweeps = loaded()
 values = [gaussian_q(1.3), sep_peak_interference(_scenario(figure_preset("fig5"), None)),
           craig_q_numeric(1.3), sep_rayleigh_numeric(_scenario(figure_preset("fig1"), None))]
-print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values], runtime]))
+import json  # only now: neither the import nor the fig1 sweep may load it
+print(json.dumps([after_import, after_sweeps, loaded(), [v.hex() for v in values], runtime,
+                  json_loaded]))
 """
 
 
@@ -175,16 +178,17 @@ def test_import_loads_no_symbolic_or_multiprecision_package():
     doubles as here; no call loads ``scipy.integrate``, since every oracle
     runs on ``mathcore.integrate``.
 
-    Neither the import nor a closed-form sweep loads ``numpy.random`` or the
-    process pool machinery; a one-worker Monte Carlo sweep loads
+    Neither the import nor a closed-form sweep loads ``numpy.random``, the
+    process pool machinery or ``json``; a one-worker Monte Carlo sweep loads
     ``numpy.random`` only."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    after_import, after_sweeps, after_calls, cold, runtime = json.loads(
+    after_import, after_sweeps, after_calls, cold, runtime, json_loaded = json.loads(
         out.stdout.splitlines()[-1])
+    assert json_loaded == [False, False]
     assert after_import == []
     assert after_sweeps == []
     assert after_calls == ["scipy.special"]
