@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mathcore import GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate
+from .mathcore import (GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate,
+                       integrate_family)
 from .modulation import ConstellationSpec, PointClass
 from .sensing import ConditioningError, Occupancy, SensingModel, _check_prob
 
@@ -515,10 +516,12 @@ _MAGNITUDE_END = 27.3
 _TAIL_END = 38.6
 
 
-def _doubling(step: float, end: float) -> np.ndarray:
-    """Breakpoints 0, step, 2 step, 4 step, ... below ``end``, then ``end``."""
-    count = math.ceil(math.log2(end / step)) if step < end else 0
-    return np.concatenate(([0.0], step * 2.0 ** np.arange(count), [end]))
+def _octaves(step: float, end: float, parts: int = 1) -> np.ndarray:
+    """Breakpoints 0, step / parts, 2 step / parts, ..., then step 2^(j / parts)
+    for j = 0, 1, 2, ... below ``end``, then ``end``."""
+    count = parts * math.ceil(math.log2(end / step)) if step < end else 0
+    inner = step * np.concatenate((np.arange(parts) / parts, 2.0 ** (np.arange(count) / parts)))
+    return np.append(inner[inner < end], end)
 
 
 def sep_rayleigh_numeric(scenario: Scenario) -> float:
@@ -528,30 +531,29 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
     0; in x = r^2 the conditional SEP has a sqrt(x) kink there. The
     conditional SEP falls off on the scale r0 = sqrt(4 v_max / d_min^2), for
     the largest disturbance variance and the smallest distance of the branch
-    table, which is of order 1e-5 at 100 dB. ``integrate`` starts from panels
-    broken at r0, 2 r0, 4 r0, ... up to r = 27.3, where e^{-r^2} underflows,
-    and runs to 1e-12 relative with no absolute floor, so the SEP is
-    resolved however small it is; each round is one ``_sep`` call over all
-    its nodes.
+    table, which is of order 1e-5 at 100 dB. ``integrate`` starts from four
+    equal panels on [0, r0], then quarter octaves r0 2^(j/4) up to r = 27.3,
+    where e^{-r^2} underflows, so most calls take two rounds. It runs to
+    1e-12 relative with no absolute floor, so the SEP is resolved however
+    small it is; each round is one ``_sep`` call over all its nodes.
 
     Independent of the closed-form path; used to certify ``sep_rayleigh``.
     Raises QuadratureError if the error estimate exceeds 1e-10 of the
-    result, or if the result falls below SEP(r1) (1 - e^{-r1^2}) at the first
-    breakpoint r1, a lower bound because the conditional SEP decreases in
-    |h|: a collapse onto a tiny value cannot pass as a small SEP.
+    result, or if the result falls below SEP(r1) (1 - e^{-r1^2}) at
+    r1 = min(r0, 27.3), a lower bound because the conditional SEP decreases
+    in |h|: a collapse onto a tiny value cannot pass as a small SEP.
     """
     table = _branches(scenario)
     conditional = _conditional(scenario, table)
     r0 = math.sqrt(4.0 * float(table.variances.max())
                    / float(_squared_distances(scenario, table).min()))
-    breaks = _doubling(r0, _MAGNITUDE_END)
     value, error = integrate(lambda r: conditional(r) * (2.0 * r) * np.exp(-r * r),
-                             breaks, rtol=_ORACLE_RTOL)
+                             _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
     if not error <= _ORACLE_BUDGET * value:
         raise QuadratureError(
             f"fading average reached error {error:.3e} on {value:.3e} "
             f"(requested {_ORACLE_BUDGET:.0e} relative)")
-    r1 = float(breaks[1])
+    r1 = min(r0, _MAGNITUDE_END)
     floor = conditional(r1) * -math.expm1(-r1 * r1)
     if value < floor * (1.0 - _ORACLE_BUDGET):
         raise QuadratureError(
@@ -563,37 +565,36 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
 # Decision-region quadrature, one axis at a time (oracle for sep_conditional)
 # ---------------------------------------------------------------------------
 
-def _region_1d(index: int, levels: int, spacing: float) -> tuple[float, float]:
-    """Decision interval of one axis index, centered on its own point."""
-    lo = -np.inf if index == 0 else -spacing / 2.0
-    hi = np.inf if index == levels - 1 else spacing / 2.0
-    return lo, hi
-
-
-def _axis_error(levels: int, spacing: float, variance: float) -> tuple[float, float]:
+def _axis_error(levels, spacing, variance) -> tuple[np.ndarray, np.ndarray]:
     """N(0, variance) mass outside each level's decision interval, averaged
-    over the levels of one axis, and its error estimate.
+    over the levels of one axis, and its error estimate, for arrays of axes.
 
-    Every interval is centered on its own point, so in standard deviations
-    each tail starts c = spacing / (2 sqrt(variance)) from it and has mass
-    e^{-c^2/2} int_0^inf e^{-u (c + u/2)} du / sqrt(2 pi) in the distance u
-    beyond the boundary; factoring out e^{-c^2/2} keeps the large exponent
-    out of the integrand's rounding. One ``integrate`` call serves every
-    tail of the axis: its integrand decays from u = 0, panels break at
-    u = s, 2 s, 4 s, ... on the tails' scale s = 1 / max(c, 1), and the rule
-    cannot step over the mass. The tolerance is relative only: an absolute
-    floor would let the rule stop on a tail far below it, and the oracle
-    certifies tiny SEPs by relative gap.
+    Every interval is centered on its own point and open to infinity at the
+    two outer levels, so an axis has 2 (levels - 1) finite ends. In standard
+    deviations each tail starts c = spacing / (2 sqrt(variance)) from its
+    point and has mass e^{-c^2/2} int_0^inf e^{-u (c + u/2)} du / sqrt(2 pi)
+    in the distance u beyond the boundary; factoring out e^{-c^2/2} keeps
+    the large exponent out of the integrand's rounding. One ``integrate_family`` call serves
+    every axis, each axis one integrand for all its tails: the integrand
+    decays from u = 0, its panels break at u = s, 2 s, 4 s, ... on the
+    tails' scale s = 1 / max(c, 1), and the rule cannot step over the mass.
+    The tolerance is relative only: an absolute floor would let the rule
+    stop on a tail far below it, and the oracle certifies tiny SEPs by
+    relative gap.
     """
-    tails = sum(math.isfinite(end) for index in range(levels)
-                for end in _region_1d(index, levels, spacing))
-    c = spacing / (2.0 * math.sqrt(variance))
-    if tails == 0 or c >= _TAIL_END:  # one level, or no mass in the tails
-        return 0.0, 0.0
-    mass, err = integrate(lambda u: np.exp(-u * (c + 0.5 * u)),
-                          _doubling(1.0 / max(c, 1.0), _TAIL_END - c), rtol=_ORACLE_RTOL)
-    share = tails * math.exp(-0.5 * c * c) / (math.sqrt(2.0 * math.pi) * levels)
-    return share * mass, share * err
+    levels, c = np.broadcast_arrays(levels, spacing / (2.0 * np.sqrt(variance)))
+    mass, err = np.zeros(c.shape), np.zeros(c.shape)
+    tails = (levels > 1) & (c < _TAIL_END)  # not one level, and mass in the tails
+    scale = c[tails]
+    if scale.size:
+        integral, error = integrate_family(
+            lambda u, k: np.exp(-u * (scale[k] + 0.5 * u)),
+            [_octaves(1.0 / max(x, 1.0), _TAIL_END - x) for x in scale.tolist()],
+            rtol=_ORACLE_RTOL)
+        share = (2.0 * (levels[tails] - 1) * np.exp(-0.5 * scale * scale)
+                 / (math.sqrt(2.0 * math.pi) * levels[tails]))
+        mass[tails], err[tails] = share * integral, share * error
+    return mass, err
 
 
 def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
@@ -605,27 +606,28 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     out-of-interval tail mass averaged over its levels. Summing the tails,
     rather than subtracting the correct mass from 1, keeps the result
     accurate relative to a tiny SEP. Oracle for ``sep_conditional``,
-    independent of its corner/edge/inner counting. Each axis and component
-    costs one ``integrate`` call (``_axis_error``), to 1e-12 relative; raises
-    QuadratureError if the error estimate, carried through each product by
-    the product rule, exceeds 1e-10 of the result.
+    independent of its corner/edge/inner counting. All the axes of all the
+    branches and components are one ``_axis_error`` call, so one adaptive
+    loop, to 1e-12 relative each; raises QuadratureError if the error
+    estimate, carried through each product by the product rule, exceeds
+    1e-10 of the result.
     """
     _check_magnitude(magnitude)
     noise = scenario.noise_variance
     disturbances = (((1.0, noise),),
                     scenario.interference.convolve_with_gaussian(noise).components)
-    sep = err_total = 0.0
+    terms = []  # (share, M_I, M_Q, spacing, variance) of each branch and component
     for weight, post_idle, post_busy, decision in _branches(scenario).rows:
         spec = _spec(scenario, decision)
         spacing = spec.min_distance() * magnitude
         for post, components in zip((post_idle, post_busy), disturbances):
-            for lam, variance in components:
-                (e_i, err_i), (e_q, err_q) = (
-                    _axis_error(levels, spacing, variance)
-                    for levels in (spec.m_inphase, spec.m_quadrature))
-                share = weight * post * lam
-                sep += share * (e_i + e_q - e_i * e_q)
-                err_total += share * (err_i + err_q + err_i * err_q)
+            terms += [(weight * post * lam, spec.m_inphase, spec.m_quadrature, spacing, variance)
+                      for lam, variance in components]
+    shares, m_i, m_q, spacing, variance = np.array(terms).T
+    (e_i, e_q), (err_i, err_q) = (a.T for a in _axis_error(
+        np.stack((m_i, m_q), axis=1), spacing[:, None], variance[:, None]))
+    sep = float(np.dot(shares, e_i + e_q - e_i * e_q))
+    err_total = float(np.dot(shares, err_i + err_q + err_i * err_q))
     if not err_total <= _ORACLE_BUDGET * sep:
         raise QuadratureError(
             f"decision-region quadrature reached error {err_total:.3e} on {sep:.3e} "
@@ -901,9 +903,9 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     ``sep_peak_interference`` and of the fixed rule in
     ``sep_peak_interference_exact``. No engine calls it.
 
-    Panels break at b1, where the cap stops binding, and at b1 + 1, b1 + 10
-    and b1 + 50 on the scale of e^{-y}, up to y = 745, where it underflows;
-    each round of the rule is one ``_sep`` call over all its nodes. The
+    Panels break at b1, where the cap stops binding, and at b1 + 0.25, 0.5,
+    1, 2, 4, 10, 20 and 50 on the scale of e^{-y}, up to y = 745, where it
+    underflows, so most calls take two rounds of one ``_sep`` call each. The
     tolerance is 1e-12 absolute or 1e-10 relative: f, the closed-form
     Rayleigh term, is itself noisy at ~1e-10 relative at P_pk = Q_pk = 60 dB,
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
@@ -913,7 +915,8 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     b1, _, qpk, head = _peak_split(table, scenario, bound)
     if b1 >= _GAIN_END:
         return head
-    breaks = [y for y in b1 + np.array([0.0, 1.0, 10.0, 50.0]) if y < _GAIN_END]
+    breaks = [y for y in b1 + np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, 20.0, 50.0])
+              if y < _GAIN_END]
     tail, abserr = integrate(
         lambda y: _sep(table, _rayleigh_term, [qpk / y], bound) * np.exp(-y),
         [*breaks, _GAIN_END], rtol=1e-10, atol=1e-12)

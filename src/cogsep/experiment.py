@@ -500,11 +500,6 @@ def _closed_form_rows(config: ExperimentConfig, values: list[float],
     return rows
 
 
-# The only errors that make a point infeasible: it is reported and emitted with
-# empty columns. Every other error, a programming error included, aborts the run.
-_INFEASIBLE = (ConditioningError, InsufficientDataError)
-
-
 def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scenario],
             mc_configs: list[MonteCarloConfig], pool) -> list:
     """Each point's row, or its infeasibility error, in sweep order.
@@ -533,7 +528,7 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
                 mc = finish()
                 outcome = replace(outcome, sep_mc=mc.sep, sep_mc_ci95=mc.ci95_half_width,
                                   skip_fraction=mc.skip_fraction, trials=mc.trials)
-            except _INFEASIBLE as exc:
+            except InsufficientDataError as exc:  # every trial skipped; any other error aborts
                 outcome = exc
         outcomes.append(outcome)
     return outcomes

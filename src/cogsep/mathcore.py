@@ -4,12 +4,12 @@ Everything downstream (detection, closed-form error rates, the Monte Carlo
 engine) is built on the primitives in this module: the Gaussian Q-function,
 its finite-integral (Craig) counterpart used as a numerical authority, a
 zero-mean circularly-symmetric complex Gaussian mixture with per-axis
-component variances, and ``integrate``, the adaptive Gauss-Kronrod rule that
-every quadrature oracle runs on.
+component variances, and ``integrate_family``, the adaptive Gauss-Kronrod
+rule that every quadrature oracle runs on.
 
-``integrate`` evaluates its integrand once per refinement round, on a 1-D
-array holding the nodes of every panel still open, so an oracle written over
-numpy arrays costs one call per round rather than one per node.
+It evaluates a family of integrands once per refinement round, on a 1-D
+array holding the nodes of every open panel of all of them, so an oracle
+written over numpy arrays costs one call per round, not one per node.
 
 This is the one module that touches scipy. It imports only ``scipy.special``,
 and only on first use: it is a large part of the time of ``import cogsep``,
@@ -32,6 +32,7 @@ __all__ = [
     "gaussian_q",
     "craig_q_numeric",
     "integrate",
+    "integrate_family",
     "QuadratureError",
 ]
 
@@ -84,53 +85,76 @@ def _scipy(name: str):
     return importlib.import_module(f"scipy.{name}")
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15 estimate and |K15 - G7| of each panel [lo, hi], by one call of ``f``."""
+def _panels(f, lo, hi, member) -> tuple[np.ndarray, np.ndarray]:
+    """K15 estimate and |K15 - G7| of each panel [lo, hi] of integrand
+    ``member``, by one call of ``f``."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = center[:, None] + half[:, None] * _GK15_NODES
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(values)):
+    values = np.asarray(f(nodes.ravel(), np.repeat(member, len(_GK15_NODES))),
+                        dtype=float).reshape(nodes.shape)
+    if not np.isfinite(values).all():
         raise QuadratureError(f"the integrand is not finite on [{lo.min()!r}, {hi.max()!r}]")
     sums = (values @ _GK15_WEIGHTS) * half[:, None]
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def integrate(f, breaks, rtol: float, atol: float = 0.0) -> tuple[float, float]:
-    """Adaptive G7-K15 quadrature of ``f`` from ``breaks[0]`` to ``breaks[-1]``.
+def integrate_family(f, breaks, rtol: float, atol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive G7-K15 quadrature of a family of integrands in one loop.
 
-    ``breaks`` is an increasing sequence of finite points that start the
-    panels: put one wherever the integrand changes scale. ``f`` maps a 1-D
-    array of abscissae to the integrand's values there. Each round calls it
-    once, on the 15 nodes of every new panel, and then, while the summed
-    error estimate exceeds tol = max(atol, rtol |value|), bisects every panel
-    whose |K15 - G7| exceeds its share tol / (panel count). Returns the sum
-    of the panels' K15 values and of their error estimates, the latter at
-    most tol.
+    Integrand k runs from ``breaks[k][0]`` to ``breaks[k][-1]``, an
+    increasing sequence of finite points that start its panels: put one
+    wherever it changes scale. ``f(x, k)`` maps 1-D arrays of abscissae x
+    and of the index k of each one's integrand to the values there. Each
+    round calls it once, on the 15 nodes of every new panel of every open
+    integrand. An integrand is done, and never evaluated
+    again, once its summed error estimate is at most its own tolerance
+    tol_k = max(atol, rtol |value_k|); until then each round bisects every
+    one of its panels whose |K15 - G7| exceeds its share tol_k / (its panel
+    count). Returns two arrays: the sums of each integrand's panel K15
+    values and of their error estimates, the latter at most tol_k.
 
-    Raises QuadratureError if ``f`` returns a non-finite value or if more
-    than ``_MAX_PANELS`` panels would be needed.
+    Raises QuadratureError if ``f`` returns a non-finite value or if an
+    integrand would need more than ``_MAX_PANELS`` panels.
     """
-    edges = np.asarray(breaks, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    value, error = _panels(f, lo, hi)
+    edges = [np.asarray(b, dtype=float) for b in breaks]
+    size = len(edges)
+    count = np.array([len(e) - 1 for e in edges])
+    member = np.repeat(np.arange(size), count)
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    value, error = _panels(f, lo, hi, member)
     while True:
-        total = float(value.sum())
-        tol = max(atol, rtol * abs(total))
-        if error.sum() <= tol:
-            return total, float(error.sum())
-        split = error > tol / len(error)
-        if len(error) + np.count_nonzero(split) > _MAX_PANELS:
+        # a done integrand's panels stay, in order: its sums are a family of one's
+        total = np.bincount(member, value, size)
+        summed = np.bincount(member, error, size)
+        tol = np.maximum(atol, rtol * np.abs(total))
+        open_ = summed > tol
+        if not open_.any():
+            return total, summed
+        split = error > np.where(open_, tol / count, np.inf)[member]
+        count += np.bincount(member[split], minlength=size)
+        if count.max() > _MAX_PANELS:
+            k = int(count.argmax())
             raise QuadratureError(
                 f"quadrature needs more than {_MAX_PANELS} panels: error "
-                f"{error.sum():.3e} against the tolerance {tol:.3e}")
+                f"{summed[k]:.3e} against the tolerance {tol[k]:.3e}")
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_value, new_error = _panels(f, new_lo, new_hi)
+        new_member = np.concatenate((member[split], member[split]))
+        new_value, new_error = _panels(f, new_lo, new_hi, new_member)
         keep = ~split
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
         value = np.concatenate((value[keep], new_value))
         error = np.concatenate((error[keep], new_error))
+        member = np.concatenate((member[keep], new_member))
+
+
+def integrate(f, breaks, rtol: float, atol: float = 0.0) -> tuple[float, float]:
+    """Value and error estimate of ``integrate_family`` of the one integrand
+    ``f``, which maps a 1-D array of abscissae to its values there."""
+    values, errors = integrate_family(lambda x, _: f(x), (breaks,), rtol, atol)
+    return float(values[0]), float(errors[0])
 
 
 def erfcx(x):

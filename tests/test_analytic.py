@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
-from cogsep import analytic, experiment
+from cogsep import analytic, experiment, mathcore
 from cogsep import (
     ConstellationSpec,
     ConstraintSet,
@@ -29,8 +29,7 @@ from cogsep import (
     sep_rayleigh_numeric,
     sep_upper_bound,
 )
-from cogsep.analytic import (_axis_error, _branches, _powers, _q_term, _rayleigh_term,
-                             _region_1d, _sep)
+from cogsep.analytic import _axis_error, _branches, _powers, _q_term, _rayleigh_term, _sep
 from cogsep.mathcore import QuadratureError
 from cogsep.presets import figure_preset
 from cogsep.sensing import Occupancy
@@ -215,11 +214,16 @@ class TestSepGeneralNumeric:
             mag2 = u_i * u_i + u_q * u_q
             return math.exp(-mag2 / (2 * variance)) / (2 * math.pi * variance)
 
+        def region_1d(index, levels):
+            """Decision interval of one axis index, centered on its own point."""
+            return (-np.inf if index == 0 else -spacing / 2.0,
+                    np.inf if index == levels - 1 else spacing / 2.0)
+
         correct = 0.0
         for n in range(4):
-            lo_i, hi_i = _region_1d(n, 4, spacing)
+            lo_i, hi_i = region_1d(n, 4)
             for q in range(2):
-                lo_q, hi_q = _region_1d(q, 2, spacing)
+                lo_q, hi_q = region_1d(q, 2)
                 box, _ = dblquad(density, lo_i, hi_i, lo_q, hi_q,
                                  epsabs=1e-13, epsrel=1e-12)
                 correct += box / 8
@@ -248,18 +252,72 @@ def test_magnitude_nonnegative_and_finite(function, magnitude):
         function(make_scenario(), magnitude)
 
 
-@pytest.mark.parametrize("oracle,args", [
-    (sep_rayleigh_numeric, ()),
-    (sep_general_numeric, (0.8,)),
-    (sep_peak_interference_oracle, ()),
+# Stand-ins for the rule's two entry points that return every integral as
+# 0.5 with an error estimate of 1e-3.
+_OVER_BUDGET = {
+    "integrate": lambda f, breaks, rtol, atol=0.0: (0.5, 1e-3),
+    "integrate_family": lambda f, breaks, rtol, atol=0.0: (np.full(len(breaks), 0.5),
+                                                           np.full(len(breaks), 1e-3)),
+}
+
+
+@pytest.mark.parametrize("oracle,args,entry", [
+    (sep_rayleigh_numeric, (), "integrate"),
+    (sep_general_numeric, (0.8,), "integrate_family"),
+    (sep_peak_interference_oracle, (), "integrate"),
 ], ids=["fading", "region", "peak"])
-def test_oracle_raises_when_quadrature_exceeds_budget(monkeypatch, oracle, args):
-    """Every oracle refuses a result whose error estimate is over its budget."""
-    monkeypatch.setattr(analytic, "integrate", lambda f, breaks, rtol, atol=0.0: (0.5, 1e-3))
+def test_oracle_raises_when_quadrature_exceeds_budget(monkeypatch, oracle, args, entry):
+    """Every oracle refuses a result whose error estimate is over its budget;
+    each is faked at the entry point of the rule it calls."""
+    monkeypatch.setattr(analytic, entry, _OVER_BUDGET[entry])
     constraints = ConstraintSet(peak_power=P_4DB, peak_interference=P_4DB)
     scenario = make_scenario(constraints=constraints, power_policy="peak_interference")
     with pytest.raises(QuadratureError):
         oracle(scenario, *args)
+
+
+def oracle_grid():
+    """(kind, oracle, arguments) on the benchmark's kind of certification grid,
+    without its jitter: 48 fading, 4 region and 18 peak cases."""
+    cases = []
+    for modulation in ((2, 1), (4, 1), (2, 2), (8, 2)):
+        for p in 10.0 ** np.linspace(-1.0, 1.4, 6):
+            cases.append(("fading", sep_rayleigh_numeric,
+                          (make_scenario(Scheme.SSS, modulation, p0=p, p1=p),)))
+            cases.append(("fading", sep_rayleigh_numeric,
+                          (make_scenario(Scheme.OSA, modulation, p0=p),)))
+    noisy = SensingModel(0.7, 0.3, 0.4)
+    for modulation, scheme, sensing, power, magnitude in (
+            ((2, 1), Scheme.SSS, noisy, 1.0, 1.0), ((4, 1), Scheme.OSA, None, 2.5119, 1.2),
+            ((2, 2), Scheme.SSS, None, 1.0, 0.5), ((8, 2), Scheme.SSS, noisy, 2.5119, 1.0)):
+        scenario = make_scenario(scheme, modulation, p0=power, p1=0.6 * power, sensing=sensing)
+        cases.append(("region", sep_general_numeric, (scenario, magnitude)))
+    for scheme, modulation in ((Scheme.SSS, (2, 2)), (Scheme.OSA, (8, 1))):
+        for ppk in 10.0 ** (np.array([-4.0, 4.0, 12.0]) / 10.0):
+            for qpk in 10.0 ** (np.array([-10.0, 0.0, 10.0]) / 10.0):
+                constraints = ConstraintSet(peak_power=ppk, peak_interference=qpk)
+                cases.append(("peak", sep_peak_interference_oracle, (make_scenario(
+                    scheme, modulation, p0=ppk, constraints=constraints,
+                    power_policy="peak_interference"),)))
+    return cases
+
+
+def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
+    """The rule's rounds, each one call of the integrand, per oracle on a
+    fixed grid: first panels on each integrand's scale and one loop for all
+    the tails of a region call take about two rounds per call."""
+    rounds = dict.fromkeys(("fading", "region", "peak"), 0)
+    panels = mathcore._panels
+    kind = None
+
+    def counted(*args):
+        rounds[kind] += 1
+        return panels(*args)
+
+    monkeypatch.setattr(mathcore, "_panels", counted)
+    for kind, oracle, args in oracle_grid():
+        oracle(*args)
+    assert rounds == {"fading": 102, "region": 8, "peak": 34}
 
 
 class TestRayleighClosedForms:

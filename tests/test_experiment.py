@@ -19,6 +19,7 @@ from cogsep.experiment import (
     validate,
 )
 from cogsep.presets import PRESET_NAMES, figure_preset
+from cogsep.sensing import ConditioningError
 from cogsep.simulation import InsufficientDataError
 
 CONFIG_TEMPLATE = """\
@@ -573,6 +574,27 @@ class TestPooledSweep:
         path.write_text(make_text(trials=5000))
         assert main(["run", str(path), "--out", str(out)]) == 3
         assert "raised at start" in capsys.readouterr().err
+
+    def test_conditioning_error_at_monte_carlo_finish_aborts_the_run(self, monkeypatch,
+                                                                     tmp_path, capsys):
+        # only InsufficientDataError makes a finished estimate infeasible; a
+        # ConditioningError there is a bug, not an empty row
+        def broken(scenario, config, pool):
+            def finish():
+                raise ConditioningError("raised at finish")
+            return finish
+
+        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
+        out = tmp_path / "rows.csv"
+        config = replace(parse_config(make_text(trials=5000)), output_path=str(out))
+        with pytest.raises(ConditioningError, match="raised at finish"):
+            run_experiment(config)
+        assert not out.exists()
+        path = tmp_path / "run.ini"
+        path.write_text(make_text(trials=5000))
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "raised at finish" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

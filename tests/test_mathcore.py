@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from cogsep import GaussianMixture, craig_q_numeric, gaussian_q
-from cogsep.mathcore import QuadratureError, integrate
+from cogsep.mathcore import QuadratureError, integrate, integrate_family
 
 
 class TestGaussianQ:
@@ -122,6 +122,55 @@ class TestIntegrate:
         """An oscillation far finer than the double-precision rule can afford."""
         with pytest.raises(QuadratureError, match="panels"):
             integrate(lambda x: 1.0 + np.sin(1e7 * x), (0.0, 1.0), rtol=1e-12)
+
+
+class TestIntegrateFamily:
+    """One adaptive loop over several integrands, each with its own panels,
+    tolerance, share and panel limit."""
+
+    # Gaussian peaks exp(-((u - center) / width)^2), from one that the first
+    # round resolves to ones that need many rounds
+    CENTERS = np.array([0.3, 1.7, 0.9, 1.0, 0.5])
+    WIDTHS = np.array([1e-3, 1e-2, 3e-4, 0.5, 2.0])
+    BREAKS = [(0.0, 1.0, 2.0), (0.0, 2.0), (0.0, 0.25, 0.5, 1.0, 2.0), (0.0, 1.0, 2.0),
+              (-1.0, 0.0, 3.0)]
+
+    @classmethod
+    def f(cls, u, k):
+        return np.exp(-((u - cls.CENTERS[k]) / cls.WIDTHS[k]) ** 2)
+
+    def test_members_equal_their_one_member_calls(self):
+        f, breaks = self.f, self.BREAKS
+        rounds = []
+
+        def counted(u, k):
+            rounds.append(np.unique(k))
+            return f(u, k)
+
+        values, errors = integrate_family(counted, breaks, rtol=1e-12)
+        per_member = [sum(k in r for r in rounds) for k in range(len(breaks))]
+        for k, member_breaks in enumerate(breaks):
+            rounds.clear()
+            (value,), (error,) = integrate_family(
+                lambda u, _: counted(u, np.full(len(u), k)), [member_breaks], rtol=1e-12)
+            assert values[k] == pytest.approx(value, rel=1e-15, abs=0.0)
+            assert errors[k] == pytest.approx(error, rel=1e-15, abs=0.0)
+            # a converged member is never evaluated again
+            assert per_member[k] == len(rounds)
+            scalar = integrate(lambda u: f(u, np.full(len(u), k)), member_breaks, rtol=1e-12)
+            assert scalar == (value, error)
+        assert max(per_member) > min(per_member)
+
+    def test_non_finite_member_raises(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_family(lambda u, k: np.where((k == 2) & (u > 0.7), np.nan, self.f(u, k)),
+                             self.BREAKS, rtol=1e-12)
+
+    def test_member_out_of_panels_raises(self):
+        """One member oscillates far finer than the rule can afford."""
+        with pytest.raises(QuadratureError, match="panels"):
+            integrate_family(lambda u, k: np.where(k == 1, 1.0 + np.sin(1e7 * u), self.f(u, k)),
+                             self.BREAKS, rtol=1e-12)
 
 
 class TestGaussianMixtureValidation:

@@ -94,7 +94,8 @@ def test_peak_presets_never_call_quad(monkeypatch):
         raise AssertionError("an engine called quadrature")
 
     for module, attr in ((analytic, "quad"), (analytic, "dblquad"), (analytic, "integrate"),
-                         (mathcore, "integrate")):
+                         (analytic, "integrate_family"), (mathcore, "integrate"),
+                         (mathcore, "integrate_family")):
         monkeypatch.setattr(module, attr, refuse)
     for name in PEAK_PRESETS:
         rows = run_experiment(replace(figure_preset(name), engines=("analytic", "bound")))
