@@ -89,8 +89,10 @@ class ConstraintSet:
         for name in ("peak_power", "avg_interference", "peak_interference",
                      "mean_gain_to_primary"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if value is not None:
+                if isinstance(value, str) or not 0 < float(value) < math.inf:
+                    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                object.__setattr__(self, name, float(value))
         avg, gain = self.avg_interference, self.mean_gain_to_primary
         if avg is not None and not avg / gain >= np.finfo(float).tiny:  # a normal float
             raise ValueError("avg_interference / mean_gain_to_primary underflows")
@@ -281,8 +283,10 @@ def _sep(table: _Table, term, x, *args):
     variance) table and reads the grid constants (K, c1, c2) from ``table``.
     ``x`` holds one entry per row in its first axis; further axes, e.g. a
     vector of powers, broadcast through. For a stacked table the point axis
-    is last: ``x`` is (row, point) or (row, ..., point). The sums run left to
-    right, so each vector entry equals the scalar evaluation bit for bit.
+    is last: ``x`` is (row, point) or (row, ..., point). A term may add
+    trailing axes after those of ``x``, e.g. a (value, error) pair, and the
+    sum keeps them. The sums run left to right, so each vector entry equals
+    the scalar evaluation bit for bit.
     """
     x = np.asarray(x, dtype=float)
     shape = table.variances.shape  # the axes x adds go between its rows and the points
@@ -444,21 +448,6 @@ def _squared_distances(scenario: Scenario, table: _Table) -> np.ndarray:
                      for *_, decision in table.rows])
 
 
-def _conditional(scenario: Scenario, table: _Table):
-    """``sep_conditional`` as a function of |h|, over the scenario's branch table.
-
-    A scalar magnitude gives a float; a 1-D array of magnitudes gives the
-    array of SEPs, by one ``_sep`` call over (rows x variances x magnitudes).
-    """
-    d2 = _squared_distances(scenario, table)
-
-    def conditional(magnitude):
-        value = _sep(table, _q_term, np.multiply.outer(d2, magnitude**2))
-        return float(value) if np.ndim(magnitude) == 0 else value
-
-    return conditional
-
-
 def _check_magnitude(magnitude: float) -> None:
     if not 0.0 <= magnitude < math.inf:
         raise ValueError(f"magnitude must be nonnegative and finite, got {magnitude!r}")
@@ -473,7 +462,8 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     lies in [0, 1 - 1/M].
     """
     _check_magnitude(magnitude)
-    return _conditional(scenario, _branches(scenario))(magnitude)
+    table = _branches(scenario)
+    return float(_sep(table, _q_term, _squared_distances(scenario, table) * magnitude**2))
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +534,17 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
     in |h|: a collapse onto a tiny value cannot pass as a small SEP.
     """
     table = _branches(scenario)
-    conditional = _conditional(scenario, table)
-    r0 = math.sqrt(4.0 * float(table.variances.max())
-                   / float(_squared_distances(scenario, table).min()))
-    value, error = integrate(lambda r: conditional(r) * (2.0 * r) * np.exp(-r * r),
-                             _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
+    d2 = _squared_distances(scenario, table)
+    r0 = math.sqrt(4.0 * float(table.variances.max()) / float(d2.min()))
+    value, error = integrate(
+        lambda r: _sep(table, _q_term, np.multiply.outer(d2, r**2)) * (2.0 * r) * np.exp(-r * r),
+        _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
     if not error <= _ORACLE_BUDGET * value:
         raise QuadratureError(
             f"fading average reached error {error:.3e} on {value:.3e} "
             f"(requested {_ORACLE_BUDGET:.0e} relative)")
     r1 = min(r0, _MAGNITUDE_END)
-    floor = conditional(r1) * -math.expm1(-r1 * r1)
+    floor = _sep(table, _q_term, d2 * r1**2) * -math.expm1(-r1 * r1)
     if value < floor * (1.0 - _ORACLE_BUDGET):
         raise QuadratureError(
             f"fading average {value:.3e} is below its lower bound {floor:.3e}")
@@ -562,77 +552,66 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Decision-region quadrature, one axis at a time (oracle for sep_conditional)
+# Decision-region quadrature, one tail for both axes (oracle for sep_conditional)
 # ---------------------------------------------------------------------------
 
-def _axis_error(levels, spacing, variance) -> tuple[np.ndarray, np.ndarray]:
-    """N(0, variance) mass outside each level's decision interval, averaged
-    over the levels of one axis, and its error estimate, for arrays of axes.
+def _region_term(spacing, variance, table: _Table, levels):
+    """Mass of N(0, variance) per axis outside the decision regions of an
+    M_I x M_Q grid (``levels``), averaged over the points, and its error
+    estimate, in a trailing (value, error) axis.
 
-    Every interval is centered on its own point and open to infinity at the
-    two outer levels, so an axis has 2 (levels - 1) finite ends. In standard
-    deviations each tail starts c = spacing / (2 sqrt(variance)) from its
-    point and has mass e^{-c^2/2} int_0^inf e^{-u (c + u/2)} du / sqrt(2 pi)
-    in the distance u beyond the boundary; factoring out e^{-c^2/2} keeps
-    the large exponent out of the integrand's rounding. One ``integrate_family`` call serves
-    every axis, each axis one integrand for all its tails: the integrand
-    decays from u = 0, its panels break at u = s, 2 s, 4 s, ... on the
-    tails' scale s = 1 / max(c, 1), and the rule cannot step over the mass.
-    The tolerance is relative only: an absolute floor would let the rule
-    stop on a tail far below it, and the oracle certifies tiny SEPs by
-    relative gap.
+    A region is a product of one interval per axis, so the mass is
+    E_I + E_Q - E_I E_Q, for E an axis's mass outside its intervals averaged
+    over its M levels: 2 (M - 1) / M tails, each starting c = spacing /
+    (2 sqrt(variance)) standard deviations from its point, with mass
+    e^{-c^2/2} int_0^inf e^{-u (c + u/2)} du / sqrt(2 pi). Factoring out
+    e^{-c^2/2} keeps the large exponent out of the integrand's rounding.
+    Both axes share the tail, so one ``integrate_family`` call has one member
+    per (row, variance) with mass in its tail (c < 38.6), its panels broken
+    at u = s, 2 s, 4 s, ... for s = 1 / max(c, 1), so the rule cannot step
+    over the mass. The tolerance is relative only: an absolute floor would
+    let the rule stop on a tail far below it. The error estimate goes
+    through the product by the product rule.
     """
-    levels, c = np.broadcast_arrays(levels, spacing / (2.0 * np.sqrt(variance)))
-    mass, err = np.zeros(c.shape), np.zeros(c.shape)
-    tails = (levels > 1) & (c < _TAIL_END)  # not one level, and mass in the tails
+    c = spacing / (2.0 * np.sqrt(variance))
+    term, tails = np.zeros(c.shape + (2,)), c < _TAIL_END
     scale = c[tails]
     if scale.size:
         integral, error = integrate_family(
             lambda u, k: np.exp(-u * (scale[k] + 0.5 * u)),
             [_octaves(1.0 / max(x, 1.0), _TAIL_END - x) for x in scale.tolist()],
             rtol=_ORACLE_RTOL)
-        share = (2.0 * (levels[tails] - 1) * np.exp(-0.5 * scale * scale)
-                 / (math.sqrt(2.0 * math.pi) * levels[tails]))
-        mass[tails], err[tails] = share * integral, share * error
-    return mass, err
+        decay = np.exp(-0.5 * scale * scale)
+        (e_i, err_i), (e_q, err_q) = (2.0 * (m - 1) * decay / (math.sqrt(2.0 * math.pi) * m)
+                                      * np.array((integral, error)) for m in levels)
+        term[tails] = np.stack((e_i + e_q - e_i * e_q, err_i + err_q + err_i * err_q), axis=-1)
+    return term
 
 
 def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     """Conditional SEP by direct integration over every decision region.
 
-    A region is a product of one interval per axis and every disturbance
-    component is a circular Gaussian, so per component the error mass
-    averaged over the points is E_I + E_Q - E_I E_Q, where E is an axis's
-    out-of-interval tail mass averaged over its levels. Summing the tails,
-    rather than subtracting the correct mass from 1, keeps the result
-    accurate relative to a tiny SEP. Oracle for ``sep_conditional``,
-    independent of its corner/edge/inner counting. All the axes of all the
-    branches and components are one ``_axis_error`` call, so one adaptive
-    loop, to 1e-12 relative each; raises QuadratureError if the error
-    estimate, carried through each product by the product rule, exceeds
-    1e-10 of the result.
+    Oracle for ``sep_conditional``: the same ``_sep`` weighting of the
+    sensing branches, with the region integral (``_region_term``) in place
+    of the corner/edge/inner Q and Q^2 counting. The weighting is certified
+    by tests that do not go through ``_sep``: ``test_two_pam_matches_q_expression``,
+    ``test_class_weighted_sum_matches_conditional`` and the mpmath
+    ``conditional_sep`` tail tests. Summing the tails, rather than
+    subtracting the correct mass from 1, keeps the result accurate relative
+    to a tiny SEP. Each tail is integrated to 1e-12 relative, all in one
+    loop; raises QuadratureError if the error estimate exceeds 1e-10 of the
+    result.
     """
     _check_magnitude(magnitude)
-    noise = scenario.noise_variance
-    disturbances = (((1.0, noise),),
-                    scenario.interference.convolve_with_gaussian(noise).components)
-    terms = []  # (share, M_I, M_Q, spacing, variance) of each branch and component
-    for weight, post_idle, post_busy, decision in _branches(scenario).rows:
-        spec = _spec(scenario, decision)
-        spacing = spec.min_distance() * magnitude
-        for post, components in zip((post_idle, post_busy), disturbances):
-            terms += [(weight * post * lam, spec.m_inphase, spec.m_quadrature, spacing, variance)
-                      for lam, variance in components]
-    shares, m_i, m_q, spacing, variance = np.array(terms).T
-    (e_i, e_q), (err_i, err_q) = (a.T for a in _axis_error(
-        np.stack((m_i, m_q), axis=1), spacing[:, None], variance[:, None]))
-    sep = float(np.dot(shares, e_i + e_q - e_i * e_q))
-    err_total = float(np.dot(shares, err_i + err_q + err_i * err_q))
-    if not err_total <= _ORACLE_BUDGET * sep:
+    table = _branches(scenario)
+    spacing = [_spec(scenario, decision).min_distance() * magnitude
+               for *_, decision in table.rows]
+    sep, error = _sep(table, _region_term, spacing, (scenario.m_inphase, scenario.m_quadrature))
+    if not error <= _ORACLE_BUDGET * sep:
         raise QuadratureError(
-            f"decision-region quadrature reached error {err_total:.3e} on {sep:.3e} "
+            f"decision-region quadrature reached error {error:.3e} on {sep:.3e} "
             f"(requested {_ORACLE_BUDGET:.0e} relative)")
-    return sep
+    return float(sep)
 
 
 # ---------------------------------------------------------------------------

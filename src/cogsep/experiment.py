@@ -236,9 +236,14 @@ def parse_config(text: str) -> ExperimentConfig:
             return None if raw is None else fget(section, key)
 
         def iget(section, key, default):
-            value = fget(section, key, default)
-            if not float(value).is_integer():
-                raise ConfigError(f"{section}.{key} must be a whole number, got {value!r}")
+            raw = get(section, key)
+            try:
+                return default if raw is None else int(raw)  # every digit, as --seed
+            except ValueError:
+                value = fget(section, key)
+            if not (value.is_integer() and abs(value) < 2**53):  # a float holds it exactly
+                raise ConfigError(f"{section}.{key} must be a whole number (a decimal or "
+                                  f"exponent form only below 2**53), got {raw!r}")
             return int(value)
 
         config = ExperimentConfig(

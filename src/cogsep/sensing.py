@@ -20,10 +20,10 @@ class ConditioningError(ValueError):
 
 
 def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
+    """``value`` as a Python float in [0, 1]; text is not a probability."""
+    if isinstance(value, str) or not 0.0 <= float(value) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class SensingModel:
     prior_busy: float
 
     def __post_init__(self) -> None:
-        _check_prob("p_detect", self.p_detect)
-        _check_prob("p_false_alarm", self.p_false_alarm)
-        _check_prob("prior_busy", self.prior_busy)
+        object.__setattr__(self, "p_detect", _check_prob("p_detect", self.p_detect))
+        object.__setattr__(self, "p_false_alarm", _check_prob("p_false_alarm", self.p_false_alarm))
+        object.__setattr__(self, "prior_busy", _check_prob("prior_busy", self.prior_busy))
 
     @property
     def prior_idle(self) -> float:

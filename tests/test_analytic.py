@@ -29,7 +29,8 @@ from cogsep import (
     sep_rayleigh_numeric,
     sep_upper_bound,
 )
-from cogsep.analytic import _axis_error, _branches, _powers, _q_term, _rayleigh_term, _sep
+from cogsep.analytic import (_branches, _powers, _q_term, _rayleigh_term, _region_term,
+                             _sep)
 from cogsep.mathcore import QuadratureError
 from cogsep.presets import figure_preset
 from cogsep.sensing import Occupancy
@@ -61,9 +62,16 @@ class TestScenarioValidation:
         finite = dict(peak_power=1.0, avg_interference=1.0, peak_interference=1.0,
                       mean_gain_to_primary=1.0)
         for name in finite:
-            for value in (math.inf, -math.inf):
+            for value in (math.inf, -math.inf, "2"):  # text, too, though float("2") is 2
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     ConstraintSet(**{**finite, name: value})
+
+    def test_constraints_stored_as_checked_floats(self):
+        constraints = ConstraintSet(peak_power=np.float32(2.5), avg_interference=np.float32(0.1),
+                                    peak_interference=3, mean_gain_to_primary=np.float64(2.0))
+        assert constraints == ConstraintSet(2.5, float(np.float32(0.1)), 3.0, 2.0)
+        assert all(type(getattr(constraints, name)) is float for name in (
+            "peak_power", "avg_interference", "peak_interference", "mean_gain_to_primary"))
 
     @pytest.mark.parametrize("avg", [1e-300, 1e-320], ids=["zero", "subnormal"])
     def test_budget_must_not_underflow(self, avg):
@@ -206,8 +214,8 @@ class TestSepGeneralNumeric:
 
     def test_per_axis_product_matches_2d_quadrature(self):
         """A circular Gaussian's error mass over the 4x2 regions, integrated
-        region by region in 2-D, is E_I + E_Q - E_I E_Q of the per-axis
-        error masses."""
+        region by region in 2-D, is ``_region_term``'s E_I + E_Q - E_I E_Q
+        of the per-axis error masses."""
         variance, spacing = 0.3, 1.1
 
         def density(u_q, u_i):
@@ -227,9 +235,8 @@ class TestSepGeneralNumeric:
                 box, _ = dblquad(density, lo_i, hi_i, lo_q, hi_q,
                                  epsabs=1e-13, epsrel=1e-12)
                 correct += box / 8
-        e_i, _ = _axis_error(4, spacing, variance)
-        e_q, _ = _axis_error(2, spacing, variance)
-        assert e_i + e_q - e_i * e_q == pytest.approx(1.0 - correct, abs=1e-10)
+        mass, _ = _region_term(np.array(spacing), variance, None, (4, 2))
+        assert mass == pytest.approx(1.0 - correct, abs=1e-10)
 
     def test_relative_accuracy_at_tiny_sep(self):
         """The error tails are summed, not 1 - correct, and integrated to a
@@ -303,21 +310,26 @@ def oracle_grid():
 
 
 def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
-    """The rule's rounds, each one call of the integrand, per oracle on a
-    fixed grid: first panels on each integrand's scale and one loop for all
-    the tails of a region call take about two rounds per call."""
+    """The rule's rounds, each one call of the integrand, and its integrand
+    nodes, 15 per panel, per oracle on a fixed grid: first panels on each
+    integrand's scale and one loop for all the tails of a region call take
+    about two rounds per call, and a region call integrates each tail once
+    for both axes."""
     rounds = dict.fromkeys(("fading", "region", "peak"), 0)
+    nodes = dict.fromkeys(rounds, 0)
     panels = mathcore._panels
     kind = None
 
-    def counted(*args):
+    def counted(f, lo, hi, member):
         rounds[kind] += 1
-        return panels(*args)
+        nodes[kind] += 15 * len(lo)
+        return panels(f, lo, hi, member)
 
     monkeypatch.setattr(mathcore, "_panels", counted)
     for kind, oracle, args in oracle_grid():
         oracle(*args)
     assert rounds == {"fading": 102, "region": 8, "peak": 34}
+    assert nodes == {"fading": 20220, "region": 5880, "peak": 3840}
 
 
 class TestRayleighClosedForms:

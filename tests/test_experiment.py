@@ -100,11 +100,23 @@ class TestParsing:
 
     @pytest.mark.parametrize("key,value", [
         ("trials", "2.5"), ("seed", "7.9"), ("chunk_size", "0.5"), ("trials", "inf"),
+        ("seed", "1e20"), ("trials", "9007199254740993.0"),
+        ("chunk_size", "-9.1e15"),
     ])
     def test_non_integral_counts_named(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", make_text(), flags=re.M)
         with pytest.raises(ConfigError, match=rf"monte_carlo\.{key} must be a whole number"):
             parse_config(text)
+
+    def test_whole_numbers_read_exactly(self):
+        """An integer literal keeps every digit, as ``--seed`` does; a decimal
+        or exponent form below 2**53 is read as its whole number."""
+        text = re.sub(r"^seed = .*$", "seed = 12345678901234567891", make_text(), flags=re.M)
+        text = re.sub(r"^trials = .*$", "trials = 9007199254740993", text, flags=re.M)
+        config = parse_config(text)
+        assert (config.seed, config.trials) == (12345678901234567891, 9007199254740993)
+        text = re.sub(r"^trials = .*$", "trials = 2e4", make_text(), flags=re.M)
+        assert parse_config(text).trials == 20000
 
     def test_stray_percent_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^scenario\.p_detect has an invalid value: "

@@ -20,15 +20,24 @@ IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
 
 class TestValidation:
     @pytest.mark.parametrize("field", ["p_detect", "p_false_alarm", "prior_busy"])
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, "0.05"])  # text at construction, not first use
     def test_fields_in_unit_interval(self, field, bad):
         kwargs = dict(p_detect=0.9, p_false_alarm=0.05, prior_busy=0.4)
         kwargs[field] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
             SensingModel(**kwargs)
 
     def test_prior_idle(self):
         assert SensingModel(0.9, 0.05, 0.4).prior_idle == pytest.approx(0.6)
+
+    def test_fields_stored_as_checked_floats(self):
+        """A float32 field is kept as the Python float it was checked as, so
+        the posteriors carry double precision."""
+        model = SensingModel(np.float32(0.9), np.float32(0.05), 0.4)
+        assert all(type(value) is float for value in
+                   (model.p_detect, model.p_false_alarm, *model.posteriors(BUSY)))
+        assert model.p_detect == float(np.float32(0.9))
+        assert model == SensingModel(float(np.float32(0.9)), float(np.float32(0.05)), 0.4)
 
 
 class TestDecisionProb:
