@@ -525,7 +525,8 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
     equal panels on [0, r0], then quarter octaves r0 2^(j/4) up to r = 27.3,
     where e^{-r^2} underflows, so most calls take two rounds. It runs to
     1e-12 relative with no absolute floor, so the SEP is resolved however
-    small it is; each round is one ``_sep`` call over all its nodes.
+    small it is; each round is one ``_sep`` call over all its nodes, and the
+    first round's call has one more column, at r1, for the lower bound below.
 
     Independent of the closed-form path; used to certify ``sep_rayleigh``.
     Raises QuadratureError if the error estimate exceeds 1e-10 of the
@@ -536,15 +537,24 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
     table = _branches(scenario)
     d2 = _squared_distances(scenario, table)
     r0 = math.sqrt(4.0 * float(table.variances.max()) / float(d2.min()))
-    value, error = integrate(
-        lambda r: _sep(table, _q_term, np.multiply.outer(d2, r**2)) * (2.0 * r) * np.exp(-r * r),
-        _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
+    r1 = min(r0, _MAGNITUDE_END)
+    floor = []
+
+    def integrand(r):
+        x = r if floor else np.append(r, r1)
+        sep = _sep(table, _q_term, np.multiply.outer(d2, x**2))
+        if not floor:
+            floor.append(sep[-1] * -math.expm1(-r1 * r1))
+        return sep[:r.size] * (2.0 * r) * np.exp(-r * r)
+
+    value, error = integrate(integrand, _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
     if not error <= _ORACLE_BUDGET * value:
         raise QuadratureError(
             f"fading average reached error {error:.3e} on {value:.3e} "
             f"(requested {_ORACLE_BUDGET:.0e} relative)")
-    r1 = min(r0, _MAGNITUDE_END)
-    floor = _sep(table, _q_term, d2 * r1**2) * -math.expm1(-r1 * r1)
+    if not floor:  # a rule that returned without calling the integrand
+        integrand(np.empty(0))
+    floor, = floor
     if value < floor * (1.0 - _ORACLE_BUDGET):
         raise QuadratureError(
             f"fading average {value:.3e} is below its lower bound {floor:.3e}")

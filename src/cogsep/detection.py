@@ -33,11 +33,11 @@ def _axis_index(u: np.ndarray, levels: int) -> np.ndarray:
     """Nearest-level index on one axis with midpoint thresholds, in place.
 
     ``u`` is a float array of coordinates in units of the faded minimum
-    distance: the caller multiplies them by 1/(|h| d). With
-    v = u + levels/2, level n sits at v = n + 1/2 and the thresholds at the
-    integers; ceil(v) - 1 puts a coordinate exactly on a threshold in the
-    smaller index. ``u`` is overwritten with the indices, as floats for the
-    caller to compare or cast, and returned.
+    distance, which ``detect_threshold`` gets by multiplying the sample by
+    1/(|h| d). With v = u + levels/2, level n sits at v = n + 1/2 and the
+    thresholds at the integers; ceil(v) - 1 puts a coordinate exactly on a
+    threshold in the smaller index. ``u`` is overwritten with the indices,
+    as floats, and returned.
     """
     u += levels / 2.0
     np.ceil(u, out=u)

@@ -42,9 +42,12 @@ class ConstellationSpec:
     power: float
 
     def __post_init__(self) -> None:
-        for m in (self.m_inphase, self.m_quadrature):
+        for name in ("m_inphase", "m_quadrature"):
+            m = getattr(self, name)
             if not isinstance(m, (int, np.integer)):
                 raise ValueError(f"axis sizes must be integers, got {m!r}")
+            # a numpy integer would wrap in m**2 without a warning
+            object.__setattr__(self, name, int(m))
         if self.m_inphase < 1 or self.m_quadrature < 1:
             raise ValueError("axis sizes must be >= 1")
         if self.size < 2:

@@ -18,7 +18,9 @@ cell in turn, an interference sample from the *unconvolved* mixture, so
 simulated physics never reuses the analytic convolution identity. The chunk
 works in the detector's derotated frame: noise and interference are
 circularly symmetric, so the derotated sample y h*/|h| has exactly the law
-of |h| s + w, and the phase of h is never drawn.
+of |h| s + w, and the phase of h is never drawn. Nor is that sample built:
+by the rule of ``detect_threshold``, a trial errs where an axis's noise
+crosses half the faded minimum distance toward a level that exists.
 
 Each thread keeps one workspace of chunk buffers (``_Workspace``), grown to
 the largest chunk it has run, and a chunk draws and computes its large
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import Scenario, Scheme, peak_power_policy
-from .detection import _axis_index
 from .modulation import ConstellationSpec
 from .sensing import Occupancy, SensingModel
 
@@ -176,17 +177,17 @@ class _Workspace(threading.local):
         self._allocate(0)
 
     def reserve(self, n: int) -> "_Workspace":
-        if n > len(self.amp):
+        if n > len(self.half):
             self._allocate(n)
         return self
 
     def _allocate(self, n: int) -> None:
-        self.amp = np.empty(n)
+        self.half = np.empty(n)
         # flat, so that a chunk's (2, n) blocks are contiguous, as the
         # Generator's out= requires
         self.noise = np.empty(2 * n)
         self.spare = np.empty(2 * n)
-        self.wrong = np.empty(2 * n, dtype=bool)
+        self.flags = np.empty(3 * n, dtype=bool)
 
 
 _workspace = _Workspace()
@@ -213,64 +214,60 @@ def _simulate_chunk(
     from the other's under SSS.
 
     The noise and the interference are circularly symmetric, so the
-    detector's derotated sample y h*/|h| has exactly the law of |h| s + w:
-    each axis is simulated as that real value, and the phase of h is never
-    drawn.
+    detector's derotated sample y h*/|h| has exactly the law of |h| s + w,
+    and the phase of h is never drawn. Each axis is decided as
+    ``detect_threshold`` decides it, from its noise w and half = |h| sqrt(P) d/2:
+    it errs where w > half below the top level or w <= -half above the
+    bottom one, so a sample on a threshold goes to the smaller index.
     """
     n = int(drawn.sum())
     cells = [slice(stop - k, stop) for k, stop in zip(drawn, np.cumsum(drawn))]
     ws = _workspace.reserve(n)
-    amp = ws.amp[:n]
+    half = ws.half[:n]
     w = ws.noise[:2 * n].reshape(2, n)
-    # inv and y are free until detection: the gain draw and the mixture's
-    # normal blocks use their storage first
+    # free until detection: the gain draw and the mixture's normal blocks use
+    # it first
     spare = ws.spare[:2 * n]
-    inv, y = spare.reshape(2, n)
-    wrong = ws.wrong[:2 * n].reshape(2, n)
+    error, up, down = ws.flags[:3 * n].reshape(3, n)
 
     peak = scenario.power_policy == "peak_interference"
     if peak:
         # the gain to the primary receiver sets each trial's power
-        power = peak_power_policy(scenario.constraints, rng.standard_exponential(out=y))
+        power = peak_power_policy(scenario.constraints, rng.standard_exponential(out=spare[:n]))
 
     mi, mq = scenario.spec_idle.m_inphase, scenario.spec_idle.m_quadrature
     n_true, q_true = (rng.integers(0, m, n, dtype=np.min_scalar_type(m - 1)) for m in (mi, mq))
-    rng.standard_exponential(out=amp)  # |h|^2 of a unit-mean Rayleigh channel
-    deep = None if amp.all() else amp == 0.0
+    rng.standard_exponential(out=half)  # |h|^2 of a unit-mean Rayleigh channel
+    deep = None if half.all() else half == 0.0
+    quarter = ConstellationSpec(mi, mq, 1.0).min_distance() ** 2 / 4.0  # (d/2)^2 at P = 1
     if peak:
-        amp *= power
+        half *= power
+        half *= quarter
         del power
     else:
         # one level per cell; OSA draws no busy-decision trial, so its busy
         # power is never used
         p_busy = scenario.spec_busy.power if scenario.scheme is Scheme.SSS else 0.0
         for cell, (_, decision) in zip(cells, CELLS):
-            amp[cell] *= scenario.spec_idle.power if decision == IDLE else p_busy
-    np.sqrt(amp, out=amp)  # |h| sqrt(P)
+            half[cell] *= (scenario.spec_idle.power if decision == IDLE else p_busy) * quarter
+    np.sqrt(half, out=half)  # |h| sqrt(P) d/2, half the faded minimum distance
     rng.standard_normal(out=w)
     w *= math.sqrt(scenario.noise_variance)
     for cell, (state, _) in zip(cells, CELLS):
         if state == BUSY and cell.stop > cell.start:
             scenario.interference._add_sample(rng, w[0, cell], w[1, cell], spare)
 
-    # received value on each axis, |h| sqrt(P) level + w over unit-power
-    # levels, scaled for the detector by one reciprocal 1/(|h| d) per trial
-    d = ConstellationSpec(mi, mq, 1.0).min_distance()
-    np.multiply(amp, d, out=inv)
-    # a deep fade makes inv infinite; its decision is replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, inv, out=inv)
-        for axis, (m, true) in enumerate(((mi, n_true), (mq, q_true))):
-            # the level (2 true + 1 - m) d/2, as ConstellationSpec computes
-            # it, without np.take's intp copy of a narrow index
-            np.multiply(true, 2.0, out=y)
-            y += 1 - m
-            y *= d / 2.0
-            y *= amp
-            y += w[axis]
-            y *= inv
-            np.not_equal(_axis_index(y, m), true, out=wrong[axis])
-    error = np.logical_or(wrong[0], wrong[1], out=wrong[0])
+    low = np.negative(half, out=spare[:n])
+    error.fill(False)
+    for noise, m, true in ((w[0], mi, n_true), (w[1], mq, q_true)):
+        if m == 1:
+            continue  # a single level is never wrong
+        np.greater(noise, half, out=up)
+        up &= np.not_equal(true, m - 1, out=down)  # below the top level
+        error |= up
+        np.less_equal(noise, low, out=down)
+        down &= np.not_equal(true, 0, out=up)  # above the bottom level
+        error |= down
     if deep is not None:
         # deep fade, |h|^2 drawn as exactly 0.0: deterministic index-0 decision
         error[deep] = (n_true[deep] != 0) | (q_true[deep] != 0)

@@ -34,6 +34,17 @@ class TestMinDistance:
         spec = ConstellationSpec(np.int64(4), np.int32(2), 1.0)
         assert spec.size == 8 and spec.class_counts()[PointClass.CORNER] == 4
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    def test_numpy_integer_axis_sizes_do_not_wrap(self, dtype):
+        # np.int8(16)**2 wraps to 0, which once gave d = 2.449 instead of 0.2157
+        plain = ConstellationSpec(16, 2, 1.0)
+        spec = ConstellationSpec(dtype(16), dtype(2), 1.0)
+        assert spec.min_distance() == plain.min_distance()
+        assert type(spec.m_inphase) is int and type(spec.m_quadrature) is int
+        assert spec.size == plain.size
+        np.testing.assert_array_equal(spec.inphase_levels(), plain.inphase_levels())
+        np.testing.assert_array_equal(spec.quadrature_levels(), plain.quadrature_levels())
+
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             ConstellationSpec(2, 2, 0.0)

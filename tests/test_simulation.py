@@ -283,13 +283,14 @@ class TestAgainstClosedForms:
         assert abs(estimate.sep - p) <= 3 * sigma
 
 
-def _contract_scenarios():
-    """The SSS, OSA and peak-policy scenarios the draw contract is pinned on."""
+def _contract_scenarios(modulation=None):
+    """The SSS, OSA and peak-policy scenarios the draw contract is pinned on
+    (2x2, 4x1 and 2x2), or the same three on one other ``modulation``."""
     return {
-        "sss": make_scenario(Scheme.SSS, (2, 2), p0=1.0, p1=0.3),
-        "osa": make_scenario(Scheme.OSA, (4, 1), p0=1.0),
+        "sss": make_scenario(Scheme.SSS, modulation or (2, 2), p0=1.0, p1=0.3),
+        "osa": make_scenario(Scheme.OSA, modulation or (4, 1), p0=1.0),
         "peak": make_scenario(
-            Scheme.SSS, (2, 2), p0=P_4DB, p1=P_4DB,
+            Scheme.SSS, modulation or (2, 2), p0=P_4DB, p1=P_4DB,
             constraints=ConstraintSet(peak_power=P_4DB, peak_interference=1.0),
             power_policy="peak_interference"),
     }
@@ -321,6 +322,46 @@ class _DeepFades:
         draws = self._rng.standard_exponential(size, out=out)
         draws[...] = 0.0
         return draws
+
+
+class _Planted:
+    """A chunk generator with planted symbol indices and noise, and |h|^2
+    drawn as exactly 1.0 for every trial."""
+
+    def __init__(self, indices, noise):
+        self._indices = list(indices)  # in-phase, then quadrature
+        self._noise = noise
+
+    def integers(self, low, high, size, dtype):
+        return np.asarray(self._indices.pop(0), dtype=dtype)
+
+    def standard_exponential(self, size=None, out=None):
+        out[...] = 1.0
+        return out
+
+    def standard_normal(self, size=None, out=None):
+        out[...] = self._noise
+        return out
+
+
+def _planted_errors(modulation, power, trials):
+    """The chunk's error and ``detect_threshold``'s for each planted trial
+    (in-phase index, quadrature index, in-phase noise, quadrature noise) of
+    an idle, noise-only channel with |h| = 1 and unit noise variance.
+
+    ``power`` must make the minimum distance exactly 2: the levels are then
+    the odd integers, and a noise of +-1 puts a sample on a threshold."""
+    spec = ConstellationSpec(*modulation, power)
+    assert spec.min_distance() == 2.0
+    scenario = make_scenario(Scheme.SSS, modulation, p0=power, noise_variance=1.0,
+                             sensing=SensingModel(0.9, 0.0, 0.0))
+    engine = [int(_simulate_chunk(scenario, _Planted([[n], [q]], [[w_n], [w_q]]),
+                                  np.array([1, 0, 0, 0])).sum())
+              for n, q, w_n, w_q in trials]
+    n, q, w_n, w_q = np.array(trials).T
+    sample = (2 * n + 1 - spec.m_inphase + w_n) + 1j * (2 * q + 1 - spec.m_quadrature + w_q)
+    n_det, q_det = detect_threshold(spec, sample, 1.0)
+    return engine, ((n_det != n) | (q_det != q)).astype(int).tolist()
 
 
 class TestDrawContract:
@@ -381,16 +422,24 @@ class TestDrawContract:
             counts = _chunk_counts((scenario, 2024, 3, 0, 0, 65_536)).tolist()
             assert counts == _FULL_CHUNK_GOLDEN[name], name
 
-    @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
-    def test_replayed_draws_through_public_detector(self, name):
+    @pytest.mark.parametrize("name,modulation", [
+        *(pytest.param(name, None, id=name) for name in ("sss", "osa", "peak")),
+        *(pytest.param(name, modulation, id=f"{name}-{modulation[0]}x{modulation[1]}")
+          for name in ("sss", "osa", "peak")
+          for modulation in ((2, 1), (8, 1), (4, 4), (16, 2))),
+    ])
+    def test_replayed_draws_through_public_detector(self, name, modulation):
         """One chunk's v4 draws, replayed from raw SFC64 Generator calls and
         decided by ``detect_threshold``.
 
         Each trial's derotated sample is rebuilt as |h| s + w, with s on the
         unit-power levels scaled by sqrt(P) through the magnitude |h| sqrt(P).
-        The per-cell errors must equal the engine's exactly.
+        The per-cell errors must equal the engine's exactly, on the contract
+        scenarios and on PAM and QAM grids with one, two, four and sixteen
+        levels per axis, so that the bottom, inner and top levels all meet
+        the public detector.
         """
-        scenario = _contract_scenarios()[name]
+        scenario = _contract_scenarios(modulation)[name]
         errors, drawn = _chunk_counts((scenario, 2024, 3, 1, 20_000, 40_000))
         n = int(drawn.sum())
 
@@ -446,6 +495,29 @@ class TestDrawContract:
         n_true = rng.integers(0, 4, 3_000, dtype=np.uint8)
         q_true = rng.integers(0, 2, 3_000, dtype=np.uint8)
         assert errors.tolist() == _cell_sums((n_true != 0) | (q_true != 0), drawn)
+
+    def test_ties_go_to_the_smaller_index(self):
+        """Noise exactly on +-half the faded minimum distance, at the bottom,
+        inner and top levels of both axes of 4x4 QAM: on +half the sample
+        keeps its level, on -half it goes to the one below, if there is one.
+
+        At P = 10, d = 2 |h| and (d/2)^2 P rounds to exactly 1, so both the
+        chunk and ``detect_threshold`` see each tie exactly."""
+        noise = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+        trials = [(n, q, w_n, w_q) for n in range(4) for q in range(4)
+                  for w_n in noise for w_q in noise]
+        engine, reference = _planted_errors((4, 4), 10.0, trials)
+        assert engine == reference
+        for (n, q, w_n, w_q), error in zip(trials, engine):
+            if w_q == 0.0 and abs(w_n) == 1.0:
+                assert error == (w_n == -1.0 and n > 0)
+
+    def test_one_level_axis_never_errs(self):
+        """8x1 PAM: no quadrature noise, ties included, makes an error."""
+        noise = (-1e3, -3.0, -1.0, 0.0, 1.0, 3.0, 1e3)
+        trials = [(n, 0, 0.0, w_q) for n in range(8) for w_q in noise]
+        engine, reference = _planted_errors((8, 1), 21.0, trials)
+        assert engine == reference == [0] * len(trials)
 
     def test_each_cell_unbiased(self):
         """Every cell's error rate within 3 sigma of its own closed form.
@@ -564,9 +636,11 @@ class TestWorkspace:
         """After a warm-up chunk, a 65 536-use chunk allocates little.
 
         The new arrays left are the two one-byte symbol index draws and the
-        peak policy's powers (0.20, 0.15 and 0.67 MB peak here). With int64
-        symbols and the mixture's choice draws a chunk took 1.2 MB at SSS
-        and 0.4 MB at OSA, and with a fresh array for every stage 2.9-4.8 MB.
+        peak policy's powers (0.14, 0.09 and 0.67 MB peak here). Deciding by
+        rounding the scaled sample instead of comparing the noise with a
+        threshold took 0.06 MB more at SSS and OSA. With int64 symbols and
+        the mixture's choice draws a chunk took 1.2 MB at SSS and 0.4 MB at
+        OSA, and with a fresh array for every stage 2.9-4.8 MB.
         """
         task = (_contract_scenarios()[name], 2024, 3, 0, 0, 65_536)
         _chunk_counts(task)
