@@ -506,11 +506,12 @@ _MAGNITUDE_END = 27.3
 _TAIL_END = 38.6
 
 
-def _octaves(step: float, end: float, parts: int = 1) -> np.ndarray:
-    """Breakpoints 0, step / parts, 2 step / parts, ..., then step 2^(j / parts)
-    for j = 0, 1, 2, ... below ``end``, then ``end``."""
+def _octaves(step: float, end: float, equal: int = 1, parts: int = 1) -> np.ndarray:
+    """Breakpoints 0, step / equal, 2 step / equal, ..., then step 2^(j / parts)
+    for j = 0, 1, 2, ... below ``end``, then ``end``: ``equal`` equal panels
+    on [0, step], then ``parts`` panels per octave."""
     count = parts * math.ceil(math.log2(end / step)) if step < end else 0
-    inner = step * np.concatenate((np.arange(parts) / parts, 2.0 ** (np.arange(count) / parts)))
+    inner = step * np.concatenate((np.arange(equal) / equal, 2.0 ** (np.arange(count) / parts)))
     return np.append(inner[inner < end], end)
 
 
@@ -521,12 +522,15 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
     0; in x = r^2 the conditional SEP has a sqrt(x) kink there. The
     conditional SEP falls off on the scale r0 = sqrt(4 v_max / d_min^2), for
     the largest disturbance variance and the smallest distance of the branch
-    table, which is of order 1e-5 at 100 dB. ``integrate`` starts from four
-    equal panels on [0, r0], then quarter octaves r0 2^(j/4) up to r = 27.3,
-    where e^{-r^2} underflows, so most calls take two rounds. It runs to
-    1e-12 relative with no absolute floor, so the SEP is resolved however
-    small it is; each round is one ``_sep`` call over all its nodes, and the
-    first round's call has one more column, at r1, for the lower bound below.
+    table, which is of order 1e-5 at 100 dB. ``integrate`` starts from nine
+    equal panels on [0, s], s = min(r0, 2), then half octaves s 2^(j/2) up
+    to r = 27.3, where e^{-r^2} underflows; from -20 to 120 dB these first
+    panels meet the tolerance, so a call takes one round. Without the cap,
+    equal panels on [0, r0] are too wide at low SNR, and a call took up to
+    four rounds. It runs to 1e-12 relative with no absolute floor, so the
+    SEP is resolved however small it is; each round is one ``_sep`` call
+    over all its nodes, and the first round's call has one more column, at
+    r1, for the lower bound below.
 
     Independent of the closed-form path; used to certify ``sep_rayleigh``.
     Raises QuadratureError if the error estimate exceeds 1e-10 of the
@@ -547,7 +551,8 @@ def sep_rayleigh_numeric(scenario: Scenario) -> float:
             floor.append(sep[-1] * -math.expm1(-r1 * r1))
         return sep[:r.size] * (2.0 * r) * np.exp(-r * r)
 
-    value, error = integrate(integrand, _octaves(r0, _MAGNITUDE_END, 4), rtol=_ORACLE_RTOL)
+    breaks = _octaves(min(r0, 2.0), _MAGNITUDE_END, equal=9, parts=2)
+    value, error = integrate(integrand, breaks, rtol=_ORACLE_RTOL)
     if not error <= _ORACLE_BUDGET * value:
         raise QuadratureError(
             f"fading average reached error {error:.3e} on {value:.3e} "
@@ -578,8 +583,9 @@ def _region_term(spacing, variance, table: _Table, levels):
     e^{-c^2/2} keeps the large exponent out of the integrand's rounding.
     Both axes share the tail, so one ``integrate_family`` call has one member
     per (row, variance) with mass in its tail (c < 38.6), its panels broken
-    at u = s, 2 s, 4 s, ... for s = 1 / max(c, 1), so the rule cannot step
-    over the mass. The tolerance is relative only: an absolute floor would
+    at u = s 2^(j/2), j = 0, 1, 2, ..., for s = 1 / max(c, 1), so the rule
+    cannot step over the mass; these half octaves meet the tolerance in the
+    first round. The tolerance is relative only: an absolute floor would
     let the rule stop on a tail far below it. The error estimate goes
     through the product by the product rule.
     """
@@ -589,7 +595,7 @@ def _region_term(spacing, variance, table: _Table, levels):
     if scale.size:
         integral, error = integrate_family(
             lambda u, k: np.exp(-u * (scale[k] + 0.5 * u)),
-            [_octaves(1.0 / max(x, 1.0), _TAIL_END - x) for x in scale.tolist()],
+            [_octaves(1.0 / max(x, 1.0), _TAIL_END - x, parts=2) for x in scale.tolist()],
             rtol=_ORACLE_RTOL)
         decay = np.exp(-0.5 * scale * scale)
         (e_i, err_i), (e_q, err_q) = (2.0 * (m - 1) * decay / (math.sqrt(2.0 * math.pi) * m)
@@ -644,12 +650,14 @@ def max_power_osa(constraints: ConstraintSet, p_detect: float) -> float:
     return min(constraints.peak_power, limit)
 
 
-def peak_power_policy(constraints: ConstraintSet, gain):
+def peak_power_policy(constraints: ConstraintSet, gain, out=None):
     """Instantaneous power cap min(P_pk, Q_pk / |g|^2) for gain realizations.
 
     Applies to both sensing decisions (the interference limit must hold even
     on miss-detections), so SSS uses the same level for P0 and P1. ``gain``
     is a scalar (a float comes back) or an array; a zero gain gets P_pk.
+    ``out``, a float array of the gain's shape, receives the powers; it may
+    be ``gain`` itself, and is written only after the gains pass their check.
     """
     if constraints.peak_interference is None:
         raise ValueError("peak_interference constraint required")
@@ -657,7 +665,7 @@ def peak_power_policy(constraints: ConstraintSet, gain):
     # min propagates NaN; the initial 0.0 admits an empty array
     if not np.min(gain, initial=0.0) >= 0:
         raise ValueError("gain must be nonnegative, not NaN")
-    power = np.empty_like(gain)
+    power = np.empty_like(gain) if out is None else out
     with np.errstate(divide="ignore"):
         np.divide(constraints.peak_interference, gain, out=power)
     np.minimum(power, constraints.peak_power, out=power)
@@ -881,6 +889,9 @@ def sep_peak_interference(scenarios: Scenario | Iterable[Scenario]):
 
 # e^{-y} underflows past y = 745: no gain mass lies beyond it.
 _GAIN_END = 745.0
+# The peak oracle's first breakpoints past b1, as offsets on the scale of e^{-y}.
+_GAIN_BREAKS = np.array([0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
+                         20.0, 35.0, 50.0, 100.0])
 
 
 def _gain_average(scenario: Scenario, bound: bool) -> float:
@@ -892,9 +903,10 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     ``sep_peak_interference`` and of the fixed rule in
     ``sep_peak_interference_exact``. No engine calls it.
 
-    Panels break at b1, where the cap stops binding, and at b1 + 0.25, 0.5,
-    1, 2, 4, 10, 20 and 50 on the scale of e^{-y}, up to y = 745, where it
-    underflows, so most calls take two rounds of one ``_sep`` call each. The
+    Panels break at b1, where the cap stops binding, and at b1 + 1/8, 1/4,
+    1/2, 1, 1.5, 2, 3, 4, 6, 8, 12, 20, 35, 50 and 100 on the scale of
+    e^{-y}, up to y = 745, where it underflows, so most calls take one round
+    of one ``_sep`` call (1.2 per call on the benchmark's grids). The
     tolerance is 1e-12 absolute or 1e-10 relative: f, the closed-form
     Rayleigh term, is itself noisy at ~1e-10 relative at P_pk = Q_pk = 60 dB,
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
@@ -904,8 +916,7 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     b1, _, qpk, head = _peak_split(table, scenario, bound)
     if b1 >= _GAIN_END:
         return head
-    breaks = [y for y in b1 + np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, 20.0, 50.0])
-              if y < _GAIN_END]
+    breaks = [y for y in b1 + _GAIN_BREAKS if y < _GAIN_END]
     tail, abserr = integrate(
         lambda y: _sep(table, _rayleigh_term, [qpk / y], bound) * np.exp(-y),
         [*breaks, _GAIN_END], rtol=1e-10, atol=1e-12)

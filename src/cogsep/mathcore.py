@@ -87,13 +87,17 @@ def _scipy(name: str):
 
 def _panels(f, lo, hi, member) -> tuple[np.ndarray, np.ndarray]:
     """K15 estimate and |K15 - G7| of each panel [lo, hi] of integrand
-    ``member``, by one call of ``f``."""
+    ``member``, by one call of ``f``. A non-finite value is an error naming
+    the lowest-numbered integrand that has one and its smallest such node."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = center[:, None] + half[:, None] * _GK15_NODES
     values = np.asarray(f(nodes.ravel(), np.repeat(member, len(_GK15_NODES))),
                         dtype=float).reshape(nodes.shape)
-    if not np.isfinite(values).all():
-        raise QuadratureError(f"the integrand is not finite on [{lo.min()!r}, {hi.max()!r}]")
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = member[~finite.all(axis=1)].min()
+        x = nodes[~finite & (member == k)[:, None]].min()
+        raise QuadratureError(f"integrand {int(k)} is not finite at x = {float(x)!r}")
     sums = (values @ _GK15_WEIGHTS) * half[:, None]
     return sums[:, 0], np.abs(sums[:, 1])
 

@@ -232,8 +232,10 @@ def _simulate_chunk(
 
     peak = scenario.power_policy == "peak_interference"
     if peak:
-        # the gain to the primary receiver sets each trial's power
-        power = peak_power_policy(scenario.constraints, rng.standard_exponential(out=spare[:n]))
+        # the gain to the primary receiver sets each trial's power, written
+        # over the gain
+        gain = rng.standard_exponential(out=spare[:n])
+        power = peak_power_policy(scenario.constraints, gain, out=gain)
 
     mi, mq = scenario.spec_idle.m_inphase, scenario.spec_idle.m_quadrature
     n_true, q_true = (rng.integers(0, m, n, dtype=np.min_scalar_type(m - 1)) for m in (mi, mq))

@@ -311,10 +311,10 @@ def oracle_grid():
 
 def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
     """The rule's rounds, each one call of the integrand, and its integrand
-    nodes, 15 per panel, per oracle on a fixed grid: first panels on each
-    integrand's scale and one loop for all the tails of a region call take
-    about two rounds per call, and a region call integrates each tail once
-    for both axes."""
+    nodes, 15 per panel, per oracle on a fixed grid: first panels that
+    resolve each integrand and one loop for all the tails of a region call
+    take one round per fading and region call and 21 for the 18 peak calls,
+    and a region call integrates each tail once for both axes."""
     rounds = dict.fromkeys(("fading", "region", "peak"), 0)
     nodes = dict.fromkeys(rounds, 0)
     panels = mathcore._panels
@@ -328,8 +328,33 @@ def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
     monkeypatch.setattr(mathcore, "_panels", counted)
     for kind, oracle, args in oracle_grid():
         oracle(*args)
-    assert rounds == {"fading": 102, "region": 8, "peak": 34}
-    assert nodes == {"fading": 20220, "region": 5880, "peak": 3840}
+    assert rounds == {"fading": 48, "region": 4, "peak": 21}
+    assert nodes == {"fading": 13620, "region": 6840, "peak": 4410}
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SSS, Scheme.OSA], ids=["sss", "osa"])
+@pytest.mark.parametrize("modulation", [(2, 1), (8, 1), (2, 2), (4, 4)],
+                         ids=lambda m: f"{m[0]}x{m[1]}")
+def test_fading_oracle_takes_one_round(monkeypatch, scheme, modulation):
+    """The fading oracle's first panels resolve its integrand from -20 to
+    120 dB in 1 dB steps, on the scenarios of the mpmath tail tests. Equal
+    panels on [0, r0], without the cap s = min(r0, 2), took up to 4 rounds at
+    low SNR, and 8 equal panels in place of 9 took 2 for SSS 2x2 and 4x4
+    between -2 and 13 dB."""
+    rounds = []
+    panels = mathcore._panels
+
+    def counted(f, lo, hi, member):
+        rounds[-1] += 1
+        return panels(f, lo, hi, member)
+
+    monkeypatch.setattr(mathcore, "_panels", counted)
+    for db in range(-20, 121):
+        power = 10.0 ** (db / 10.0)
+        rounds.append(0)
+        sep_rayleigh_numeric(make_scenario(scheme, modulation, p0=power,
+                                           p1=0.6 * power if scheme is Scheme.SSS else None))
+    assert rounds == [1] * 141
 
 
 class TestRayleighClosedForms:
@@ -469,6 +494,26 @@ class TestPowerPolicies:
         assert isinstance(peak_power_policy(constraints, 0.7), float)
         assert powers.tolist() == [peak_power_policy(constraints, float(g)) for g in gains]
         assert peak_power_policy(constraints, np.array([])).shape == (0,)
+
+    def test_peak_policy_writes_into_out(self):
+        """``out`` gets the powers the call without it returns, also when it
+        is the gain array itself."""
+        constraints = ConstraintSet(peak_power=2.0, peak_interference=1.0)
+        gains = np.array([0.0, 0.25, 0.5, 0.7, 4.0, np.inf])
+        expected = peak_power_policy(constraints, gains)
+        out = np.full(gains.shape, np.nan)
+        assert peak_power_policy(constraints, gains, out=out) is out
+        assert out.tolist() == expected.tolist()
+        in_place = gains.copy()
+        assert peak_power_policy(constraints, in_place, out=in_place) is in_place
+        assert in_place.tolist() == expected.tolist()
+
+    def test_peak_policy_checks_gain_before_writing_out(self):
+        constraints = ConstraintSet(peak_power=2.0, peak_interference=1.0)
+        gains = np.array([0.5, -1.0])
+        with pytest.raises(ValueError, match="gain must be nonnegative"):
+            peak_power_policy(constraints, gains, out=gains)
+        assert gains.tolist() == [0.5, -1.0]
 
     def test_missing_constraint_errors(self):
         constraints = ConstraintSet(peak_power=2.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ class TestIntegrateFamily:
         with pytest.raises(QuadratureError, match="not finite"):
             integrate_family(lambda u, k: np.where((k == 2) & (u > 0.7), np.nan, self.f(u, k)),
                              self.BREAKS, rtol=1e-12)
+
+    def test_non_finite_error_names_member_and_node(self):
+        """Of three members only member 1 is NaN, above u = 0.5: the error
+        names it and its smallest NaN node, the first K15 node of [0, 1]
+        above the panel's center, not the family's span [-1, 3]."""
+        breaks = [(0.0, 1.0), (0.0, 1.0), (-1.0, 3.0)]
+        node = 0.5 + 0.5 * 0.207784955007898467600689403773245
+
+        def f(u, k):
+            return np.where((k == 1) & (u > 0.5), np.nan, 1.0)
+
+        with pytest.raises(QuadratureError, match="not finite") as raised:
+            integrate_family(f, breaks, rtol=1e-12)
+        found = re.fullmatch(r"integrand (\d+) is not finite at x = (\S+)", str(raised.value))
+        assert int(found[1]) == 1
+        assert float(found[2]) == pytest.approx(node, rel=1e-15)
 
     def test_member_out_of_panels_raises(self):
         """One member oscillates far finer than the rule can afford."""

@@ -635,8 +635,9 @@ class TestWorkspace:
     def test_warm_chunk_allocates_little(self, name):
         """After a warm-up chunk, a 65 536-use chunk allocates little.
 
-        The new arrays left are the two one-byte symbol index draws and the
-        peak policy's powers (0.14, 0.09 and 0.67 MB peak here). Deciding by
+        The new arrays left are the two one-byte symbol index draws (0.14,
+        0.09 and 0.14 MB peak here); the peak policy writes its powers over
+        the gain draw, and a fresh power array took 0.67 MB. Deciding by
         rounding the scaled sample instead of comparing the noise with a
         threshold took 0.06 MB more at SSS and OSA. With int64 symbols and
         the mixture's choice draws a chunk took 1.2 MB at SSS and 0.4 MB at
@@ -650,7 +651,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < {"sss": 0.3e6, "osa": 0.3e6, "peak": 0.8e6}[name]
+        assert peak < 0.3e6
 
 
 def test_docs_name_the_contract():
