@@ -889,8 +889,8 @@ def sep_peak_interference(scenarios: Scenario | Iterable[Scenario]):
 
 # e^{-y} underflows past y = 745: no gain mass lies beyond it.
 _GAIN_END = 745.0
-# The peak oracle's first breakpoints past b1, as offsets on the scale of e^{-y}.
-_GAIN_BREAKS = np.array([0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
+# The peak oracle's breakpoints past b1 + 1/8, as offsets on the scale of e^{-y}.
+_GAIN_BREAKS = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
                          20.0, 35.0, 50.0, 100.0])
 
 
@@ -903,10 +903,13 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     ``sep_peak_interference`` and of the fixed rule in
     ``sep_peak_interference_exact``. No engine calls it.
 
-    Panels break at b1, where the cap stops binding, and at b1 + 1/8, 1/4,
-    1/2, 1, 1.5, 2, 3, 4, 6, 8, 12, 20, 35, 50 and 100 on the scale of
-    e^{-y}, up to y = 745, where it underflows, so most calls take one round
-    of one ``_sep`` call (1.2 per call on the benchmark's grids). The
+    Panels break at b1, where the cap stops binding; at b1 + b1 2^j below
+    b1 + 1/8, since near y = b1 the integrand f(Q_pk / y) varies on the
+    scale of b1 itself; and at b1 + 1/8, 1/4, 1/2, 1, 1.5, 2, 3, 4, 6, 8, 12,
+    20, 35, 50 and 100 on the scale of e^{-y}, up to y = 745, where it
+    underflows. So a call takes one round of one ``_sep`` call on the
+    benchmark's grids. The octaves start at 1e-12 when b1 is smaller, or 0
+    where Q_pk / P_pk underflows, so that they stay finite and few. The
     tolerance is 1e-12 absolute or 1e-10 relative: f, the closed-form
     Rayleigh term, is itself noisy at ~1e-10 relative at P_pk = Q_pk = 60 dB,
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
@@ -916,7 +919,8 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     b1, _, qpk, head = _peak_split(table, scenario, bound)
     if b1 >= _GAIN_END:
         return head
-    breaks = [y for y in b1 + _GAIN_BREAKS if y < _GAIN_END]
+    offsets = np.concatenate((_octaves(max(b1, 1e-12), 0.125), _GAIN_BREAKS))
+    breaks = [y for y in b1 + offsets if y < _GAIN_END]
     tail, abserr = integrate(
         lambda y: _sep(table, _rayleigh_term, [qpk / y], bound) * np.exp(-y),
         [*breaks, _GAIN_END], rtol=1e-10, atol=1e-12)

@@ -10,8 +10,9 @@ accepts runs at every point. The runner resolves the transmit powers from
 the active constraint mode (average-interference optimization / cap, or the
 instantaneous peak policy) and evaluates each requested closed form once per
 sweep, over all its points, before any Monte Carlo task starts; then it runs
-the Monte Carlo estimates and writes one CSV row per point; an optional JSON
-mirror carries the identical numbers.
+the Monte Carlo estimates of the feasible points in one ``run_estimates``
+call, which makes and shuts down any process pool itself, and writes one CSV
+row per point; an optional JSON mirror carries the identical numbers.
 Only a zero-probability sensing decision or a Monte Carlo estimate with every
 trial skipped makes a point infeasible (an empty row); any other error aborts
 the run.
@@ -40,9 +41,9 @@ from .sensing import ConditioningError, SensingModel
 from .simulation import (
     InsufficientDataError,
     MonteCarloConfig,
-    monte_carlo_pool,
+    _check_workers,
+    run_estimates,
     run_monte_carlo,  # noqa: F401  (kept at this name for code that wraps it here)
-    start_monte_carlo,
 )
 
 __all__ = [
@@ -506,37 +507,31 @@ def _closed_form_rows(config: ExperimentConfig, values: list[float],
 
 
 def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scenario],
-            mc_configs: list[MonteCarloConfig], pool) -> list:
+            workers: int) -> list:
     """Each point's row, or its infeasibility error, in sweep order.
 
     The powers of the whole sweep are resolved first (``_resolve_powers``),
     then its closed forms, each by one call for the whole sweep
     (``_closed_form_rows``), before any Monte Carlo (MC) task starts. Then
-    each feasible point's MC starts; with a pool it goes there as one task
-    (see ``monte_carlo_pool``), and the workers simulate while this process
-    starts the next points. The estimates are finished afterwards, in sweep
-    order.
+    one ``run_estimates`` call runs the MC of every feasible point, over up
+    to ``workers`` processes, and fills their rows.
     """
     scenarios = _resolve_powers(config, scenarios)
-    started = []
-    for index, (row, scenario) in enumerate(
-            zip(_closed_form_rows(config, values, scenarios), scenarios)):
-        finish = None
-        if mc_configs and isinstance(row, ResultRow):
-            finish = start_monte_carlo(scenario, mc_configs[index], pool)
-        started.append((row, finish))
-
-    outcomes = []
-    for outcome, finish in started:
-        if finish is not None:
-            try:
-                mc = finish()
-                outcome = replace(outcome, sep_mc=mc.sep, sep_mc_ci95=mc.ci95_half_width,
-                                  skip_fraction=mc.skip_fraction, trials=mc.trials)
-            except InsufficientDataError as exc:  # every trial skipped; any other error aborts
-                outcome = exc
-        outcomes.append(outcome)
-    return outcomes
+    rows = _closed_form_rows(config, values, scenarios)
+    if "monte_carlo" not in config.engines:
+        return rows
+    feasible = [index for index, row in enumerate(rows) if isinstance(row, ResultRow)]
+    # each sweep point has its own streams under the seed
+    estimates = run_estimates(
+        [(scenarios[index], MonteCarloConfig(trials=config.trials, master_seed=config.seed,
+                                             chunk_size=config.chunk_size, point=index))
+         for index in feasible], workers)
+    for index, mc in zip(feasible, estimates):
+        # only InsufficientDataError, every trial skipped, comes back as a value
+        rows[index] = mc if isinstance(mc, InsufficientDataError) else replace(
+            rows[index], sep_mc=mc.sep, sep_mc_ci95=mc.ci95_half_width,
+            skip_fraction=mc.skip_fraction, trials=mc.trials)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
@@ -546,28 +541,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     are evaluated first, each by one call for the whole sweep, before any
     Monte Carlo task starts (``_points``). Infeasible points are reported on
     stderr and emitted with empty engine columns; a RuntimeError is raised
-    afterwards so the CLI can map it to a nonzero exit. With ``workers > 1``
-    the Monte Carlo estimates of all points share one pool of up to
-    ``workers`` processes; the rows do not depend on ``workers``.
+    afterwards so the CLI can map it to a nonzero exit. ``workers`` must be
+    an integer >= 1, whatever the engines; with ``workers > 1`` the Monte
+    Carlo estimates of all points share one pool of up to ``workers``
+    processes. The rows do not depend on ``workers``.
     """
     scenarios, diags = _build(config)
-    if workers < 1:
-        diags.append(f"workers must be >= 1, got {workers}")
+    try:
+        _check_workers(workers)
+    except ValueError as exc:
+        diags.append(str(exc))
     if diags:
         raise ConfigError(*diags)
 
     values = config.sweep.values()
-    # each sweep point has its own streams under the seed
-    mc_configs = ([MonteCarloConfig(trials=config.trials, master_seed=config.seed,
-                                    chunk_size=config.chunk_size, point=index)
-                   for index in range(len(values))]
-                  if "monte_carlo" in config.engines else [])
-    pool = monte_carlo_pool(workers, mc_configs)
-    try:
-        outcomes = _points(config, values, scenarios, mc_configs, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    outcomes = _points(config, values, scenarios, workers)
 
     rows: list[ResultRow] = []
     failures: list[str] = []

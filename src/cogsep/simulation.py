@@ -37,15 +37,15 @@ worker count, and no two (seed, point) pairs share a stream.
 Importing this module loads neither ``numpy.random`` nor the process pool
 machinery (``concurrent.futures`` and ``multiprocessing``), since no
 closed-form run uses them. The first estimate's first chunk loads
-``numpy.random``; the first pool (``_Pool``) loads both.
+``numpy.random``. ``run_estimates`` runs a list of estimates, a sweep's, in
+one call, and is the one place that makes a process pool; making one loads
+all three.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +60,7 @@ __all__ = [
     "MonteCarloConfig",
     "SepEstimate",
     "InsufficientDataError",
-    "monte_carlo_pool",
-    "start_monte_carlo",
+    "run_estimates",
     "run_monte_carlo",
 ]
 
@@ -299,12 +298,13 @@ def _run_chunks(tasks: list[tuple]) -> list[np.ndarray]:
     return [_chunk_counts(task) for task in tasks]
 
 
-def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
-    """Reduce per-chunk cell counts, in chunk order, to an estimate."""
+def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate | InsufficientDataError:
+    """Reduce per-chunk cell counts, in chunk order, to an estimate, or to
+    the error of an estimate whose every trial was skipped."""
     total = sum(counts)
     errors, transmitted = int(total[0].sum()), int(total[1].sum())
     if transmitted == 0:
-        raise InsufficientDataError(
+        return InsufficientDataError(
             "all trials were skipped; cannot estimate a conditional error rate")
     return SepEstimate(
         errors=errors,
@@ -315,97 +315,60 @@ def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate:
     )
 
 
-class _Pool:
-    """A process pool that knows how many estimates share it.
-
-    It holds a ``ProcessPoolExecutor``, imported here rather than with the
-    module, so that a run without a pool never loads ``multiprocessing``.
-    ``numpy.random`` is imported before the executor starts its processes:
-    forked workers then inherit it instead of each importing it on its
-    first task.
-    """
-
-    def __init__(self, processes: int, estimates: int) -> None:
-        import numpy.random  # noqa: F401  (before the workers fork)
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._executor = ProcessPoolExecutor(max_workers=processes)
-        self.processes = processes
-        self.estimates = estimates
-
-    def submit(self, fn, *args):
-        return self._executor.submit(fn, *args)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self._executor.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-    def __enter__(self) -> _Pool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-def _pool_tasks(tasks: list[tuple], pool: _Pool) -> list[list[tuple]]:
-    """Cut one estimate's chunk tasks into the runs its pool tasks hold.
-
-    An estimate becomes min(its chunks, ceil(processes / estimates)) runs of
-    contiguous chunks whose sizes differ by at most one, the longer first.
-    So a sweep with at least as many points as processes sends one task per
-    point, and a lone estimate still spreads over every process. Fewer,
-    larger tasks keep each worker busy without waiting on the executor
-    between chunks.
-    """
-    parts = min(len(tasks), -(-pool.processes // pool.estimates))  # ceil
+def _runs(tasks: list[tuple], parts: int) -> list[list[tuple]]:
+    """Cut one estimate's chunk tasks into min(its chunks, ``parts``) pool
+    tasks: runs of contiguous chunks whose sizes differ by at most one, the
+    longer first. Fewer, larger tasks keep each worker busy without waiting
+    on the executor between chunks."""
+    parts = min(len(tasks), parts)
     size, longer = divmod(len(tasks), parts)
     starts = [part * size + min(part, longer) for part in range(parts + 1)]
     return [tasks[start:stop] for start, stop in zip(starts, starts[1:])]
 
 
-def monte_carlo_pool(workers: int, configs: list[MonteCarloConfig]) -> _Pool | None:
-    """A pool for the estimates in ``configs``, or None if one process suffices.
-
-    The pool has ``min(workers, total chunks)`` processes: under the ``fork``
-    start method all of them start at the first task. Only a pool loads
-    ``multiprocessing``, and it loads ``numpy.random`` first, so the forked
-    workers have it (``_Pool``). ``start_monte_carlo`` sends each
-    estimate to it as one task, or as a few when the estimates are fewer
-    than the processes (``_pool_tasks``). It uses the platform's default
-    start method; under ``spawn`` each worker would import cogsep and numpy
-    again before its first chunk.
-    """
+def _check_workers(workers) -> None:
     _check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return None
-    chunks = sum(-(-config.trials // config.chunk_size) for config in configs)  # ceil
-    if chunks < 2:
-        return None
-    return _Pool(min(workers, chunks), len(configs))
 
 
-def start_monte_carlo(
-    scenario: Scenario, config: MonteCarloConfig, pool: _Pool | None = None
-) -> Callable[[], SepEstimate]:
-    """Start the chunks of one estimate; return the function that finishes it.
+def run_estimates(
+    points: list[tuple[Scenario, MonteCarloConfig]], workers: int = 1
+) -> list[SepEstimate | InsufficientDataError]:
+    """Estimate the SEP of each (Scenario, MonteCarloConfig) pair, in order.
 
-    With ``pool`` (from ``monte_carlo_pool`` over a list that holds
-    ``config``) the chunks run in its workers while the caller goes on, as
-    one task or a few contiguous runs of chunks; without one they run here,
-    before this returns. The returned function reduces the per-chunk counts
-    in chunk order, so the estimate does not depend on where or in which
-    tasks the chunks ran, and raises InsufficientDataError when every trial
-    was skipped.
+    An estimate whose every trial was skipped comes back as its
+    InsufficientDataError, in its place; any other error propagates. Each
+    estimate reduces its chunk counts in chunk order, so it does not depend
+    on ``workers``. When min(workers, total chunks) >= 2, the chunks run in a
+    process pool of that many processes, shut down with its queued tasks
+    cancelled before this returns or raises. Each estimate goes to it as
+    ceil(processes / estimates) runs of contiguous chunks (``_runs``): one
+    task per estimate in a sweep, while a lone estimate still spreads over
+    every process. ``numpy.random`` is loaded before the workers fork, so
+    they inherit it; under ``spawn`` each would import cogsep and numpy again.
     """
-    tasks = [(scenario, config.master_seed, config.point, i, start, stop)
-             for i, (start, stop) in enumerate(_chunk_bounds(config))]
-    if pool is None:
-        counts = _run_chunks(tasks)
-        return lambda: _estimate(counts, config.trials)
-    futures = [pool.submit(_run_chunks, run) for run in _pool_tasks(tasks, pool)]
-    return lambda: _estimate([counts for future in futures for counts in future.result()],
-                             config.trials)
+    _check_workers(workers)
+    tasks = [[(scenario, config.master_seed, config.point, i, start, stop)
+              for i, (start, stop) in enumerate(_chunk_bounds(config))]
+             for scenario, config in points]
+    trials = [config.trials for _, config in points]
+    processes = min(workers, sum(map(len, tasks)))
+    if processes < 2:
+        return [_estimate(_run_chunks(chunks), n) for chunks, n in zip(tasks, trials)]
+
+    import numpy.random  # noqa: F401  (before the workers fork)
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(max_workers=processes)
+    try:
+        parts = -(-processes // len(tasks))  # ceil
+        futures = [[executor.submit(_run_chunks, run) for run in _runs(chunks, parts)]
+                   for chunks in tasks]
+        return [_estimate([counts for future in runs for counts in future.result()], n)
+                for runs, n in zip(futures, trials)]
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def run_monte_carlo(
@@ -414,9 +377,11 @@ def run_monte_carlo(
     """Estimate the SEP over ``config.trials`` channel uses.
 
     The estimate conditions on transmission having occurred (OSA trials with
-    a busy decision are skipped, not counted as successes). Deterministic for
+    a busy decision are skipped, not counted as successes); raises
+    InsufficientDataError when every trial was skipped. Deterministic for
     a fixed (master_seed, point, chunk_size) regardless of ``workers``.
     """
-    pool = monte_carlo_pool(workers, [config])
-    with pool or nullcontext():
-        return start_monte_carlo(scenario, config, pool)()
+    (estimate,) = run_estimates([(scenario, config)], workers)
+    if isinstance(estimate, InsufficientDataError):
+        raise estimate
+    return estimate

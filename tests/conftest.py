@@ -1,9 +1,9 @@
+import concurrent.futures
 from concurrent.futures import Future
 from types import SimpleNamespace
 
 import pytest
 
-from cogsep import simulation
 from cogsep import (ConstellationSpec, ConstraintSet, GaussianMixture, Scenario, Scheme,
                     SensingModel)
 from cogsep.presets import default_sensing, default_mixture
@@ -13,25 +13,19 @@ P_4DB = 10.0 ** 0.4
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Swap the Monte Carlo pool for an in-process stand-in that logs its use.
+    """Swap the executor ``run_estimates`` makes for an in-process stand-in
+    that logs its use.
 
-    ``sizes`` lists the process count each pool was created with, and
+    ``sizes`` lists the process count each executor was created with, and
     ``tasks`` the (point, chunk index) of every chunk of each submitted
     task, in submit order. No process is started, so a large worker count
     is safe to pass.
     """
     log = SimpleNamespace(sizes=[], tasks=[])
 
-    class RecordingPool:
-        def __init__(self, processes, estimates):
-            log.sizes.append(processes)
-            self.processes, self.estimates = processes, estimates
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.shutdown()
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            log.sizes.append(max_workers)
 
         def submit(self, fn, tasks):
             log.tasks.append([(task[2], task[3]) for task in tasks])
@@ -42,7 +36,8 @@ def pool_log(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(simulation, "_Pool", RecordingPool)
+    # ``run_estimates`` imports the executor from here when it makes a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return log
 
 

@@ -313,8 +313,8 @@ def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
     """The rule's rounds, each one call of the integrand, and its integrand
     nodes, 15 per panel, per oracle on a fixed grid: first panels that
     resolve each integrand and one loop for all the tails of a region call
-    take one round per fading and region call and 21 for the 18 peak calls,
-    and a region call integrates each tail once for both axes."""
+    take one round per fading, region and peak call, and a region call
+    integrates each tail once for both axes."""
     rounds = dict.fromkeys(("fading", "region", "peak"), 0)
     nodes = dict.fromkeys(rounds, 0)
     panels = mathcore._panels
@@ -328,8 +328,8 @@ def test_oracle_rounds_on_a_fixed_grid(monkeypatch):
     monkeypatch.setattr(mathcore, "_panels", counted)
     for kind, oracle, args in oracle_grid():
         oracle(*args)
-    assert rounds == {"fading": 48, "region": 4, "peak": 21}
-    assert nodes == {"fading": 13620, "region": 6840, "peak": 4410}
+    assert rounds == {"fading": 48, "region": 4, "peak": 18}
+    assert nodes == {"fading": 13620, "region": 6840, "peak": 4560}
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SSS, Scheme.OSA], ids=["sss", "osa"])

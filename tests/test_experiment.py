@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cogsep import analytic, experiment
+from cogsep import analytic, experiment, simulation
 from cogsep.cli import main
 from cogsep.experiment import (
     ConfigError,
@@ -557,62 +557,70 @@ class TestPooledSweep:
         assert multiprocessing.active_children() == []
 
     def test_aborted_run_leaves_no_process_running(self, monkeypatch):
-        start = experiment.start_monte_carlo
+        chunk_counts = simulation._chunk_counts
 
-        def broken(scenario, config, pool):
-            # the first point's task is already running in the pool
-            if config.point == 1:
-                raise ZeroDivisionError("division by zero in a Monte Carlo start")
-            return start(scenario, config, pool)
+        def broken(task):
+            # the forked workers inherit this patch; point 0's task raises
+            # while the other points' tasks are still queued
+            if task[2] == 0:
+                raise ZeroDivisionError("division by zero in a Monte Carlo task")
+            return chunk_counts(task)
 
-        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
-        with pytest.raises(ZeroDivisionError, match="Monte Carlo start"):
+        monkeypatch.setattr(simulation, "_chunk_counts", broken)
+        with pytest.raises(ZeroDivisionError, match="Monte Carlo task"):
             run_experiment(parse_config(make_text(trials=20_000)), workers=2)
         assert multiprocessing.active_children() == []
 
     def test_error_at_monte_carlo_start_aborts_the_run(self, monkeypatch, tmp_path, capsys):
-        # only finishing an estimate finds every trial skipped: an
-        # InsufficientDataError at start is a bug, not an infeasible point
-        def broken(scenario, config, pool):
-            raise InsufficientDataError("raised at start")
+        # only reducing an estimate's counts finds every trial skipped: an
+        # InsufficientDataError while its chunks run is a bug, not an
+        # infeasible point
+        def broken(task):
+            raise InsufficientDataError("raised in a chunk")
 
-        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
+        monkeypatch.setattr(simulation, "_chunk_counts", broken)
         out = tmp_path / "rows.csv"
         config = replace(parse_config(make_text(trials=5000)), output_path=str(out))
-        with pytest.raises(InsufficientDataError, match="raised at start"):
+        with pytest.raises(InsufficientDataError, match="raised in a chunk"):
             run_experiment(config)
         assert not out.exists()
         path = tmp_path / "run.ini"
         path.write_text(make_text(trials=5000))
         assert main(["run", str(path), "--out", str(out)]) == 3
-        assert "raised at start" in capsys.readouterr().err
+        assert "raised in a chunk" in capsys.readouterr().err
 
     def test_conditioning_error_at_monte_carlo_finish_aborts_the_run(self, monkeypatch,
                                                                      tmp_path, capsys):
-        # only InsufficientDataError makes a finished estimate infeasible; a
+        # only InsufficientDataError makes a reduced estimate infeasible; a
         # ConditioningError there is a bug, not an empty row
-        def broken(scenario, config, pool):
-            def finish():
-                raise ConditioningError("raised at finish")
-            return finish
+        def broken(counts, trials):
+            raise ConditioningError("raised at the reduction")
 
-        monkeypatch.setattr(experiment, "start_monte_carlo", broken)
+        monkeypatch.setattr(simulation, "_estimate", broken)
         out = tmp_path / "rows.csv"
         config = replace(parse_config(make_text(trials=5000)), output_path=str(out))
-        with pytest.raises(ConditioningError, match="raised at finish"):
+        with pytest.raises(ConditioningError, match="raised at the reduction"):
             run_experiment(config)
         assert not out.exists()
         path = tmp_path / "run.ini"
         path.write_text(make_text(trials=5000))
         assert main(["run", str(path), "--out", str(out)]) == 3
-        assert "raised at finish" in capsys.readouterr().err
+        assert "raised at the reduction" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        config = parse_config(make_text(engines="analytic"))
-        with pytest.raises(ConfigError, match="workers must be >= 1"):
-            run_experiment(config, workers=workers)
+    @pytest.mark.parametrize("workers,message", [
+        (0, "must be >= 1, got 0"),
+        (-3, "must be >= 1, got -3"),
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        ("2", "must be an integer, got '2'"),
+    ], ids=["0", "-3", "2.5", "True", "'2'"])
+    def test_workers_below_one_rejected(self, workers, message):
+        # the rule holds whether or not a Monte Carlo engine would use them
+        for engines in ("analytic", "analytic,monte_carlo"):
+            config = parse_config(make_text(engines=engines))
+            with pytest.raises(ConfigError, match=re.escape(f"workers {message}")):
+                run_experiment(config, workers=workers)
 
 
 class TestCli:

@@ -88,6 +88,19 @@ def test_rule_matches_quad_oracle_on_presets(name):
             _gain_average(scenario, bound=False), rel=REL_TOL, abs=0.0)
 
 
+@pytest.mark.parametrize("case,ppk_db,qpk_db", [
+    ("sss-2x2", 100.0, -50.0), ("osa-8x1", 0.0, -110.0), ("sss-8x8", 0.0, -130.0),
+    ("sss-2x2", 3000.0, -3000.0)])
+def test_quad_oracle_resolves_a_small_b1(case, ppk_db, qpk_db):
+    """b1 = Q_pk / P_pk at 1e-15, 1e-11, 1e-13 and 0, where the ratio
+    underflows. Near y = b1 the integrand varies on the scale of b1, which
+    the oracle's breaks at b1 + b1 2^j resolve; breaks from b1 + 1/8 on
+    alone left it 5.2e-11 off at b1 = 1e-13."""
+    scenario = peak_scenario(case, ppk_db, qpk_db)
+    expected = peak_exact(scenario)
+    assert abs(_gain_average(scenario, bound=False) - expected) <= REL_TOL * abs(expected)
+
+
 def test_peak_presets_never_call_quad(monkeypatch):
     """The closed-form engines of the peak presets run without any quadrature."""
     def refuse(*args, **kwargs):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -8,7 +9,6 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from cogsep.simulation import (
     _chunk_counts,
     _chunk_rng,
     _simulate_chunk,
-    monte_carlo_pool,
+    run_estimates,
 )
 
 from conftest import P_4DB, make_scenario
@@ -132,20 +132,6 @@ class TestDeterminism:
         run_monte_carlo(scenario, config, workers=workers)
         assert pool_log.sizes == []
 
-    @pytest.mark.parametrize("workers,sizes", [(1, []), (2, [2])])
-    def test_pool_counts_chunks_without_listing_them(self, pool_log, workers, sizes):
-        # a list of 10**9 chunk bounds would take tens of GB
-        config = MonteCarloConfig(trials=10**9, master_seed=5, chunk_size=1)
-        tracemalloc.start()
-        try:
-            pool = monte_carlo_pool(workers, [config])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (pool is None) == (workers == 1)
-        assert pool_log.sizes == sizes
-        assert peak < 0.1e6
-
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         config = MonteCarloConfig(trials=1_000, master_seed=5)
@@ -174,6 +160,29 @@ class TestDeterminism:
         assert a.errors != b.errors
 
 
+class TestRunEstimates:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_skipped_estimate_is_its_error_in_place(self, workers):
+        always_busy = SensingModel(0.9, 1.0, 0.0)
+        points = [
+            (make_scenario(Scheme.OSA, (2, 2), p0=1.0),
+             MonteCarloConfig(trials=4_000, master_seed=5, chunk_size=1_000)),
+            (make_scenario(Scheme.OSA, (2, 2), sensing=always_busy),
+             MonteCarloConfig(trials=3_000, master_seed=5, chunk_size=1_000, point=1)),
+            (make_scenario(modulation=(8, 2), p0=1.0, p1=0.4),
+             MonteCarloConfig(trials=2_500, master_seed=5, chunk_size=1_000, point=2)),
+        ]
+        first, skipped, last = run_estimates(points, workers)
+        assert isinstance(skipped, InsufficientDataError)
+        assert "all trials were skipped" in str(skipped)
+        assert first == run_monte_carlo(*points[0])
+        assert last == run_monte_carlo(*points[2])
+        assert multiprocessing.active_children() == []
+
+    def test_no_estimates(self):
+        assert run_estimates([], workers=4) == []
+
+
 class TestPoolTasks:
     """How an estimate's chunks are cut into pool tasks (in-process stand-in)."""
 
@@ -194,41 +203,52 @@ class TestPoolTasks:
         (7, 4, 1), (7, 4, 2), (5, 8, 3), (3, 2, 5), (1, 3, 1), (9, 9, 2)])
     def test_runs_are_contiguous_and_near_equal(self, chunks, processes, estimates):
         tasks = [(None, 0, 0, i, 0, 0) for i in range(chunks)]
-        pool = SimpleNamespace(processes=processes, estimates=estimates)
-        runs = simulation._pool_tasks(tasks, pool)
-        assert len(runs) == min(chunks, -(-processes // estimates))
+        parts = -(-processes // estimates)  # as ``run_estimates`` asks
+        runs = simulation._runs(tasks, parts)
+        assert len(runs) == min(chunks, parts)
         assert [task for run in runs for task in run] == tasks
         sizes = [len(run) for run in runs]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
-# Run in a fresh interpreter: what a two-process pool has loaded once
-# ``monte_carlo_pool`` returns it, before any task forks a worker.
+# Run in a fresh interpreter: what importing the engine loads, and what is
+# loaded when ``run_estimates`` makes its two-process executor, before any
+# task forks a worker.
 PRE_FORK = """
 import json, sys
-from cogsep.simulation import MonteCarloConfig, monte_carlo_pool
-watched = ("numpy.random", "multiprocessing")
+from cogsep.simulation import MonteCarloConfig, run_estimates
+from cogsep.presets import default_mixture, default_sensing
+from cogsep import ConstellationSpec, ConstraintSet, Scenario, Scheme
+watched = ("numpy.random", "concurrent.futures", "multiprocessing")
 before = [name for name in watched if name in sys.modules]
-pool = monte_carlo_pool(2, [MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000)])
-try:
-    print(json.dumps([before, [name for name in watched if name in sys.modules]]))
-finally:
-    pool.shutdown()
+import concurrent.futures
+made = []
+
+class Watched(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        made.append([name for name in watched if name in sys.modules])
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Watched
+scenario = Scenario(Scheme.OSA, ConstellationSpec(2, 2, 1.0), None, default_sensing(), 0.01,
+                    default_mixture(), ConstraintSet(peak_power=2.5, avg_interference=0.1))
+run_estimates([(scenario, MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000))], 2)
+print(json.dumps([before, made]))
 """
 
 
 def test_pool_loads_numpy_random_before_its_workers_fork():
     """A forked worker inherits ``numpy.random`` rather than importing it on
-    its first task; without a pool, neither it nor ``multiprocessing`` is
-    loaded by importing the engine."""
+    its first task; without a pool, importing the engine loads neither it
+    nor the pool machinery."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", PRE_FORK], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    before, after = json.loads(out.stdout.splitlines()[-1])
+    before, made = json.loads(out.stdout.splitlines()[-1])
     assert before == []
-    assert after == ["numpy.random", "multiprocessing"]
+    assert made == [["numpy.random", "concurrent.futures", "multiprocessing"]]
 
 
 class TestEstimate:
