@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mathcore import (GaussianMixture, QuadratureError, _scipy, erfcx, gaussian_q, integrate,
-                       integrate_family)
+from .mathcore import (GaussianMixture, QuadratureError, _check_positive, _scipy, erfcx,
+                       gaussian_q, integrate, integrate_family)
 from .modulation import ConstellationSpec, PointClass
 from .sensing import ConditioningError, Occupancy, SensingModel, _check_prob
 
@@ -90,9 +90,7 @@ class ConstraintSet:
                      "mean_gain_to_primary"):
             value = getattr(self, name)
             if value is not None:
-                if isinstance(value, str) or not 0 < float(value) < math.inf:
-                    raise ValueError(f"{name} must be positive and finite, got {value!r}")
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, _check_positive(name, value))
         avg, gain = self.avg_interference, self.mean_gain_to_primary
         if avg is not None and not avg / gain >= np.finfo(float).tiny:  # a normal float
             raise ValueError("avg_interference / mean_gain_to_primary underflows")
@@ -121,8 +119,8 @@ class Scenario:
     power_policy: str = "fixed"
 
     def __post_init__(self) -> None:
-        if not 0 < self.noise_variance < math.inf:
-            raise ValueError("noise_variance must be positive and finite")
+        object.__setattr__(self, "noise_variance",
+                           _check_positive("noise_variance", self.noise_variance))
         if self.power_policy not in ("fixed", "peak_interference"):
             raise ValueError(f"unknown power_policy {self.power_policy!r}")
         peak_limit = self.constraints and self.constraints.peak_interference

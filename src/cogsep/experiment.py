@@ -74,7 +74,6 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
 MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
-DEFAULT_CHUNK = 65_536
 
 
 class ConfigError(ValueError):
@@ -138,7 +137,7 @@ class ExperimentConfig:
     engines: tuple[str, ...]
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
-    chunk_size: int = DEFAULT_CHUNK
+    chunk_size: int = MonteCarloConfig.chunk_size
     output_path: str | None = None
     json_path: str | None = None
     p0_db: float | None = None
@@ -270,7 +269,7 @@ def parse_config(text: str) -> ExperimentConfig:
             engines=normalize_engines(get("output", "engines", "analytic,bound,monte_carlo")),
             trials=iget("monte_carlo", "trials", DEFAULT_TRIALS),
             seed=iget("monte_carlo", "seed", DEFAULT_SEED),
-            chunk_size=iget("monte_carlo", "chunk_size", DEFAULT_CHUNK),
+            chunk_size=iget("monte_carlo", "chunk_size", MonteCarloConfig.chunk_size),
             output_path=get("output", "path") or None,
             json_path=get("output", "json_path") or None,
             p0_db=fopt("scenario", "p0_db"),
@@ -443,12 +442,11 @@ def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
     for engine in config.engines:
         if engine not in ENGINES:
             diags.append(f"unknown engine {engine!r} (choose from {ENGINES})")
-    if config.trials < 1:
-        diags.append("monte_carlo.trials must be >= 1")
-    if config.chunk_size < 1:
-        diags.append("monte_carlo.chunk_size must be >= 1")
-    if config.seed < 0:
-        diags.append("monte_carlo.seed must be >= 0")
+    try:
+        # the rules the run applies to each point's MonteCarloConfig
+        MonteCarloConfig(config.trials, config.seed, config.chunk_size)
+    except ValueError as exc:
+        diags.append(f"monte_carlo: {exc}")
 
     return scenarios, diags
 

@@ -79,6 +79,13 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _check_positive(name: str, value) -> float:
+    """``value`` as a positive, finite Python float; text and bools are refused."""
+    if isinstance(value, (str, bool, np.bool_)) or not 0 < float(value) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @functools.cache
 def _scipy(name: str):
     """The module ``scipy.<name>``, imported on the first call only."""
@@ -262,8 +269,7 @@ class GaussianMixture:
         Convolution keeps the weights and shifts every per-axis component
         variance by ``noise_variance``, which must be positive and finite.
         """
-        if not 0 < noise_variance < math.inf:
-            raise ValueError(f"noise_variance must be positive and finite, got {noise_variance!r}")
+        noise_variance = _check_positive("noise_variance", noise_variance)
         return GaussianMixture(
             tuple((w, v + noise_variance) for w, v in self.components)
         )

@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .mathcore import _check_positive
+
 __all__ = [
     "ConstellationSpec",
     "PointClass",
@@ -44,7 +46,8 @@ class ConstellationSpec:
     def __post_init__(self) -> None:
         for name in ("m_inphase", "m_quadrature"):
             m = getattr(self, name)
-            if not isinstance(m, (int, np.integer)):
+            # bool is an int subclass, but True is not an axis size
+            if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
                 raise ValueError(f"axis sizes must be integers, got {m!r}")
             # a numpy integer would wrap in m**2 without a warning
             object.__setattr__(self, name, int(m))
@@ -54,8 +57,7 @@ class ConstellationSpec:
             raise DegenerateConstellationError(
                 "constellation needs at least 2 points (M_I * M_Q >= 2)"
             )
-        if not 0 < self.power < math.inf:
-            raise ValueError("power must be positive and finite")
+        object.__setattr__(self, "power", _check_positive("power", self.power))
 
     @property
     def size(self) -> int:

@@ -39,7 +39,8 @@ machinery (``concurrent.futures`` and ``multiprocessing``), since no
 closed-form run uses them. The first estimate's first chunk loads
 ``numpy.random``. ``run_estimates`` runs a list of estimates, a sweep's, in
 one call, and is the one place that makes a process pool; making one loads
-all three.
+all three. A pool task is a range of one estimate's chunks and returns
+their summed cell counts, exact integers in any grouping.
 """
 
 from __future__ import annotations
@@ -276,33 +277,27 @@ def _simulate_chunk(
     return np.array([np.count_nonzero(error[cell]) for cell in cells])
 
 
-def _chunk_bounds(config: MonteCarloConfig) -> list[tuple[int, int]]:
-    """(start, stop) channel-use offsets of each chunk of an estimate."""
-    return [(start, min(start + config.chunk_size, config.trials))
-            for start in range(0, config.trials, config.chunk_size)]
-
-
-def _chunk_counts(task) -> np.ndarray:
-    """Per-cell (errors, transmitted trials) of one chunk task, shape (2, 4)."""
-    scenario, master_seed, point, chunk_index, start, stop = task
+def _chunk_counts(scenario: Scenario, config: MonteCarloConfig, index: int) -> np.ndarray:
+    """Per-cell (errors, transmitted trials) of chunk ``index`` of an estimate, shape (2, 4)."""
+    start = index * config.chunk_size
+    stop = min(start + config.chunk_size, config.trials)
     uses = _cell_uses(scenario.sensing, stop) - _cell_uses(scenario.sensing, start)
     # OSA stays silent on a busy decision
     transmits = [scenario.scheme is Scheme.SSS or d == IDLE for _, d in CELLS]
     drawn = np.where(transmits, uses, 0)
-    rng = _chunk_rng(master_seed, point, chunk_index)
+    rng = _chunk_rng(config.master_seed, config.point, index)
     return np.stack([_simulate_chunk(scenario, rng, drawn), drawn])
 
 
-def _run_chunks(tasks: list[tuple]) -> list[np.ndarray]:
-    """``_chunk_counts`` of each chunk task, in order: the unit a pool runs."""
-    return [_chunk_counts(task) for task in tasks]
+def _run_counts(scenario: Scenario, config: MonteCarloConfig, chunks: range) -> np.ndarray:
+    """Summed ``_chunk_counts`` of a nonempty range of chunks: the unit a pool runs."""
+    return sum(_chunk_counts(scenario, config, index) for index in chunks)
 
 
-def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate | InsufficientDataError:
-    """Reduce per-chunk cell counts, in chunk order, to an estimate, or to
-    the error of an estimate whose every trial was skipped."""
-    total = sum(counts)
-    errors, transmitted = int(total[0].sum()), int(total[1].sum())
+def _estimate(counts: np.ndarray, trials: int) -> SepEstimate | InsufficientDataError:
+    """Reduce an estimate's summed cell counts to an estimate, or to the
+    error of an estimate whose every trial was skipped."""
+    errors, transmitted = int(counts[0].sum()), int(counts[1].sum())
     if transmitted == 0:
         return InsufficientDataError(
             "all trials were skipped; cannot estimate a conditional error rate")
@@ -315,15 +310,15 @@ def _estimate(counts: list[np.ndarray], trials: int) -> SepEstimate | Insufficie
     )
 
 
-def _runs(tasks: list[tuple], parts: int) -> list[list[tuple]]:
-    """Cut one estimate's chunk tasks into min(its chunks, ``parts``) pool
-    tasks: runs of contiguous chunks whose sizes differ by at most one, the
-    longer first. Fewer, larger tasks keep each worker busy without waiting
-    on the executor between chunks."""
-    parts = min(len(tasks), parts)
-    size, longer = divmod(len(tasks), parts)
+def _runs(chunks: range, parts: int) -> list[range]:
+    """Cut one estimate's chunk indices into min(its chunks, ``parts``) pool
+    tasks: ranges of contiguous chunks whose sizes differ by at most one,
+    the longer first. Fewer, larger tasks keep each worker busy without
+    waiting on the executor between chunks."""
+    parts = min(len(chunks), parts)
+    size, longer = divmod(len(chunks), parts)
     starts = [part * size + min(part, longer) for part in range(parts + 1)]
-    return [tasks[start:stop] for start, stop in zip(starts, starts[1:])]
+    return [chunks[start:stop] for start, stop in zip(starts, starts[1:])]
 
 
 def _check_workers(workers) -> None:
@@ -338,35 +333,36 @@ def run_estimates(
     """Estimate the SEP of each (Scenario, MonteCarloConfig) pair, in order.
 
     An estimate whose every trial was skipped comes back as its
-    InsufficientDataError, in its place; any other error propagates. Each
-    estimate reduces its chunk counts in chunk order, so it does not depend
-    on ``workers``. When min(workers, total chunks) >= 2, the chunks run in a
-    process pool of that many processes, shut down with its queued tasks
-    cancelled before this returns or raises. Each estimate goes to it as
-    ceil(processes / estimates) runs of contiguous chunks (``_runs``): one
-    task per estimate in a sweep, while a lone estimate still spreads over
-    every process. ``numpy.random`` is loaded before the workers fork, so
+    InsufficientDataError, in its place; any other error propagates. An
+    estimate sums the integer cell counts of its chunks, and integer sums
+    are exact in any grouping, so it does not depend on ``workers``. When
+    min(workers, total chunks) >= 2, the chunks run in a process pool of
+    that many processes, shut down with its queued tasks cancelled before
+    this returns or raises. Each estimate goes to it as
+    ceil(processes / estimates) ranges of contiguous chunks (``_runs``),
+    each a task that returns its chunks' summed counts (``_run_counts``):
+    one task per estimate in a sweep, while a lone estimate still spreads
+    over every process. ``numpy.random`` is loaded before the workers fork, so
     they inherit it; under ``spawn`` each would import cogsep and numpy again.
     """
     _check_workers(workers)
-    tasks = [[(scenario, config.master_seed, config.point, i, start, stop)
-              for i, (start, stop) in enumerate(_chunk_bounds(config))]
-             for scenario, config in points]
-    trials = [config.trials for _, config in points]
-    processes = min(workers, sum(map(len, tasks)))
+    chunks = [range(-(-config.trials // config.chunk_size)) for _, config in points]  # ceil
+    processes = min(workers, sum(map(len, chunks)))
     if processes < 2:
-        return [_estimate(_run_chunks(chunks), n) for chunks, n in zip(tasks, trials)]
+        return [_estimate(_run_counts(scenario, config, indices), config.trials)
+                for (scenario, config), indices in zip(points, chunks)]
 
     import numpy.random  # noqa: F401  (before the workers fork)
     from concurrent.futures import ProcessPoolExecutor
 
     executor = ProcessPoolExecutor(max_workers=processes)
     try:
-        parts = -(-processes // len(tasks))  # ceil
-        futures = [[executor.submit(_run_chunks, run) for run in _runs(chunks, parts)]
-                   for chunks in tasks]
-        return [_estimate([counts for future in runs for counts in future.result()], n)
-                for runs, n in zip(futures, trials)]
+        parts = -(-processes // len(points))  # ceil
+        futures = [[executor.submit(_run_counts, scenario, config, run)
+                    for run in _runs(indices, parts)]
+                   for (scenario, config), indices in zip(points, chunks)]
+        return [_estimate(sum(future.result() for future in runs), config.trials)
+                for runs, (_, config) in zip(futures, points)]
     finally:
         executor.shutdown(cancel_futures=True)
 

@@ -27,10 +27,10 @@ def pool_log(monkeypatch):
         def __init__(self, max_workers):
             log.sizes.append(max_workers)
 
-        def submit(self, fn, tasks):
-            log.tasks.append([(task[2], task[3]) for task in tasks])
+        def submit(self, fn, scenario, config, chunks):
+            log.tasks.append([(config.point, index) for index in chunks])
             future = Future()
-            future.set_result(fn(tasks))
+            future.set_result(fn(scenario, config, chunks))
             return future
 
         def shutdown(self, wait=True, cancel_futures=False):

@@ -49,6 +49,16 @@ class TestScenarioValidation:
             Scenario(Scheme.SSS, ConstellationSpec(2, 2, 1.0), None,
                      sensing, 0.01, mixture)
 
+    def test_noise_variance_stored_as_checked_float(self, sensing, mixture):
+        def scenario(noise_variance):
+            return Scenario(Scheme.OSA, ConstellationSpec(2, 2, 1.0), None,
+                            sensing, noise_variance, mixture)
+
+        assert type(scenario(np.float32(0.01)).noise_variance) is float
+        for value in (0.0, math.nan, "0.01", True):
+            with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+                scenario(value)
+
     def test_grid_mismatch_rejected(self, sensing, mixture):
         with pytest.raises(ValueError, match="grid"):
             Scenario(Scheme.SSS, ConstellationSpec(2, 2, 1.0),
@@ -62,7 +72,8 @@ class TestScenarioValidation:
         finite = dict(peak_power=1.0, avg_interference=1.0, peak_interference=1.0,
                       mean_gain_to_primary=1.0)
         for name in finite:
-            for value in (math.inf, -math.inf, "2"):  # text, too, though float("2") is 2
+            # text and bools, too, though float("2") is 2 and float(True) is 1
+            for value in (math.inf, -math.inf, "2", True):
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     ConstraintSet(**{**finite, name: value})
 

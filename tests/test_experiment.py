@@ -169,7 +169,10 @@ class TestValidate:
         ("noise_variance", 0.0, "noise_variance must be positive"),
         ("noise_variance", float("nan"), "noise_variance must be positive and finite"),
         ("noise_variance", float("inf"), "noise_variance must be positive and finite"),
+        ("noise_variance", True, "noise_variance must be positive and finite, got True"),
+        ("noise_variance", "0.01", "noise_variance must be positive and finite, got '0.01'"),
         ("m_quadrature", 0, "axis sizes"),
+        ("m_inphase", True, "axis sizes must be integers, got True"),
         ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
         ("p_pk_db", 4000.0, "out of range"),
     ])
@@ -213,7 +216,22 @@ class TestValidate:
 
     def test_negative_seed_reported(self):
         config = replace(parse_config(make_text()), seed=-1)
-        assert "monte_carlo.seed must be >= 0" in validate(config)
+        assert "monte_carlo: master_seed must be >= 0, got -1" in validate(config)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("chunk_size", 1000.5, "chunk_size must be an integer, got 1000.5"),
+        ("seed", True, "master_seed must be an integer, got True"),
+        ("trials", 0, "trials must be >= 1"),
+    ], ids=["trials-2.5", "trials-True", "chunk_size-1000.5", "seed-True", "trials-0"])
+    def test_monte_carlo_rules_are_the_runs(self, field, value, message):
+        # validate applies the rules of the run's MonteCarloConfig, so the run
+        # rejects such a config as a config error, before any closed form runs
+        config = replace(parse_config(make_text()), **{field: value})
+        assert validate(config) == [f"monte_carlo: {message}"]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(config)
 
     def test_explicit_powers_checked_against_constraints(self):
         config = parse_config(make_text(
@@ -559,12 +577,12 @@ class TestPooledSweep:
     def test_aborted_run_leaves_no_process_running(self, monkeypatch):
         chunk_counts = simulation._chunk_counts
 
-        def broken(task):
+        def broken(scenario, config, index):
             # the forked workers inherit this patch; point 0's task raises
             # while the other points' tasks are still queued
-            if task[2] == 0:
+            if config.point == 0:
                 raise ZeroDivisionError("division by zero in a Monte Carlo task")
-            return chunk_counts(task)
+            return chunk_counts(scenario, config, index)
 
         monkeypatch.setattr(simulation, "_chunk_counts", broken)
         with pytest.raises(ZeroDivisionError, match="Monte Carlo task"):
@@ -575,7 +593,7 @@ class TestPooledSweep:
         # only reducing an estimate's counts finds every trial skipped: an
         # InsufficientDataError while its chunks run is a bug, not an
         # infeasible point
-        def broken(task):
+        def broken(scenario, config, index):
             raise InsufficientDataError("raised in a chunk")
 
         monkeypatch.setattr(simulation, "_chunk_counts", broken)
@@ -692,7 +710,7 @@ class TestCli:
         code = main(["preset", "fig2", "--seed", "-1", "--engines", "monte_carlo",
                      "--out", str(tmp_path / "fig2.csv")])
         assert code == 2
-        assert "monte_carlo.seed must be >= 0" in capsys.readouterr().err
+        assert "monte_carlo: master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "fig2.csv").exists()
 
     def test_validate_checks_every_sweep_point(self, tmp_path, capsys):

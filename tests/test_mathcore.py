@@ -242,7 +242,7 @@ class TestConvolution:
         with pytest.raises(ValueError):
             mixture.convolve_with_gaussian(0.0)
 
-    @pytest.mark.parametrize("noise_variance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("noise_variance", [math.nan, math.inf, -math.inf, "1", True])
     def test_rejects_nonfinite_noise(self, mixture, noise_variance):
         # names the noise, not the mixture it would have built
         with pytest.raises(ValueError, match="noise_variance must be positive and finite"):

@@ -25,7 +25,8 @@ class TestMinDistance:
         with pytest.raises(DegenerateConstellationError):
             ConstellationSpec(1, 1, 1.0)
 
-    @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.0), (4, "2")])
+    # bool is an int subclass: True once built a 1x2 grid
+    @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.0), (4, "2"), (True, 2), (4, False)])
     def test_non_integral_axis_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="axis sizes must be integers"):
             ConstellationSpec(*sizes, 1.0)
@@ -49,10 +50,16 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             ConstellationSpec(2, 2, 0.0)
 
-    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    @pytest.mark.parametrize("power", [math.inf, math.nan, "1", True])
     def test_nonfinite_power_rejected(self, power):
         with pytest.raises(ValueError, match="power must be positive and finite"):
             ConstellationSpec(2, 2, power)
+
+    def test_power_stored_as_checked_float(self):
+        # a float32 power once gave d = 0.20000000707805143
+        spec = ConstellationSpec(4, 4, np.float32(0.1))
+        assert type(spec.power) is float
+        assert spec.min_distance() == 0.20000000149011612
 
 
 def grid(spec):

@@ -34,7 +34,6 @@ from cogsep.simulation import (
     IDLE,
     InsufficientDataError,
     _cell_uses,
-    _chunk_bounds,
     _chunk_counts,
     _chunk_rng,
     _simulate_chunk,
@@ -78,7 +77,7 @@ class TestConfigValidation:
 
 def _counts(scenario, trials, seed=21):
     """One chunk's per-cell (errors, transmitted) over ``trials`` channel uses."""
-    return _chunk_counts((scenario, seed, 0, 0, 0, trials))
+    return _chunk_counts(scenario, MonteCarloConfig(trials, seed), 0)
 
 
 class TestRunTrial:
@@ -182,6 +181,21 @@ class TestRunEstimates:
     def test_no_estimates(self):
         assert run_estimates([], workers=4) == []
 
+    def test_nothing_is_kept_per_chunk(self, monkeypatch):
+        """200 000 one-use chunks run in little memory: no task and no count
+        array is kept per chunk. Listing a task per chunk peaked at 50 MB."""
+        counts = np.array([[0, 0, 0, 0], [1, 0, 0, 0]])
+        monkeypatch.setattr(simulation, "_chunk_counts", lambda scenario, config, index: counts)
+        point = (make_scenario(), MonteCarloConfig(trials=200_000, master_seed=5, chunk_size=1))
+        tracemalloc.start()
+        try:
+            (estimate,) = run_estimates([point])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.trials == 200_000 and estimate.errors == 0
+        assert peak < 1e6
+
 
 class TestPoolTasks:
     """How an estimate's chunks are cut into pool tasks (in-process stand-in)."""
@@ -202,11 +216,11 @@ class TestPoolTasks:
     @pytest.mark.parametrize("chunks,processes,estimates", [
         (7, 4, 1), (7, 4, 2), (5, 8, 3), (3, 2, 5), (1, 3, 1), (9, 9, 2)])
     def test_runs_are_contiguous_and_near_equal(self, chunks, processes, estimates):
-        tasks = [(None, 0, 0, i, 0, 0) for i in range(chunks)]
         parts = -(-processes // estimates)  # as ``run_estimates`` asks
-        runs = simulation._runs(tasks, parts)
+        runs = simulation._runs(range(chunks), parts)
         assert len(runs) == min(chunks, parts)
-        assert [task for run in runs for task in run] == tasks
+        assert all(isinstance(run, range) for run in runs)
+        assert [index for run in runs for index in run] == list(range(chunks))
         sizes = [len(run) for run in runs]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
@@ -321,7 +335,10 @@ def _cell_sums(values, drawn):
     return [int(cell.sum()) for cell in np.split(values, np.cumsum(drawn)[:-1])]
 
 
-# per-cell (errors, transmitted) of _chunk_counts((scenario, 2024, 3, 0, 0, 65_536))
+# one chunk of the default 65 536 uses, the size the sweeps run
+_FULL_CHUNK = MonteCarloConfig(trials=65_536, master_seed=2024, point=3)
+
+# per-cell (errors, transmitted) of _chunk_counts(scenario, _FULL_CHUNK, 0)
 _FULL_CHUNK_GOLDEN = {
     "sss": [[687, 123, 11980, 924], [37356, 1966, 23593, 2621]],
     "osa": [[1282, 0, 0, 1120], [37356, 0, 0, 2621]],
@@ -428,8 +445,7 @@ class TestDrawContract:
         }
         config = MonteCarloConfig(trials=2_000, master_seed=2024, chunk_size=700, point=3)
         for name, scenario in scenarios.items():
-            counts = [_chunk_counts((scenario, 2024, 3, i, start, stop)).tolist()
-                      for i, (start, stop) in enumerate(_chunk_bounds(config))]
+            counts = [_chunk_counts(scenario, config, i).tolist() for i in range(3)]
             assert counts == golden[name], name
 
     def test_golden_full_chunk_counts(self):
@@ -439,7 +455,7 @@ class TestDrawContract:
         Changing these means bumping ``DRAW_CONTRACT``.
         """
         for name, scenario in _contract_scenarios().items():
-            counts = _chunk_counts((scenario, 2024, 3, 0, 0, 65_536)).tolist()
+            counts = _chunk_counts(scenario, _FULL_CHUNK, 0).tolist()
             assert counts == _FULL_CHUNK_GOLDEN[name], name
 
     @pytest.mark.parametrize("name,modulation", [
@@ -460,7 +476,8 @@ class TestDrawContract:
         the public detector.
         """
         scenario = _contract_scenarios(modulation)[name]
-        errors, drawn = _chunk_counts((scenario, 2024, 3, 1, 20_000, 40_000))
+        config = MonteCarloConfig(trials=40_000, master_seed=2024, chunk_size=20_000, point=3)
+        errors, drawn = _chunk_counts(scenario, config, 1)
         n = int(drawn.sum())
 
         seq = np.random.SeedSequence(2024, spawn_key=(3, 1))
@@ -550,8 +567,8 @@ class TestDrawContract:
         scenario = _contract_scenarios()["sss"]
         spec = scenario.spec_idle
         config = MonteCarloConfig(trials=400_000, master_seed=2718)
-        errors, drawn = sum(_chunk_counts((scenario, config.master_seed, 0, i, start, stop))
-                            for i, (start, stop) in enumerate(_chunk_bounds(config)))
+        chunks = -(-config.trials // config.chunk_size)  # ceil
+        errors, drawn = sum(_chunk_counts(scenario, config, i) for i in range(chunks))
         s0, mixture = scenario.noise_variance, scenario.interference
         table = _branches(scenario)
         for (state, decision), e, k in zip(CELLS, errors, drawn):
@@ -623,12 +640,12 @@ class TestWorkspace:
     @pytest.mark.parametrize("large,small", [("sss", "osa"), ("osa", "peak"), ("peak", "sss")])
     def test_smaller_chunk_in_between_leaves_counts(self, large, small):
         scenarios = _contract_scenarios()
-        task = (scenarios[large], 2024, 3, 0, 0, 65_536)
+        task = (scenarios[large], _FULL_CHUNK, 0)
 
         def run():
-            first = _chunk_counts(task).tolist()
-            _chunk_counts((scenarios[small], 11, 0, 0, 0, 5_000))
-            return first, _chunk_counts(task).tolist()
+            first = _chunk_counts(*task).tolist()
+            _chunk_counts(scenarios[small], MonteCarloConfig(5_000, 11), 0)
+            return first, _chunk_counts(*task).tolist()
 
         # a thread of its own starts with an empty workspace
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -637,15 +654,16 @@ class TestWorkspace:
 
     def test_concurrent_chunks_match_serial(self):
         scenarios = _contract_scenarios()
-        tasks = [(scenario, 2024, 3, i, 0, stop)
-                 for i, scenario in enumerate(scenarios.values())
+        # each scenario draws under its own point, chunks of three sizes
+        tasks = [(scenario, MonteCarloConfig(stop, 2024, point=point), 0)
+                 for point, scenario in enumerate(scenarios.values())
                  for stop in (65_536, 7_000, 30_000)]
-        serial = [_chunk_counts(task).tolist() for task in tasks]
+        serial = [_chunk_counts(*task).tolist() for task in tasks]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(_chunk_counts, task) for task in tasks * 3]
+                futures = [pool.submit(_chunk_counts, *task) for task in tasks * 3]
                 concurrent = [future.result(timeout=120).tolist() for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -663,11 +681,11 @@ class TestWorkspace:
         the mixture's choice draws a chunk took 1.2 MB at SSS and 0.4 MB at
         OSA, and with a fresh array for every stage 2.9-4.8 MB.
         """
-        task = (_contract_scenarios()[name], 2024, 3, 0, 0, 65_536)
-        _chunk_counts(task)
+        task = (_contract_scenarios()[name], _FULL_CHUNK, 0)
+        _chunk_counts(*task)
         tracemalloc.start()
         try:
-            _chunk_counts(task)
+            _chunk_counts(*task)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
