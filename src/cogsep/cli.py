@@ -34,9 +34,9 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="output_path", help="CSV output path")
     parser.add_argument("--json", dest="json_path", help="JSON mirror output path")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the Monte Carlo of all sweep points: "
+                        help="worker threads for the Monte Carlo of all sweep points: "
                              "one pool task per point, or a few per point when the points "
-                             "are fewer than the processes (>= 1; output does not depend on it)")
+                             "are fewer than the threads (>= 1; output does not depend on it)")
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:

@@ -11,7 +11,7 @@ the active constraint mode (average-interference optimization / cap, or the
 instantaneous peak policy) and evaluates each requested closed form once per
 sweep, over all its points, before any Monte Carlo task starts; then it runs
 the Monte Carlo estimates of the feasible points in one ``run_estimates``
-call, which makes and shuts down any process pool itself, and writes one CSV
+call, which makes and shuts down any thread pool itself, and writes one CSV
 row per point; an optional JSON mirror carries the identical numbers.
 Only a zero-probability sensing decision or a Monte Carlo estimate with every
 trial skipped makes a point infeasible (an empty row); any other error aborts
@@ -511,8 +511,8 @@ def _points(config: ExperimentConfig, values: list[float], scenarios: list[Scena
     The powers of the whole sweep are resolved first (``_resolve_powers``),
     then its closed forms, each by one call for the whole sweep
     (``_closed_form_rows``), before any Monte Carlo (MC) task starts. Then
-    one ``run_estimates`` call runs the MC of every feasible point, over up
-    to ``workers`` processes, and fills their rows.
+    one ``run_estimates`` call runs the MC of every feasible point, on up
+    to ``workers`` threads, and fills their rows.
     """
     scenarios = _resolve_powers(config, scenarios)
     rows = _closed_form_rows(config, values, scenarios)
@@ -542,7 +542,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     afterwards so the CLI can map it to a nonzero exit. ``workers`` must be
     an integer >= 1, whatever the engines; with ``workers > 1`` the Monte
     Carlo estimates of all points share one pool of up to ``workers``
-    processes. The rows do not depend on ``workers``.
+    threads. The rows do not depend on ``workers``.
     """
     scenarios, diags = _build(config)
     try:

@@ -86,6 +86,14 @@ def _check_positive(name: str, value) -> float:
     return float(value)
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as a Python int; non-integers, text and bools are refused."""
+    # bool is an int subclass, but True is not a count
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @functools.cache
 def _scipy(name: str):
     """The module ``scipy.<name>``, imported on the first call only."""

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mathcore import _check_positive
+from .mathcore import _check_integer, _check_positive
 
 __all__ = [
     "ConstellationSpec",
@@ -45,12 +45,9 @@ class ConstellationSpec:
 
     def __post_init__(self) -> None:
         for name in ("m_inphase", "m_quadrature"):
-            m = getattr(self, name)
-            # bool is an int subclass, but True is not an axis size
-            if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-                raise ValueError(f"axis sizes must be integers, got {m!r}")
-            # a numpy integer would wrap in m**2 without a warning
-            object.__setattr__(self, name, int(m))
+            # stored as a Python int: a numpy integer would wrap in m**2
+            # without a warning
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.m_inphase < 1 or self.m_quadrature < 1:
             raise ValueError("axis sizes must be >= 1")
         if self.size < 2:

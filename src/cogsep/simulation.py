@@ -34,13 +34,15 @@ stream keyed by ``SeedSequence(master_seed, spawn_key=(k, i))``, so results
 depend only on (master_seed, point, chunk_size), never on scheduling or
 worker count, and no two (seed, point) pairs share a stream.
 
-Importing this module loads neither ``numpy.random`` nor the process pool
-machinery (``concurrent.futures`` and ``multiprocessing``), since no
-closed-form run uses them. The first estimate's first chunk loads
-``numpy.random``. ``run_estimates`` runs a list of estimates, a sweep's, in
-one call, and is the one place that makes a process pool; making one loads
-all three. A pool task is a range of one estimate's chunks and returns
-their summed cell counts, exact integers in any grouping.
+Importing this module loads neither ``numpy.random`` nor
+``concurrent.futures``, since no closed-form run uses them. The first
+estimate's first chunk loads ``numpy.random``. ``run_estimates`` runs a list
+of estimates, a sweep's, in one call, and is the one place that makes a
+pool. The pool runs threads, and making one loads ``concurrent.futures``;
+nothing loads ``multiprocessing``. Threads suffice because the Generator's
+fills and a chunk's large ufuncs release the GIL. A pool task is a range of
+one estimate's chunks and returns their summed cell counts, exact integers
+in any grouping.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import Scenario, Scheme, peak_power_policy
+from .mathcore import _check_integer
 from .modulation import ConstellationSpec
 from .sensing import Occupancy, SensingModel
 
@@ -80,12 +83,6 @@ class InsufficientDataError(RuntimeError):
     """No non-skipped trials were available to estimate the error rate."""
 
 
-def _check_integer(name: str, value) -> None:
-    # bool is an int subclass, but True is not a count
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Trials and stream of one estimate.
@@ -101,7 +98,7 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "master_seed", "chunk_size", "point"):
-            _check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
@@ -184,7 +181,8 @@ class _Workspace(threading.local):
     def _allocate(self, n: int) -> None:
         self.half = np.empty(n)
         # flat, so that a chunk's (2, n) blocks are contiguous, as the
-        # Generator's out= requires
+        # Generator's out= requires; only the mixture's (2, c) blocks of a
+        # busy cell's c trials touch ``spare``
         self.noise = np.empty(2 * n)
         self.spare = np.empty(2 * n)
         self.flags = np.empty(3 * n, dtype=bool)
@@ -225,16 +223,14 @@ def _simulate_chunk(
     ws = _workspace.reserve(n)
     half = ws.half[:n]
     w = ws.noise[:2 * n].reshape(2, n)
-    # free until detection: the gain draw and the mixture's normal blocks use
-    # it first
-    spare = ws.spare[:2 * n]
     error, up, down = ws.flags[:3 * n].reshape(3, n)
 
     peak = scenario.power_policy == "peak_interference"
     if peak:
         # the gain to the primary receiver sets each trial's power, written
-        # over the gain
-        gain = rng.standard_exponential(out=spare[:n])
+        # over the gain; both live in the noise buffer's first row, which
+        # nothing reads before the noise is drawn into it
+        gain = rng.standard_exponential(out=w[0])
         power = peak_power_policy(scenario.constraints, gain, out=gain)
 
     mi, mq = scenario.spec_idle.m_inphase, scenario.spec_idle.m_quadrature
@@ -257,17 +253,19 @@ def _simulate_chunk(
     w *= math.sqrt(scenario.noise_variance)
     for cell, (state, _) in zip(cells, CELLS):
         if state == BUSY and cell.stop > cell.start:
-            scenario.interference._add_sample(rng, w[0, cell], w[1, cell], spare)
+            scenario.interference._add_sample(rng, w[0, cell], w[1, cell], ws.spare)
 
-    low = np.negative(half, out=spare[:n])
+    # a single level is never wrong
+    axes = [(noise, m, true) for noise, m, true in ((w[0], mi, n_true), (w[1], mq, q_true))
+            if m > 1]
     error.fill(False)
-    for noise, m, true in ((w[0], mi, n_true), (w[1], mq, q_true)):
-        if m == 1:
-            continue  # a single level is never wrong
+    for noise, m, true in axes:
         np.greater(noise, half, out=up)
         up &= np.not_equal(true, m - 1, out=down)  # below the top level
         error |= up
-        np.less_equal(noise, low, out=down)
+    np.negative(half, out=half)  # the lower thresholds, in place
+    for noise, m, true in axes:
+        np.less_equal(noise, half, out=down)
         down &= np.not_equal(true, 0, out=up)  # above the bottom level
         error |= down
     if deep is not None:
@@ -336,28 +334,27 @@ def run_estimates(
     InsufficientDataError, in its place; any other error propagates. An
     estimate sums the integer cell counts of its chunks, and integer sums
     are exact in any grouping, so it does not depend on ``workers``. When
-    min(workers, total chunks) >= 2, the chunks run in a process pool of
-    that many processes, shut down with its queued tasks cancelled before
-    this returns or raises. Each estimate goes to it as
-    ceil(processes / estimates) ranges of contiguous chunks (``_runs``),
-    each a task that returns its chunks' summed counts (``_run_counts``):
-    one task per estimate in a sweep, while a lone estimate still spreads
-    over every process. ``numpy.random`` is loaded before the workers fork, so
-    they inherit it; under ``spawn`` each would import cogsep and numpy again.
+    min(workers, total chunks) >= 2, the chunks run on a pool of that many
+    threads in this process, shut down with its queued tasks cancelled
+    before this returns or raises. Each estimate goes to it as
+    ceil(threads / estimates) ranges of contiguous chunks (``_runs``), each a
+    task that returns its chunks' summed counts (``_run_counts``): one task
+    per estimate in a sweep, while a lone estimate still spreads over every
+    thread. The tasks share the Scenarios rather than copies of them, and
+    each thread runs its chunks in its own workspace.
     """
     _check_workers(workers)
     chunks = [range(-(-config.trials // config.chunk_size)) for _, config in points]  # ceil
-    processes = min(workers, sum(map(len, chunks)))
-    if processes < 2:
+    threads = min(workers, sum(map(len, chunks)))
+    if threads < 2:
         return [_estimate(_run_counts(scenario, config, indices), config.trials)
                 for (scenario, config), indices in zip(points, chunks)]
 
-    import numpy.random  # noqa: F401  (before the workers fork)
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    executor = ProcessPoolExecutor(max_workers=processes)
+    executor = ThreadPoolExecutor(max_workers=threads)
     try:
-        parts = -(-processes // len(points))  # ceil
+        parts = -(-threads // len(points))  # ceil
         futures = [[executor.submit(_run_counts, scenario, config, run)
                     for run in _runs(indices, parts)]
                    for (scenario, config), indices in zip(points, chunks)]

@@ -16,10 +16,10 @@ def pool_log(monkeypatch):
     """Swap the executor ``run_estimates`` makes for an in-process stand-in
     that logs its use.
 
-    ``sizes`` lists the process count each executor was created with, and
+    ``sizes`` lists the thread count each executor was created with, and
     ``tasks`` the (point, chunk index) of every chunk of each submitted
-    task, in submit order. No process is started, so a large worker count
-    is safe to pass.
+    task, in submit order. No thread is started, so a large worker count
+    is safe to pass; a real pool starts min(workers, tasks) threads.
     """
     log = SimpleNamespace(sizes=[], tasks=[])
 
@@ -37,7 +37,7 @@ def pool_log(monkeypatch):
             pass
 
     # ``run_estimates`` imports the executor from here when it makes a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     return log
 
 

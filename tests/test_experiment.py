@@ -1,9 +1,9 @@
 import json
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -172,7 +172,7 @@ class TestValidate:
         ("noise_variance", True, "noise_variance must be positive and finite, got True"),
         ("noise_variance", "0.01", "noise_variance must be positive and finite, got '0.01'"),
         ("m_quadrature", 0, "axis sizes"),
-        ("m_inphase", True, "axis sizes must be integers, got True"),
+        ("m_inphase", True, "m_inphase must be an integer, got True"),
         ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
         ("p_pk_db", 4000.0, "out of range"),
     ])
@@ -571,23 +571,25 @@ class TestPooledSweep:
         assert rows == run_experiment(config)
 
     def test_no_process_left_running(self):
+        threads = set(threading.enumerate())
         run_experiment(parse_config(make_text(trials=20_000)), workers=2)
-        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
 
     def test_aborted_run_leaves_no_process_running(self, monkeypatch):
         chunk_counts = simulation._chunk_counts
 
         def broken(scenario, config, index):
-            # the forked workers inherit this patch; point 0's task raises
-            # while the other points' tasks are still queued
+            # point 0's task raises while the other points' tasks are still
+            # queued
             if config.point == 0:
                 raise ZeroDivisionError("division by zero in a Monte Carlo task")
             return chunk_counts(scenario, config, index)
 
         monkeypatch.setattr(simulation, "_chunk_counts", broken)
+        threads = set(threading.enumerate())
         with pytest.raises(ZeroDivisionError, match="Monte Carlo task"):
             run_experiment(parse_config(make_text(trials=20_000)), workers=2)
-        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
 
     def test_error_at_monte_carlo_start_aborts_the_run(self, monkeypatch, tmp_path, capsys):
         # only reducing an estimate's counts finds every trial skipped: an

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ class TestMinDistance:
     # bool is an int subclass: True once built a 1x2 grid
     @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.0), (4, "2"), (True, 2), (4, False)])
     def test_non_integral_axis_sizes_rejected(self, sizes):
-        with pytest.raises(ValueError, match="axis sizes must be integers"):
+        name, m = next((name, m) for name, m in zip(("m_inphase", "m_quadrature"), sizes)
+                       if type(m) is not int)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {m!r}")):
             ConstellationSpec(*sizes, 1.0)
 
     def test_numpy_integer_axis_sizes_accepted(self):

@@ -192,9 +192,9 @@ def test_import_loads_no_symbolic_or_multiprecision_package():
     doubles as here; no call loads ``scipy.integrate``, since every oracle
     runs on ``mathcore.integrate``.
 
-    Neither the import nor a closed-form sweep loads ``numpy.random``, the
-    process pool machinery or ``json``; a one-worker Monte Carlo sweep loads
-    ``numpy.random`` only."""
+    Neither the import nor a closed-form sweep loads ``numpy.random``,
+    ``concurrent.futures``, ``multiprocessing`` or ``json``; a one-worker
+    Monte Carlo sweep loads ``numpy.random`` only."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

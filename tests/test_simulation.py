@@ -1,10 +1,10 @@
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -139,7 +139,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
     def test_workers_must_be_an_integer(self, workers):
-        # 2.5 once failed inside ProcessPoolExecutor, and True ran on one worker
+        # 2.5 once failed inside the pool's executor, and True ran on one worker
         config = MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000)
         with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
             run_monte_carlo(make_scenario(), config, workers=workers)
@@ -171,12 +171,13 @@ class TestRunEstimates:
             (make_scenario(modulation=(8, 2), p0=1.0, p1=0.4),
              MonteCarloConfig(trials=2_500, master_seed=5, chunk_size=1_000, point=2)),
         ]
+        threads = set(threading.enumerate())
         first, skipped, last = run_estimates(points, workers)
+        assert set(threading.enumerate()) == threads
         assert isinstance(skipped, InsufficientDataError)
         assert "all trials were skipped" in str(skipped)
         assert first == run_monte_carlo(*points[0])
         assert last == run_monte_carlo(*points[2])
-        assert multiprocessing.active_children() == []
 
     def test_no_estimates(self):
         assert run_estimates([], workers=4) == []
@@ -225,44 +226,37 @@ class TestPoolTasks:
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
-# Run in a fresh interpreter: what importing the engine loads, and what is
-# loaded when ``run_estimates`` makes its two-process executor, before any
-# task forks a worker.
-PRE_FORK = """
+# Run in a fresh interpreter: what importing the engine loads, and what a
+# two-thread run of ``run_estimates`` loads.
+POOLED_RUN = """
 import json, sys
 from cogsep.simulation import MonteCarloConfig, run_estimates
 from cogsep.presets import default_mixture, default_sensing
 from cogsep import ConstellationSpec, ConstraintSet, Scenario, Scheme
 watched = ("numpy.random", "concurrent.futures", "multiprocessing")
 before = [name for name in watched if name in sys.modules]
-import concurrent.futures
-made = []
-
-class Watched(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        made.append([name for name in watched if name in sys.modules])
-        super().__init__(*args, **kwargs)
-
-concurrent.futures.ProcessPoolExecutor = Watched
 scenario = Scenario(Scheme.OSA, ConstellationSpec(2, 2, 1.0), None, default_sensing(), 0.01,
                     default_mixture(), ConstraintSet(peak_power=2.5, avg_interference=0.1))
-run_estimates([(scenario, MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000))], 2)
-print(json.dumps([before, made]))
+point = (scenario, MonteCarloConfig(trials=2_000, master_seed=5, chunk_size=1_000))
+pooled = run_estimates([point], 2)
+after = [name for name in watched if name in sys.modules]
+print(json.dumps([before, after, pooled == run_estimates([point], 1)]))
 """
 
 
-def test_pool_loads_numpy_random_before_its_workers_fork():
-    """A forked worker inherits ``numpy.random`` rather than importing it on
-    its first task; without a pool, importing the engine loads neither it
-    nor the pool machinery."""
+def test_pool_loads_concurrent_futures_but_never_multiprocessing():
+    """The pool runs threads, so a pooled run loads ``concurrent.futures``
+    but no process machinery, and gives the one-worker result; importing
+    the engine loads neither it nor ``numpy.random``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", PRE_FORK], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", POOLED_RUN], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    before, made = json.loads(out.stdout.splitlines()[-1])
+    before, after, same = json.loads(out.stdout.splitlines()[-1])
     assert before == []
-    assert made == [["numpy.random", "concurrent.futures", "multiprocessing"]]
+    assert after == ["numpy.random", "concurrent.futures"]
+    assert same
 
 
 class TestEstimate:
@@ -668,6 +662,27 @@ class TestWorkspace:
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == serial * 3
+
+    def test_pooled_runs_under_rapid_switching_match_one_worker(self):
+        """Four threads per pool, more than the cores, switching every
+        microsecond, and two pools at once: every estimate is its one-worker
+        estimate, so no chunk sees another thread's buffers."""
+        scenarios = _contract_scenarios()
+        points = [(scenario, MonteCarloConfig(20_000, 2024, chunk_size=3_000, point=point))
+                  for point, scenario in enumerate(scenarios.values())]
+        serial = run_estimates(points, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        callers = ThreadPoolExecutor(max_workers=2)
+        try:
+            futures = [callers.submit(run_estimates, runs, 4)
+                       for runs in (points, points[::-1], points)]
+            pooled = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            # a hung pool fails the test here instead of hanging it
+            callers.shutdown(wait=False, cancel_futures=True)
+        assert pooled == [serial, serial[::-1], serial]
 
     @pytest.mark.parametrize("name", ["sss", "osa", "peak"])
     def test_warm_chunk_allocates_little(self, name):
