@@ -742,16 +742,25 @@ def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
 def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
     """(P0, P1) arrays: golden-section search (Kiefer, 1953) on [a, b], then
     the first least SEP of its midpoint, ``p0_min`` and ``p0_max``, in that
-    order, for every point of a stacked table at once: one ``_sep`` call for
-    the first two probes, one per step and one for the three candidates.
-    ``np.where`` takes each point's branch, so each point's result is its
-    own search's, bit for bit.
+    order, for every point of a stacked table at once. ``np.where`` takes
+    each point's branch, so each point's result is its own search's, bit for
+    bit.
 
-    The search stops at 90 steps, or once every point's state (a, b, c, d,
-    fc, fd) equals its state two steps earlier. A step is a function of that
-    state alone, so from there the states alternate, and the state of step
-    90 is the current one or the one before, by parity: the result is the
-    90-step result, bit for bit, at fewer ``_sep`` calls.
+    The steps go two per ``_sep`` call: an odd step's call evaluates its
+    probe and both probes the next step may take, d - phi (d - a) if that
+    step keeps [a, d] and c + phi (b - c) if it keeps [c, b] (a, b, c, d
+    after the odd step), and the even step takes its own by ``np.where``.
+    Every probe and SEP is the float of a one-step loop, at half its calls:
+    one for the first two probes, one per pair of steps and one for the
+    three candidates.
+
+    The search stops at 90 steps (45 pairs), or once every point's state
+    (a, b, c, d, fc, fd) equals its state two steps earlier, after either
+    step of a pair. A step is a function of that state alone, so from there
+    the states alternate, and the state of step 90 is the current one or the
+    one before, by parity: the result is the 90-step result, bit for bit, at
+    fewer calls. The fig1, fig3 and fig4 sweeps stop after 69, 68 and 75
+    steps.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
@@ -761,10 +770,16 @@ def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
     for step in range(1, 91):
         left = fc < fd  # keep [a, d] and probe left of c, else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        fx = _segment_sep(table, segment, x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
+        if step % 2:
+            x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        else:  # the probe of this branch that the last call evaluated
+            x, fx = np.where(left, probes[1], probes[2]), np.where(left, values[1], values[2])
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        if step % 2:  # x, and the next step's probe for [a, d] and for [c, b]
+            probes = np.array((x, d - inv_phi * (d - a), c + inv_phi * (b - c)))
+            values = _segment_sep(table, segment, probes)
+            fx = values[0]
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
         states = [*states[-2:], np.array((a, b, c, d, fc, fd))]
         if len(states) == 3 and (states[2] == states[0]).all():
             a, b = states[2 - step % 2][:2]  # step 90's state, by parity
@@ -795,7 +810,9 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     (``_stack``), one ``_sep`` call per evaluation for all of them: the scan
     (``_scan_best``) is two calls, plus one over all 513 scan points where a
     window fails the margin test; then the golden steps run in lockstep
-    (``_lockstep``) until every point repeats its state of two steps before.
+    (``_lockstep``), two steps per call, until every point repeats its state
+    of two steps before. The fig1, fig3 and fig4 sweeps take 39, 38 and 42
+    calls (73, 72 and 79 at one step per call).
     Each result equals that of a one-scenario call bit for bit, which
     matters because one ulp of SEP moves the golden p0* by up to ~1e-8: each
     SEP is the same float the per-point scan and search compute, the

@@ -83,12 +83,18 @@ class InsufficientDataError(RuntimeError):
     """No non-skipped trials were available to estimate the error rate."""
 
 
+# Chunks per estimate: a one-use chunk takes ~110 us (2-core x86-64 VM), so
+# even 2**20 of them take about two minutes.
+MAX_CHUNKS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Trials and stream of one estimate.
 
     ``point`` selects the estimate's streams under ``master_seed``: a sweep
-    gives each of its points its own index.
+    gives each of its points its own index. ``trials`` may span at most
+    MAX_CHUNKS chunks of ``chunk_size`` uses.
     """
 
     trials: int
@@ -103,10 +109,17 @@ class MonteCarloConfig:
             raise ValueError("trials must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.chunks > MAX_CHUNKS:
+            raise ValueError(f"trials / chunk_size needs {self.chunks} chunks, more than "
+                             f"the limit of {MAX_CHUNKS}; raise chunk_size")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.point < 0:
             raise ValueError(f"point must be >= 0, got {self.point}")
+
+    @property
+    def chunks(self) -> int:
+        return -(-self.trials // self.chunk_size)  # ceil
 
 
 @dataclass(frozen=True)
@@ -344,7 +357,7 @@ def run_estimates(
     each thread runs its chunks in its own workspace.
     """
     _check_workers(workers)
-    chunks = [range(-(-config.trials // config.chunk_size)) for _, config in points]  # ceil
+    chunks = [range(config.chunks) for _, config in points]
     threads = min(workers, sum(map(len, chunks)))
     if threads < 2:
         return [_estimate(_run_counts(scenario, config, indices), config.trials)

@@ -759,12 +759,16 @@ FLAT = degenerate(1e-12, 1e-12)
 # near 0 and 1, a budget just below P_pk): each window stands for the scan
 WINDOWED = (degenerate(0.5, 0.5), degenerate(modulation=(8, 1)), degenerate(1e-9),
             degenerate(1.0 - 1e-9), degenerate(peak_power=1.0, budget=1.0 - 1e-9))
+# P_d = 1e-6, P_f = 0.9 and a budget of 1e-6 P_pk: the golden states have not
+# settled into a 2-cycle by step 90 (a one-step loop first repeats at step 93)
+CAPPED = degenerate(1e-6, 0.9, peak_power=0.1, budget=1e-7)
 
 
 def counting_sep(monkeypatch):
     """Record the shape of every ``_sep`` call's argument between its rows
     and its points: (33,) for a scan call, (513,) for a full scan, (2,) for
-    the first probes, () for a golden step and (3,) for the final choice."""
+    the first probes, (3,) for a pair of golden steps (the first step's
+    probe and both the second step may take) and (3,) for the final choice."""
     calls = []
     sep = analytic._sep
 
@@ -853,15 +857,29 @@ class TestScanAndStop:
         scenarios = experiment._build(figure_preset(preset))[0]
         calls = counting_sep(monkeypatch)
         out = optimize_powers_sss(scenarios)
-        # one stacked run: the scan's two calls, one for the first probes, the
-        # steps and one for the final choice; none for a corner point
-        steps = len(calls) - 4
-        assert calls == [(33,), (33,), (2,)] + [()] * steps + [(3,)]
-        assert steps < 80  # the search stopped before step 80
+        # one stacked run: the scan's two calls, one for the first probes, one
+        # per pair of steps and one for the final choice; none for a corner point
+        pairs = len(calls) - 4
+        assert calls == [(33,), (33,), (2,)] + [(3,)] * pairs + [(3,)]
+        assert pairs < 40  # the search stopped before step 80
         monkeypatch.undo()
         for scenario, result in zip(scenarios, out):
             if active_segment(scenario) is not None:
                 assert_scalar_search(scenario, result)
+
+    # A one-step loop, one call per step, finds WINDOWED[0]'s state first
+    # equal to that of two steps before at step 67, the first step of pair
+    # 34, and WINDOWED[1]'s at step 66, the second step of pair 33.
+    @pytest.mark.parametrize("scenario,pairs", [(WINDOWED[0], 34), (WINDOWED[1], 33),
+                                                (CAPPED, 45)],
+                             ids=["first-step", "second-step", "cap"])
+    def test_search_stops_on_either_step_of_a_pair(self, monkeypatch, scenario, pairs):
+        # either stop, and the cap of 90 steps (45 pairs), returns the 90-step result
+        calls = counting_sep(monkeypatch)
+        out = optimize(scenario)
+        assert calls == [(33,), (33,), (2,)] + [(3,)] * pairs + [(3,)]
+        monkeypatch.undo()
+        assert_scalar_search(scenario, out)
 
     def test_corner_sweep_makes_no_sep_call(self, monkeypatch):
         """At Q_avg >= P_pk (fig1's P_pk is 4 dB) both powers sit at the peak:

@@ -233,6 +233,18 @@ class TestValidate:
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_experiment(config)
 
+    def test_chunk_count_capped(self):
+        # 10**8 one-use chunks would run for hours: the run's MonteCarloConfig
+        # refuses them, and so does validate, by the same rule
+        message = ("trials / chunk_size needs 100000000 chunks, more than the limit "
+                   "of 1048576; raise chunk_size")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulation.MonteCarloConfig(trials=10**8, master_seed=0, chunk_size=1)
+        config = replace(parse_config(make_text()), trials=10**8, chunk_size=1)
+        assert validate(config) == [f"monte_carlo: {message}"]
+        assert simulation.MAX_CHUNKS == 2**20
+        assert validate(replace(config, trials=2**20)) == []
+
     def test_explicit_powers_checked_against_constraints(self):
         config = parse_config(make_text(
             extra_scenario="p0_db = 10\np1_db = 0\n"))
@@ -508,6 +520,24 @@ class TestSweepPointsBuiltOnce:
             "sep_peak_interference_exact": [21], "sep_peak_interference": [21]}
 
 
+class TestSharedModelObjects:
+    """A sweep point builds only the model objects its swept value changes;
+    it shares the others with the points built before it."""
+
+    @pytest.mark.parametrize("preset,kept,changed", [
+        ("fig3", "constraints", "sensing"),  # p_detect
+        ("fig1", "sensing", "constraints"),  # q_avg_db
+    ])
+    def test_points_share_the_objects_their_value_leaves(self, preset, kept, changed):
+        scenarios, diags = experiment._build(figure_preset(preset))
+        assert diags == [] and len(scenarios) > 1
+        assert len({id(getattr(scenario, kept)) for scenario in scenarios}) == 1
+        assert len({id(getattr(scenario, changed)) for scenario in scenarios}) == len(scenarios)
+        # the mixture, and the peak-power specs the optimizer replaces
+        for name in ("interference", "spec_idle", "spec_busy"):
+            assert len({id(getattr(scenario, name)) for scenario in scenarios}) == 1
+
+
 def _sweep_outputs(config, tmp_path, workers):
     """(CSV bytes, JSON bytes) of one run with ``workers``."""
     csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
@@ -570,12 +600,12 @@ class TestPooledSweep:
                                   for point in range(3) for run in runs]
         assert rows == run_experiment(config)
 
-    def test_no_process_left_running(self):
+    def test_no_thread_left_running(self):
         threads = set(threading.enumerate())
         run_experiment(parse_config(make_text(trials=20_000)), workers=2)
         assert set(threading.enumerate()) == threads
 
-    def test_aborted_run_leaves_no_process_running(self, monkeypatch):
+    def test_aborted_run_leaves_no_thread_running(self, monkeypatch):
         chunk_counts = simulation._chunk_counts
 
         def broken(scenario, config, index):

@@ -207,7 +207,7 @@ class TestPoolTasks:
         (2, [[0, 1], [2, 3]]),
         (64, [[0], [1], [2], [3]]),
     ])
-    def test_lone_estimate_spreads_over_the_processes(self, pool_log, workers, runs):
+    def test_lone_estimate_spreads_over_the_threads(self, pool_log, workers, runs):
         scenario = make_scenario(Scheme.OSA, (2, 2), p0=1.0)
         config = MonteCarloConfig(trials=4_000, master_seed=5, chunk_size=1_000, point=2)
         pooled = run_monte_carlo(scenario, config, workers=workers)
