@@ -685,11 +685,12 @@ def _p1(p0, ppk, budget, p_d, floor, p0_at_ppk):
 
 
 # The optimizer's scan (``_scan_best``): indices 0..512 along the active
-# segment, a coarse pass at every 16th, and the relative margin by which a
-# window's ends must exceed its least SEP.
+# segment, a coarse pass at every 16th, the relative margin by which a window's
+# ends must exceed its least SEP, and the golden stop's bracket (``_lockstep``).
 _SCAN_LAST = 512
 _SCAN_STRIDE = 16
 _SCAN_MARGIN = 1e-13
+_BRACKET_TOL = 1e-13
 
 
 def _scan_p0(index, p0_min, p0_max):
@@ -742,34 +743,34 @@ def _scan_best(table: _Table, segment: tuple, p0_min, p0_max):
 def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
     """(P0, P1) arrays: golden-section search (Kiefer, 1953) on [a, b], then
     the first least SEP of its midpoint, ``p0_min`` and ``p0_max``, in that
-    order, for every point of a stacked table at once. ``np.where`` takes
-    each point's branch, so each point's result is its own search's, bit for
-    bit.
+    order, for every point of a stacked table at once.
 
     The steps go two per ``_sep`` call: an odd step's call evaluates its
     probe and both probes the next step may take, d - phi (d - a) if that
     step keeps [a, d] and c + phi (b - c) if it keeps [c, b] (a, b, c, d
     after the odd step), and the even step takes its own by ``np.where``.
-    Every probe and SEP is the float of a one-step loop, at half its calls:
-    one for the first two probes, one per pair of steps and one for the
-    three candidates.
+    Every probe and SEP is the float of a one-step loop, at half its calls.
 
-    The search stops at 90 steps (45 pairs), or once every point's state
-    (a, b, c, d, fc, fd) equals its state two steps earlier, after either
-    step of a pair. A step is a function of that state alone, so from there
-    the states alternate, and the state of step 90 is the current one or the
-    one before, by parity: the result is the 90-step result, bit for bit, at
-    fewer calls. The fig1, fig3 and fig4 sweeps stop after 69, 68 and 75
-    steps.
+    A point stops at its first step with b - a <= _BRACKET_TOL b, or at step
+    90, and the steps run until every point has stopped; a step that stops
+    the last point makes no call. The fig1, fig3 and fig4 sweeps take 54, 53
+    and 61 steps. ``np.where`` takes each point's branch, and each point
+    takes the [a, b] of its own stop step, so its result is a one-point
+    call's, bit for bit.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = _segment_sep(table, segment, np.array((c, d)))
-    states = [np.array((a, b, c, d, fc, fd))]  # the last three
+    brackets = np.empty((91, 2, len(a)))  # [a, b] after each step
+    stopped = np.zeros(len(a), bool)
     for step in range(1, 91):
         left = fc < fd  # keep [a, d] and probe left of c, else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
+        brackets[step, 0], brackets[step, 1] = a, b
+        stopped |= b - a <= _BRACKET_TOL * b
+        if stopped.all():
+            break
         if step % 2:
             x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
         else:  # the probe of this branch that the last call evaluated
@@ -780,13 +781,13 @@ def _lockstep(table: _Table, segment: tuple, p0_min, p0_max, a, b):
             values = _segment_sep(table, segment, probes)
             fx = values[0]
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        states = [*states[-2:], np.array((a, b, c, d, fc, fd))]
-        if len(states) == 3 and (states[2] == states[0]).all():
-            a, b = states[2 - step % 2][:2]  # step 90's state, by parity
-            break
-    candidates = np.array(((a + b) / 2.0, p0_min, p0_max))
+    a, b = brackets[1:step + 1].transpose(1, 0, 2)
+    closed = b - a <= _BRACKET_TOL * b
+    closed[-1] = True  # step 90, or the step that stopped the last point
+    stop, points = closed.argmax(axis=0), np.arange(len(stopped))
+    candidates = np.array(((a[stop, points] + b[stop, points]) / 2.0, p0_min, p0_max))
     choice = np.argmin(_segment_sep(table, segment, candidates), axis=0)
-    p0 = candidates[choice, np.arange(len(choice))]
+    p0 = candidates[choice, points]
     return p0, _p1(p0, *segment)
 
 
@@ -810,14 +811,13 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     (``_stack``), one ``_sep`` call per evaluation for all of them: the scan
     (``_scan_best``) is two calls, plus one over all 513 scan points where a
     window fails the margin test; then the golden steps run in lockstep
-    (``_lockstep``), two steps per call, until every point repeats its state
-    of two steps before. The fig1, fig3 and fig4 sweeps take 39, 38 and 42
-    calls (73, 72 and 79 at one step per call).
-    Each result equals that of a one-scenario call bit for bit, which
-    matters because one ulp of SEP moves the golden p0* by up to ~1e-8: each
-    SEP is the same float the per-point scan and search compute, the
-    window's first least is the scan's, and the stop returns the 90-step
-    state.
+    (``_lockstep``), two steps per call, until every point's bracket is
+    within 1e-13 relative. The fig1, fig3 and fig4 sweeps take 31, 30 and
+    34 calls. Each result equals that of a one-scenario call bit for bit,
+    which matters because one ulp of SEP moves the golden p0* by up to
+    ~1e-8: each SEP is the same float the per-point scan and search compute,
+    the window's first least is the scan's, and each point stops at its own
+    step.
     """
     scenarios = _sequence(scenarios)
     results: list = [None] * len(scenarios)

