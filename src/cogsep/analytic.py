@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mathcore import (GaussianMixture, QuadratureError, _check_positive, _scipy, erfcx,
-                       gaussian_q, integrate, integrate_family)
+from .mathcore import (GaussianMixture, QuadratureError, _check_nonnegative, _check_positive,
+                       _check_prob, _scipy, erfcx, gaussian_q, integrate, integrate_family)
 from .modulation import ConstellationSpec, PointClass
-from .sensing import ConditioningError, Occupancy, SensingModel, _check_prob
+from .sensing import ConditioningError, Occupancy, SensingModel
 
 __all__ = [
     "Scheme",
@@ -446,11 +446,6 @@ def _squared_distances(scenario: Scenario, table: _Table) -> np.ndarray:
                      for *_, decision in table.rows])
 
 
-def _check_magnitude(magnitude: float) -> None:
-    if not 0.0 <= magnitude < math.inf:
-        raise ValueError(f"magnitude must be nonnegative and finite, got {magnitude!r}")
-
-
 def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     """Average conditional SEP given the fading magnitude |h|.
 
@@ -459,7 +454,7 @@ def sep_conditional(scenario: Scenario, magnitude: float) -> float:
     mixture disturbances are weighted by the occupancy posteriors. The result
     lies in [0, 1 - 1/M].
     """
-    _check_magnitude(magnitude)
+    magnitude = _check_nonnegative("magnitude", magnitude)
     table = _branches(scenario)
     return float(_sep(table, _q_term, _squared_distances(scenario, table) * magnitude**2))
 
@@ -616,7 +611,7 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
     loop; raises QuadratureError if the error estimate exceeds 1e-10 of the
     result.
     """
-    _check_magnitude(magnitude)
+    magnitude = _check_nonnegative("magnitude", magnitude)
     table = _branches(scenario)
     spacing = [_spec(scenario, decision).min_distance() * magnitude
                for *_, decision in table.rows]
@@ -636,7 +631,7 @@ def max_power_osa(constraints: ConstraintSet, p_detect: float) -> float:
     """Maximum idle-decision power under the average interference limit.
 
     min(P_pk, Q_avg / ((1 - P_d) E{|g|^2})); the second term is infinite at
-    P_d = 1, where only the peak cap binds. ``p_detect`` must lie in [0, 1].
+    P_d = 1, where only the peak cap binds. ``p_detect`` is a probability.
     """
     if constraints.avg_interference is None:
         raise ValueError("avg_interference constraint required")

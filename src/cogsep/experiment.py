@@ -35,13 +35,12 @@ from .analytic import (
     sep_rayleigh,
     sep_upper_bound,
 )
-from .mathcore import GaussianMixture
+from .mathcore import GaussianMixture, _check_integer
 from .modulation import ConstellationSpec
 from .sensing import ConditioningError, SensingModel
 from .simulation import (
     InsufficientDataError,
     MonteCarloConfig,
-    _check_workers,
     run_estimates,
     run_monte_carlo,  # noqa: F401  (kept at this name for code that wraps it here)
 )
@@ -564,7 +563,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     """
     scenarios, diags = _build(config)
     try:
-        _check_workers(workers)
+        _check_integer("workers", workers, 1)
     except ValueError as exc:
         diags.append(str(exc))
     if diags:

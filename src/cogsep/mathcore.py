@@ -11,6 +11,9 @@ It evaluates a family of integrands once per refinement round, on a 1-D
 array holding the nodes of every open panel of all of them, so an oracle
 written over numpy arrays costs one call per round, not one per node.
 
+It is also the one home of the model-input rules, each with its one message:
+the ``_check_*`` functions, which every model class and entry point calls.
+
 This is the one module that touches scipy. It imports only ``scipy.special``,
 and only on first use: it is a large part of the time of ``import cogsep``,
 and no closed-form or Monte Carlo engine but the peak-policy bound needs it.
@@ -86,11 +89,27 @@ def _check_positive(name: str, value) -> float:
     return float(value)
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as a Python int; non-integers, text and bools are refused."""
+def _check_nonnegative(name: str, value) -> float:
+    """``value`` as a nonnegative, finite Python float; text and bools are refused."""
+    if isinstance(value, (str, bool, np.bool_)) or not 0 <= float(value) < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    return float(value)
+
+
+def _check_prob(name: str, value) -> float:
+    """``value`` as a Python float in [0, 1]; text and bools are refused."""
+    if isinstance(value, (str, bool, np.bool_)) or not 0.0 <= float(value) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int >= ``minimum``; non-integers and bools are refused."""
     # bool is an int subclass, but True is not a count
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -204,10 +223,7 @@ def craig_q_numeric(x: float, squared: bool = False) -> float:
     pi/4 for the squared variant. Valid for x >= 0 only. Serves as the
     independent oracle for ``gaussian_q``.
     """
-    if not math.isfinite(x):
-        raise ValueError("craig_q_numeric requires finite input")
-    if x < 0:
-        raise ValueError("craig_q_numeric requires x >= 0")
+    x = _check_nonnegative("x", x)
     upper = math.pi / 4 if squared else math.pi / 2
     xsq = x * x
     # the rule's nodes are interior to their panel, so sin(phi) > 0 at each
@@ -222,7 +238,7 @@ def craig_q_numeric(x: float, squared: bool = False) -> float:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianMixture:
     """Weighted sum of zero-mean circularly-symmetric complex Gaussians.
 
@@ -233,43 +249,35 @@ class GaussianMixture:
     ----------
     components : tuple of (weight, per-axis variance) pairs
         Weights must be nonnegative and sum to 1 within 1e-12; variances
-        must be positive and finite.
+        must be positive and finite. ``weights`` and ``variances`` hold them
+        as arrays.
     """
 
     components: tuple[tuple[float, float], ...]
-    _weights: np.ndarray = field(init=False, repr=False)
-    _variances: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    variances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        comps = tuple((float(w), float(v)) for w, v in self.components)
-        if not comps:
+        components = tuple(self.components)
+        if not components:
             raise ValueError("mixture needs at least one component")
-        weights = np.array([w for w, _ in comps])
-        variances = np.array([v for _, v in comps])
+        weights = np.array([float(w) for w, _ in components])
         # written so that NaN fails every check
         if not np.all(weights >= 0):
             raise ValueError("mixture weights must be nonnegative")
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"mixture weights must sum to 1 (got {float(weights.sum())!r})")
-        if not np.all((variances > 0) & (variances < np.inf)):
-            raise ValueError("mixture component variances must be positive and finite")
-        self.components = comps
-        self._weights = weights
-        self._variances = variances
+        variances = [_check_positive("mixture variance", v) for _, v in components]
+        object.__setattr__(self, "components", tuple(zip(weights.tolist(), variances)))
+        for name, values in (("weights", weights), ("variances", np.array(variances))):
+            values.flags.writeable = False  # frozen, as the components are
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_lists(cls, weights, variances) -> "GaussianMixture":
         if len(weights) != len(variances):
             raise ValueError("weights and variances must have equal length")
         return cls(tuple(zip(weights, variances)))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def variances(self) -> np.ndarray:
-        return self._variances
 
     def convolve_with_gaussian(self, noise_variance: float) -> "GaussianMixture":
         """Distribution of (mixture sample + independent complex Gaussian noise).
@@ -334,7 +342,7 @@ class GaussianMixture:
         """
         # weights may sum to 1 only within 1e-12; multinomial rejects a
         # probability above 1
-        counts = rng.multinomial(len(real), self._weights / self._weights.sum())
+        counts = rng.multinomial(len(real), self.weights / self.weights.sum())
         start = 0
         for c, (_, variance) in zip(counts.tolist(), self.components):
             if c:

@@ -47,9 +47,7 @@ class ConstellationSpec:
         for name in ("m_inphase", "m_quadrature"):
             # stored as a Python int: a numpy integer would wrap in m**2
             # without a warning
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.m_inphase < 1 or self.m_quadrature < 1:
-            raise ValueError("axis sizes must be >= 1")
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), 1))
         if self.size < 2:
             raise DegenerateConstellationError(
                 "constellation needs at least 2 points (M_I * M_Q >= 2)"

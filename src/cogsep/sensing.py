@@ -1,9 +1,14 @@
 """Spectrum-sensing reliability model: detection/false-alarm probabilities,
 channel-occupancy priors, and the posteriors the error-rate formulas consume.
+
+Its inputs are checked by ``mathcore._check_prob``: every model-input rule
+lives in ``mathcore``, and this module defines none.
 """
 
 from dataclasses import dataclass
 from enum import IntEnum
+
+from .mathcore import _check_prob
 
 __all__ = ["Occupancy", "SensingModel", "ConditioningError"]
 
@@ -17,13 +22,6 @@ class Occupancy(IntEnum):
 
 class ConditioningError(ValueError):
     """Conditioning on a zero-probability sensing decision."""
-
-
-def _check_prob(name: str, value: float) -> float:
-    """``value`` as a Python float in [0, 1]; text is not a probability."""
-    if isinstance(value, str) or not 0.0 <= float(value) <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,8 @@ class SensingModel:
     prior_busy: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_detect", _check_prob("p_detect", self.p_detect))
-        object.__setattr__(self, "p_false_alarm", _check_prob("p_false_alarm", self.p_false_alarm))
-        object.__setattr__(self, "prior_busy", _check_prob("prior_busy", self.prior_busy))
+        for name in ("p_detect", "p_false_alarm", "prior_busy"):
+            object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
 
     @property
     def prior_idle(self) -> float:

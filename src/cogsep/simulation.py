@@ -103,19 +103,11 @@ class MonteCarloConfig:
     point: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("trials", "master_seed", "chunk_size", "point"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        for name, minimum in (("trials", 1), ("master_seed", 0), ("chunk_size", 1), ("point", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), minimum))
         if self.chunks > MAX_CHUNKS:
             raise ValueError(f"trials / chunk_size needs {self.chunks} chunks, more than "
                              f"the limit of {MAX_CHUNKS}; raise chunk_size")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.point < 0:
-            raise ValueError(f"point must be >= 0, got {self.point}")
 
     @property
     def chunks(self) -> int:
@@ -332,12 +324,6 @@ def _runs(chunks: range, parts: int) -> list[range]:
     return [chunks[start:stop] for start, stop in zip(starts, starts[1:])]
 
 
-def _check_workers(workers) -> None:
-    _check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def run_estimates(
     points: list[tuple[Scenario, MonteCarloConfig]], workers: int = 1
 ) -> list[SepEstimate | InsufficientDataError]:
@@ -356,7 +342,7 @@ def run_estimates(
     thread. The tasks share the Scenarios rather than copies of them, and
     each thread runs its chunks in its own workspace.
     """
-    _check_workers(workers)
+    _check_integer("workers", workers, 1)
     chunks = [range(config.chunks) for _, config in points]
     threads = min(workers, sum(map(len, chunks)))
     if threads < 2:

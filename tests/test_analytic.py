@@ -264,7 +264,7 @@ class TestSepGeneralNumeric:
 
 
 @pytest.mark.parametrize("function", [sep_conditional, sep_general_numeric])
-@pytest.mark.parametrize("magnitude", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("magnitude", [-1.0, math.nan, math.inf, "1.0", True])
 def test_magnitude_nonnegative_and_finite(function, magnitude):
     with pytest.raises(ValueError, match="magnitude must be nonnegative and finite"):
         function(make_scenario(), magnitude)
@@ -775,6 +775,9 @@ def degenerate(p_d=0.9, p_f=0.05, modulation=(2, 2), peak_power=P_4DB, budget=0.
 # at P_d = P_f = 1e-12 both powers barely move the SEP along the segment, so
 # its window cannot stand for the scan
 FLAT = degenerate(1e-12, 1e-12)
+# as flat, and here the window's least is not the scan's: index 250 against
+# 259, which the optimizer's third, full-scan call corrects
+SCANNED = degenerate(1e-12, 1e-12, peak_power=1.0, budget=0.5)
 # the least inside the segment (P_d = P_f, PAM) and at either end of it (P_d
 # near 0 and 1, a budget just below P_pk): each window stands for the scan
 WINDOWED = (degenerate(0.5, 0.5), degenerate(modulation=(8, 1)), degenerate(1e-9),
@@ -813,6 +816,7 @@ class TestScanAndStop:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(scenario=sss_scenarios(edges=True).map(binding))
     @example(scenario=FLAT)
+    @example(scenario=SCANNED)
     @example(scenario=WINDOWED[0])
     @example(scenario=WINDOWED[1])
     @example(scenario=WINDOWED[2])

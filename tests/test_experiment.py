@@ -171,8 +171,10 @@ class TestValidate:
         ("noise_variance", float("inf"), "noise_variance must be positive and finite"),
         ("noise_variance", True, "noise_variance must be positive and finite, got True"),
         ("noise_variance", "0.01", "noise_variance must be positive and finite, got '0.01'"),
-        ("m_quadrature", 0, "axis sizes"),
+        ("m_quadrature", 0, "m_quadrature must be >= 1, got 0"),
         ("m_inphase", True, "m_inphase must be an integer, got True"),
+        ("mixture_variances", (0.2, "0.4", 0.6, 0.8),
+         "mixture variance must be positive and finite, got '0.4'"),
         ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
         ("p_pk_db", 4000.0, "out of range"),
     ])
@@ -223,8 +225,10 @@ class TestValidate:
         ("trials", True, "trials must be an integer, got True"),
         ("chunk_size", 1000.5, "chunk_size must be an integer, got 1000.5"),
         ("seed", True, "master_seed must be an integer, got True"),
-        ("trials", 0, "trials must be >= 1"),
-    ], ids=["trials-2.5", "trials-True", "chunk_size-1000.5", "seed-True", "trials-0"])
+        ("trials", 0, "trials must be >= 1, got 0"),
+        ("chunk_size", 0, "chunk_size must be >= 1, got 0"),
+    ], ids=["trials-2.5", "trials-True", "chunk_size-1000.5", "seed-True", "trials-0",
+            "chunk_size-0"])
     def test_monte_carlo_rules_are_the_runs(self, field, value, message):
         # validate applies the rules of the run's MonteCarloConfig, so the run
         # rejects such a config as a config error, before any closed form runs
@@ -730,6 +734,18 @@ class TestCli:
                      "--engines", "analytic", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 22  # header + 21 sweep points
+
+    def test_engine_shorthands(self, tmp_path):
+        # README's a,b,mc: case, spaces and an empty last name do not matter
+        assert experiment.normalize_engines(" A, b ,mc,") == (
+            "analytic", "bound", "monte_carlo")
+        written = []
+        for engines in ("a,b", "analytic,bound"):
+            out, js = tmp_path / f"{engines}.csv", tmp_path / f"{engines}.json"
+            assert main(["preset", "fig1", "--engines", engines,
+                         "--out", str(out), "--json", str(js)]) == 0
+            written.append((out.read_bytes(), js.read_bytes()))
+        assert written[0] == written[1]
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):
         code = main(["preset", "fig3", "--engines", "analytic", "--workers", "0",

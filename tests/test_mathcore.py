@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -52,7 +53,7 @@ class TestCraigQNumeric:
             gaussian_q(1.0) ** 2, abs=1e-9)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x must be nonnegative and finite, got -0\.5$"):
             craig_q_numeric(-0.5)
 
     def test_grid_agreement_with_erfc_form(self):
@@ -207,14 +208,35 @@ class TestGaussianMixtureValidation:
         ([0.5, math.nan], [0.1, 0.2]),
         ([0.5, 0.5], [0.1, math.nan]),
         ([0.5, 0.5], [0.1, math.inf]),
-    ], ids=["nan-weight", "nan-variance", "inf-variance"])
+        ([0.5, 0.5], [0.1, "0.2"]),
+        ([0.5, 0.5], [0.1, True]),
+    ], ids=["nan-weight", "nan-variance", "inf-variance", "text-variance", "bool-variance"])
     def test_nonfinite_values_rejected(self, weights, variances):
-        with pytest.raises(ValueError, match="mixture"):
+        # a variance is refused by the one positive-and-finite rule, and named
+        message = "mixture weights" if math.isnan(weights[1]) else (
+            f"mixture variance must be positive and finite, got {variances[1]!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             GaussianMixture.from_lists(weights, variances)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             GaussianMixture.from_lists([0.5, 0.5], [0.1])
+
+    def test_frozen_and_compared_by_components(self):
+        # like the other model classes: immutable, hashable and equal by value;
+        # the arrays repeat the components' numbers and are not compared or shown
+        mixture = GaussianMixture.from_lists([0.5, 0.5], [0.1, 0.2])
+        same = GaussianMixture(zip([0.5, 0.5], [0.1, 0.2]))  # read once
+        assert mixture == same and hash(mixture) == hash(same)
+        assert repr(mixture) == "GaussianMixture(components=((0.5, 0.1), (0.5, 0.2)))"
+        assert mixture.weights.tolist() == [0.5, 0.5]
+        assert mixture.variances.tolist() == [0.1, 0.2]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mixture.components = ((1.0, 0.1),)
+        with pytest.raises(ValueError, match="read-only"):
+            mixture.weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mixture.variances *= 2.0
 
 
 class TestConvolution:

@@ -20,7 +20,8 @@ IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
 
 class TestValidation:
     @pytest.mark.parametrize("field", ["p_detect", "p_false_alarm", "prior_busy"])
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, "0.05"])  # text at construction, not first use
+    # text at construction, not first use; True is not a probability
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, "0.05", True])
     def test_fields_in_unit_interval(self, field, bad):
         kwargs = dict(p_detect=0.9, p_false_alarm=0.05, prior_busy=0.4)
         kwargs[field] = bad

@@ -45,16 +45,19 @@ from conftest import P_4DB, make_scenario
 
 class TestConfigValidation:
     def test_trials_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
             MonteCarloConfig(trials=0, master_seed=1)
 
     def test_chunk_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^chunk_size must be >= 1, got 0$"):
             MonteCarloConfig(trials=10, master_seed=1, chunk_size=0)
 
     def test_seed_nonnegative(self):
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             MonteCarloConfig(trials=10, master_seed=-1)
+        # the first broken field in field order is the one reported
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            MonteCarloConfig(trials=10, master_seed=-1, chunk_size=0)
 
     def test_point_nonnegative(self):
         with pytest.raises(ValueError, match="point must be >= 0"):
