@@ -77,23 +77,23 @@ class ConstraintSet:
     ``avg_interference`` caps the sensing-weighted mean interference power at
     the primary receiver; ``peak_interference`` caps the instantaneous
     received power (requires knowing the gain realization). At most the
-    relevant one needs to be present for a given policy.
+    relevant one needs to be present for a given policy. The gain to the
+    primary has E{|g|^2} = 1 (a mean gain mu enters as the limits Q / mu).
+    ``avg_interference``, the optimizer's budget, must be a normal float.
     """
 
     peak_power: float
     avg_interference: float | None = None
     peak_interference: float | None = None
-    mean_gain_to_primary: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("peak_power", "avg_interference", "peak_interference",
-                     "mean_gain_to_primary"):
+        for name in ("peak_power", "avg_interference", "peak_interference"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _check_positive(name, value))
-        avg, gain = self.avg_interference, self.mean_gain_to_primary
-        if avg is not None and not avg / gain >= np.finfo(float).tiny:  # a normal float
-            raise ValueError("avg_interference / mean_gain_to_primary underflows")
+        avg = self.avg_interference
+        if avg is not None and not avg >= np.finfo(float).tiny:
+            raise ValueError("avg_interference underflows the normal float range")
 
 
 @dataclass(frozen=True)
@@ -630,17 +630,16 @@ def sep_general_numeric(scenario: Scenario, magnitude: float) -> float:
 def max_power_osa(constraints: ConstraintSet, p_detect: float) -> float:
     """Maximum idle-decision power under the average interference limit.
 
-    min(P_pk, Q_avg / ((1 - P_d) E{|g|^2})); the second term is infinite at
-    P_d = 1, where only the peak cap binds. ``p_detect`` is a probability.
+    min(P_pk, Q_avg / (1 - P_d)), with E{|g|^2} = 1 (``ConstraintSet``); the
+    second term is infinite at P_d = 1, where only the peak cap binds.
+    ``p_detect`` is a probability.
     """
     if constraints.avg_interference is None:
         raise ValueError("avg_interference constraint required")
     p_detect = _check_prob("p_detect", p_detect)
     if p_detect >= 1.0:
         return constraints.peak_power
-    limit = constraints.avg_interference / (
-        (1.0 - p_detect) * constraints.mean_gain_to_primary)
-    return min(constraints.peak_power, limit)
+    return min(constraints.peak_power, constraints.avg_interference / (1.0 - p_detect))
 
 
 def peak_power_policy(constraints: ConstraintSet, gain, out=None):
@@ -793,8 +792,8 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
 
     A scenario gives the grid, sensing, noise, mixture and constraints; the
     powers its specs carry are ignored. Subject to P0, P1 <= P_pk and the
-    sensing-weighted average interference limit
-    (1 - P_d) P0 E{|g|^2} + P_d P1 E{|g|^2} <= Q_avg. The SEP is strictly
+    sensing-weighted average interference limit (1 - P_d) P0 + P_d P1 <= Q_avg,
+    with E{|g|^2} = 1 (``ConstraintSet``). The SEP is strictly
     decreasing in each power, so the optimum sits on the upper boundary of the
     feasible set; a 513-point scan along the active constraint segment
     brackets the best point and golden-section search refines it.
@@ -824,7 +823,7 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
         if constraints is None or constraints.avg_interference is None:
             raise ValueError("avg_interference constraint required")
         ppk = constraints.peak_power
-        budget = constraints.avg_interference / constraints.mean_gain_to_primary
+        budget = constraints.avg_interference
         p_d = scenario.sensing.p_detect
 
         # The constraint inactive at the corner, or only one power under the budget.

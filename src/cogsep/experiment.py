@@ -131,7 +131,6 @@ class ExperimentConfig:
     p_pk_db: float
     q_avg_db: float | None
     q_pk_db: float | None
-    mean_gain_to_primary: float
     sweep: SweepSpec
     engines: tuple[str, ...]
     trials: int = DEFAULT_TRIALS
@@ -204,80 +203,74 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{section}.{key} is not a list of numbers: {raw!r}")
 
+    scheme_raw = get("scenario", "scheme", "")
     try:
-        scheme_raw = get("scenario", "scheme", "")
+        scheme = Scheme(scheme_raw.strip().lower())
+    except ValueError:
+        raise ConfigError(f"scenario.scheme must be sss or osa, got {scheme_raw!r}")
+
+    modulation = get("scenario", "modulation", "")
+    try:
+        mi_raw, mq_raw = modulation.lower().split("x")
+        mi, mq = int(mi_raw), int(mq_raw)
+    except ValueError:
+        raise ConfigError(
+            f"scenario.modulation must look like '4x2', got {modulation!r}")
+
+    def fget(section, key, default=None):
+        raw = get(section, key)
+        if raw is None:
+            if default is None:
+                raise ConfigError(f"missing required key {section}.{key}")
+            return default
         try:
-            scheme = Scheme(scheme_raw.strip().lower())
+            return float(raw)
         except ValueError:
-            raise ConfigError(f"scenario.scheme must be sss or osa, got {scheme_raw!r}")
+            raise ConfigError(f"{section}.{key} is not a number: {raw!r}")
 
-        modulation = get("scenario", "modulation", "")
+    def fopt(section, key):
+        raw = get(section, key)
+        return None if raw is None else fget(section, key)
+
+    def iget(section, key, default):
+        raw = get(section, key)
         try:
-            mi_raw, mq_raw = modulation.lower().split("x")
-            mi, mq = int(mi_raw), int(mq_raw)
+            return default if raw is None else int(raw)  # every digit, as --seed
         except ValueError:
-            raise ConfigError(
-                f"scenario.modulation must look like '4x2', got {modulation!r}")
+            value = fget(section, key)
+        if not (value.is_integer() and abs(value) < 2**53):  # a float holds it exactly
+            raise ConfigError(f"{section}.{key} must be a whole number (a decimal or "
+                              f"exponent form only below 2**53), got {raw!r}")
+        return int(value)
 
-        def fget(section, key, default=None):
-            raw = get(section, key)
-            if raw is None:
-                if default is None:
-                    raise ConfigError(f"missing required key {section}.{key}")
-                return default
-            try:
-                return float(raw)
-            except ValueError:
-                raise ConfigError(f"{section}.{key} is not a number: {raw!r}")
-
-        def fopt(section, key):
-            raw = get(section, key)
-            return None if raw is None else fget(section, key)
-
-        def iget(section, key, default):
-            raw = get(section, key)
-            try:
-                return default if raw is None else int(raw)  # every digit, as --seed
-            except ValueError:
-                value = fget(section, key)
-            if not (value.is_integer() and abs(value) < 2**53):  # a float holds it exactly
-                raise ConfigError(f"{section}.{key} must be a whole number (a decimal or "
-                                  f"exponent form only below 2**53), got {raw!r}")
-            return int(value)
-
-        config = ExperimentConfig(
-            scheme=scheme,
-            m_inphase=mi,
-            m_quadrature=mq,
-            p_detect=fget("scenario", "p_detect"),
-            p_false_alarm=fget("scenario", "p_false_alarm"),
-            prior_busy=fget("scenario", "prior_busy"),
-            noise_variance=fget("scenario", "noise_variance"),
-            mixture_weights=flist("mixture", "weights"),
-            mixture_variances=flist("mixture", "variances"),
-            p_pk_db=fget("constraints", "p_pk_db"),
-            q_avg_db=fopt("constraints", "q_avg_db"),
-            q_pk_db=fopt("constraints", "q_pk_db"),
-            mean_gain_to_primary=fget("constraints", "mean_gain_to_primary", 1.0),
-            sweep=SweepSpec(
-                axis=get("sweep", "axis", "").strip(),
-                start=fget("sweep", "start"),
-                stop=fget("sweep", "stop"),
-                step=fget("sweep", "step"),
-            ),
-            engines=normalize_engines(get("output", "engines", "analytic,bound,monte_carlo")),
-            trials=iget("monte_carlo", "trials", DEFAULT_TRIALS),
-            seed=iget("monte_carlo", "seed", DEFAULT_SEED),
-            chunk_size=iget("monte_carlo", "chunk_size", MonteCarloConfig.chunk_size),
-            output_path=get("output", "path") or None,
-            json_path=get("output", "json_path") or None,
-            p0_db=fopt("scenario", "p0_db"),
-            p1_db=fopt("scenario", "p1_db"),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    config = ExperimentConfig(
+        scheme=scheme,
+        m_inphase=mi,
+        m_quadrature=mq,
+        p_detect=fget("scenario", "p_detect"),
+        p_false_alarm=fget("scenario", "p_false_alarm"),
+        prior_busy=fget("scenario", "prior_busy"),
+        noise_variance=fget("scenario", "noise_variance"),
+        mixture_weights=flist("mixture", "weights"),
+        mixture_variances=flist("mixture", "variances"),
+        p_pk_db=fget("constraints", "p_pk_db"),
+        q_avg_db=fopt("constraints", "q_avg_db"),
+        q_pk_db=fopt("constraints", "q_pk_db"),
+        sweep=SweepSpec(
+            axis=get("sweep", "axis", "").strip(),
+            start=fget("sweep", "start"),
+            stop=fget("sweep", "stop"),
+            step=fget("sweep", "step"),
+        ),
+        engines=normalize_engines(get("output", "engines", "analytic,bound,monte_carlo")),
+        trials=iget("monte_carlo", "trials", DEFAULT_TRIALS),
+        seed=iget("monte_carlo", "seed", DEFAULT_SEED),
+        chunk_size=iget("monte_carlo", "chunk_size", MonteCarloConfig.chunk_size),
+        output_path=get("output", "path") or None,
+        json_path=get("output", "json_path") or None,
+        p0_db=fopt("scenario", "p0_db"),
+        p1_db=fopt("scenario", "p1_db"),
+    )
     unknown = [f"{section}.{key}" for section in cp.sections() for key in cp[section]
                if f"{section}.{key}" not in read]
     if unknown:
@@ -366,8 +359,7 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
     # unit power: the grid is checked here, each transmit power in the Scenario
     grid = ConstellationSpec, config.m_inphase, config.m_quadrature
     built.get(key := (*grid, 1.0)) or made(key)
-    gain = config.mean_gain_to_primary
-    constraints = (built.get(key := (ConstraintSet, p_pk, q_avg, q_pk, gain)) or made(key)
+    constraints = (built.get(key := (ConstraintSet, p_pk, q_avg, q_pk)) or made(key)
                    if converted else None)
     if diags:
         raise ConfigError(*diags)
@@ -381,7 +373,7 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
         p1 = 0.0 if p1 is None else p1
         if p0 > p_pk * (1 + 1e-12) or p1 > p_pk * (1 + 1e-12):
             diags.append("explicit powers exceed the peak power constraint")
-        if (1 - p_d) * p0 * gain + p_d * p1 * gain > q_avg * (1 + 1e-12):
+        if (1 - p_d) * p0 + p_d * p1 > q_avg * (1 + 1e-12):
             diags.append("explicit powers violate the average interference constraint")
     elif sss:
         p0 = p1 = p_pk

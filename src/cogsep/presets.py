@@ -55,7 +55,6 @@ def _base(scheme: Scheme, sweep: SweepSpec, *, q_avg_db=None, q_pk_db=None,
         p_pk_db=P_PK_DB,
         q_avg_db=q_avg_db,
         q_pk_db=q_pk_db,
-        mean_gain_to_primary=1.0,
         sweep=sweep,
         engines=("analytic", "bound", "monte_carlo"),
     )

@@ -128,7 +128,8 @@ class TestParsing:
         ("p_detect = 0.9", "p_detect = x", "scenario.p_detect is not a number: 'x'"),
         ("weights = 0.25,0.25,", "weights = 0.25,x,",
          "mixture.weights is not a list of numbers: '0.25,x,0.25,0.25'"),
-    ], ids=["missing", "not-a-number", "not-a-list"])
+        ("scheme = sss", "scheme = fdd", "scenario.scheme must be sss or osa, got 'fdd'"),
+    ], ids=["missing", "not-a-number", "not-a-list", "bad-scheme"])
     def test_parse_errors_name_section_and_key(self, old, new, message):
         with pytest.raises(ConfigError) as failure:
             parse_config(make_text().replace(old, new))
@@ -175,7 +176,6 @@ class TestValidate:
         ("m_inphase", True, "m_inphase must be an integer, got True"),
         ("mixture_variances", (0.2, "0.4", 0.6, 0.8),
          "mixture variance must be positive and finite, got '0.4'"),
-        ("mean_gain_to_primary", -1.0, "mean_gain_to_primary must be positive"),
         ("p_pk_db", 4000.0, "out of range"),
     ])
     def test_model_errors_reported(self, field, value, fragment):
@@ -199,22 +199,33 @@ class TestValidate:
         config = replace(figure_preset(preset), **updates)
         assert validate(config) == [f"{expected} is out of range"]
 
-    def test_osa_with_busy_power(self):
-        config = parse_config(make_text(scheme="osa", extra_scenario="p1_db = 0\n"))
-        diags = validate(config)
-        assert any("P1 = 0" in d for d in diags)
+    @pytest.mark.parametrize("edits,expected", [
+        ({"constraint": ""}, ["one of constraints.q_avg_db / q_pk_db is required"]),
+        ({"constraint": "q_avg_db = -10\nq_pk_db = 0"},
+         ["q_avg_db and q_pk_db are mutually exclusive",
+          "sweeping q_avg_db requires the average-interference mode"]),
+        ({"scheme": "osa", "extra_scenario": "p1_db = 0\n"},
+         ["OSA forbids transmission when sensed busy: P1 = 0, remove p1_db"]),
+        ({"extra_scenario": "p0_db = 0\n"}, ["explicit powers for SSS need both p0_db and p1_db"]),
+        ({"constraint": "q_pk_db = 0", "extra_scenario": "p0_db = 0\np1_db = 0\n",
+          "axis": "p_detect", "start": 0.5, "stop": 0.9, "step": 0.2},
+         ["explicit powers cannot be combined with the peak policy"]),
+        ({"axis": "q_pk_db"}, ["sweep.axis must be one of ('q_avg_db', 'p_pk_db', 'p_detect', "
+                               "'p_false_alarm'), got 'q_pk_db'"]),
+        ({"start": 0, "stop": -1, "step": 1},
+         ["sweep range is empty (need start <= stop and step > 0)"]),
+        ({"engines": ""}, ["at least one engine is required"]),
+        ({"engines": "analytic,magic"},
+         ["unknown engine 'magic' (choose from ('analytic', 'bound', 'monte_carlo'))"]),
+    ], ids=["no-limit", "both-limits", "osa-busy-power", "sss-one-power", "explicit-peak",
+            "bad-axis", "empty-sweep", "no-engine", "unknown-engine"])
+    def test_config_diagnostics(self, edits, expected):
+        assert validate(parse_config(make_text(**edits))) == expected
 
-    def test_conflicting_constraints(self):
-        config = parse_config(make_text(constraint="q_avg_db = -10\nq_pk_db = 0"))
-        assert any("mutually exclusive" in d for d in validate(config))
-
-    def test_unknown_engine(self):
-        config = parse_config(make_text(engines="analytic,magic"))
-        assert any("magic" in d for d in validate(config))
-
-    def test_empty_sweep(self):
-        config = parse_config(make_text(start=0, stop=-1, step=1))
-        assert any("sweep range is empty" in d for d in validate(config))
+    def test_readme_config_is_clean(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert validate(parse_config(block)) == []
 
     def test_negative_seed_reported(self):
         config = replace(parse_config(make_text()), seed=-1)

@@ -5,8 +5,8 @@ the very Scenarios that validation built, so either ``validate`` reports a
 problem and the run stops with a ConfigError before it writes anything, or
 every point yields a feasible row with a finite bound. A prior in (0, 1) and
 P_f < 1 keep the idle decision possible, so no row may be infeasible. Noise
-and mixture values include NaN and inf, and the mean gain to the primary
-reaches 1e300, where the interference budget underflows.
+and mixture values include NaN and inf, and an example sets q_avg_db = -3100,
+where the interference budget 1e-310 is a subnormal float.
 
 The closed forms evaluate a whole sweep in one call, bit for bit as one
 Scenario at a time, an infeasible point included.
@@ -41,7 +41,6 @@ DECIBELS = st.one_of(
 )
 DB_STEPS = st.sampled_from([0.5, 1.0, 150.0, 1000.0])
 NOISE = st.sampled_from([0.01, 1e-300, math.nan, math.inf])
-GAINS = st.sampled_from([1.0, 1e-3, 1e150, 1e300])
 NONFINITE = st.sampled_from([math.nan, math.inf])
 SLACK = 1 + 1e-12
 
@@ -83,7 +82,6 @@ def configs(draw):
         noise_variance=draw(NOISE),
         mixture_weights=weights,
         mixture_variances=variances,
-        mean_gain_to_primary=draw(GAINS),
         p_pk_db=draw(DECIBELS),
         q_avg_db=None if peak else draw(DECIBELS),
         q_pk_db=draw(DECIBELS) if peak else None,
@@ -100,8 +98,7 @@ def assert_feasible(config, row):
     p_pk = 10.0 ** (point.p_pk_db / 10.0)
     assert 0 < row.p0 <= p_pk * SLACK and 0 <= row.p1 <= p_pk * SLACK
     if point.q_avg_db is not None:
-        load = ((1 - point.p_detect) * row.p0 + point.p_detect * row.p1) \
-            * point.mean_gain_to_primary
+        load = (1 - point.p_detect) * row.p0 + point.p_detect * row.p1
         assert load <= 10.0 ** (point.q_avg_db / 10.0) * SLACK
 
 
@@ -114,8 +111,7 @@ def _preset(name, **updates):
 @example(config=_preset("fig2", noise_variance=math.nan))
 @example(config=_preset("fig1", mixture_weights=(0.25, 0.25, 0.25, math.nan)))
 @example(config=_preset("fig1", mixture_variances=(0.2, 0.4, math.nan, 0.8)))
-@example(config=_preset("fig3", mean_gain_to_primary=1e300, q_avg_db=-3000.0))
-@example(config=_preset("fig3", mean_gain_to_primary=1e300, q_avg_db=-235.0))
+@example(config=_preset("fig3", q_avg_db=-3100.0))
 def test_validated_config_runs_at_every_point(config):
     assume(config.sweep.axis != "p_false_alarm" or 1.0 not in config.sweep.values())
     diags = validate(config)
