@@ -106,7 +106,7 @@ class Scenario:
     primary-signal mixture; ``noise_variance`` is the per-axis background
     noise variance. ``power_policy`` is "fixed" for constant powers or
     "peak_interference" when the power tracks the instantaneous gain as
-    min(P_pk, Q_pk/|g|^2).
+    min(P_pk, Q_pk/|g|^2); its specs then carry the cap P_pk.
     """
 
     scheme: Scheme
@@ -124,8 +124,13 @@ class Scenario:
         if self.power_policy not in ("fixed", "peak_interference"):
             raise ValueError(f"unknown power_policy {self.power_policy!r}")
         peak_limit = self.constraints and self.constraints.peak_interference
-        if self.power_policy == "peak_interference" and peak_limit is None:
-            raise ValueError("the peak_interference policy needs that constraint")
+        if self.power_policy == "peak_interference":
+            if peak_limit is None:
+                raise ValueError("the peak_interference policy needs that constraint")
+            if any(spec and spec.power != self.constraints.peak_power
+                   for spec in (self.spec_idle, self.spec_busy)):
+                raise ValueError("the peak_interference policy needs spec powers "
+                                 "equal to peak_power")
         if self.scheme is Scheme.OSA:
             if self.spec_busy is not None:
                 raise ValueError("OSA forbids transmission when sensed busy (P1 = 0)")
@@ -172,22 +177,20 @@ class _Table(NamedTuple):
     c2: float | np.ndarray
 
 
-def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
+def _branches(scenario: Scenario) -> _Table:
     """Branch table of a scenario; build it once per sweep (``_tables``).
 
     For SSS the weights are the sensing-decision probabilities; for OSA only
-    the idle decision transmits and the (conditional) weight is 1.
-    ``collapse`` is the peak policy's single row: with P0* = P1* the SSS
+    the idle decision transmits and the (conditional) weight is 1. Under the
+    peak policy SSS has one row: with P0 = P1 = P_pk (``Scenario``) the
     sensing-decision average collapses by total probability onto the
     occupancy priors, so error rates do not depend on (P_d, P_f); OSA still
     conditions on an idle decision. Raises ConditioningError where OSA's idle
     decision has probability 0.
     """
-    if collapse and scenario.power_policy != "peak_interference":
-        raise ValueError("scenario needs the peak_interference power policy")
     s = scenario.sensing
     osa = scenario.scheme is Scheme.OSA
-    if collapse and not osa:
+    if scenario.power_policy == "peak_interference" and not osa:
         rows = [(1.0, s.prior_idle, s.prior_busy, Occupancy.IDLE)]
     else:
         rows = []
@@ -210,9 +213,9 @@ def _branches(scenario: Scenario, collapse: bool = False) -> _Table:
 class _Sweep(list):
     """A sweep's Scenarios and the branch tables ``_tables`` built for them,
     shared by its optimizer and closed forms and kept at resolved powers. In a
-    sweep only the SensingModel and the collapse flag vary a table: its points
-    share one scheme, power policy, noise, mixture and grid, so ``_tables``
-    keys its tables by those two alone."""
+    sweep only the SensingModel varies a table: its points share one scheme,
+    power policy, noise, mixture and grid, so ``_tables`` keys its tables by
+    the SensingModel alone."""
 
     def __init__(self, scenarios=(), tables: dict | None = None):
         super().__init__(scenarios)
@@ -231,20 +234,20 @@ def _sequence(scenarios) -> Sequence:
     return list(scenarios)
 
 
-def _tables(scenarios: Sequence[Scenario], collapse: bool = False) -> list:
+def _tables(scenarios: Sequence[Scenario]) -> list:
     """Each scenario's branch table, or its ConditioningError, in order: one
     build per distinct table input, which a ``_Sweep`` keeps for later calls."""
     sweep = isinstance(scenarios, _Sweep)
     kept = scenarios.tables if sweep else {}
     tables = []
     for scenario in scenarios:
-        key = ((scenario.sensing, collapse) if sweep else
-               (scenario.sensing, collapse, scenario.scheme, scenario.power_policy,
+        key = (scenario.sensing if sweep else
+               (scenario.sensing, scenario.scheme, scenario.power_policy,
                 scenario.noise_variance, scenario.interference.components,
                 scenario.m_inphase, scenario.m_quadrature))
         if key not in kept:
             try:
-                kept[key] = _branches(scenario, collapse)
+                kept[key] = _branches(scenario)
             except ConditioningError as exc:
                 kept[key] = exc
         tables.append(kept[key])
@@ -325,7 +328,7 @@ def _column(points, value):
 _STACK_POINTS = 256
 
 
-def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
+def _closed_form(scenarios, evaluate, *args):
     """``evaluate(table, points, *args)`` of one Scenario, as a float, or of
     each of a sequence (or any iterable, read once) of them, as a list in
     order.
@@ -338,9 +341,9 @@ def _closed_form(scenarios, evaluate, *args, collapse: bool = False):
     are still evaluated.
     """
     if isinstance(scenarios, Scenario):
-        return float(evaluate(_branches(scenarios, collapse), scenarios, *args))
+        return float(evaluate(_branches(scenarios), scenarios, *args))
     scenarios = _sequence(scenarios)
-    results = _tables(scenarios, collapse)
+    results = _tables(scenarios)
     groups: dict = {}
     for index, (scenario, table) in enumerate(zip(scenarios, results)):
         if not isinstance(table, ConditioningError):
@@ -817,8 +820,9 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     results: list = [None] * len(scenarios)
     groups: dict = {}
     for index, (scenario, table) in enumerate(zip(scenarios, _tables(scenarios))):
-        if scenario.scheme is not Scheme.SSS:
-            raise ValueError("the power optimizer needs an SSS scenario")
+        if scenario.scheme is not Scheme.SSS or scenario.power_policy != "fixed":
+            raise ValueError("the power optimizer needs an SSS scenario under the fixed "
+                             "power policy")
         constraints = scenario.constraints
         if constraints is None or constraints.avg_interference is None:
             raise ValueError("avg_interference constraint required")
@@ -860,6 +864,8 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
 def _peak_constants(scenario: Scenario) -> tuple[float, float, float, float]:
     """P_pk, Q_pk, b1 = Q_pk / P_pk and e^{-b1}, by libm: ``np.exp`` need not
     round as it does."""
+    if scenario.power_policy != "peak_interference":
+        raise ValueError("scenario needs the peak_interference power policy")
     ppk, qpk = scenario.constraints.peak_power, scenario.constraints.peak_interference
     return ppk, qpk, qpk / ppk, math.exp(-(qpk / ppk))
 
@@ -893,7 +899,7 @@ def sep_peak_interference(scenarios: Scenario | Iterable[Scenario]):
     stays finite where a literal e^{gamma} Q(...) product would overflow.
     Takes one Scenario or a sequence, as ``sep_rayleigh`` does.
     """
-    return _closed_form(scenarios, _peak_bound, collapse=True)
+    return _closed_form(scenarios, _peak_bound)
 
 
 # e^{-y} underflows past y = 745: no gain mass lies beyond it.
@@ -924,7 +930,7 @@ def _gain_average(scenario: Scenario, bound: bool) -> float:
     so a relative-only 1e-12 rule runs out of panels there (ROADMAP item 1).
     Raises QuadratureError if the error estimate exceeds 1e-8.
     """
-    table = _branches(scenario, collapse=True)
+    table = _branches(scenario)
     b1, _, qpk, head = _peak_split(table, scenario, bound)
     if b1 >= _GAIN_END:
         return head
@@ -982,4 +988,4 @@ def sep_peak_interference_exact(scenarios: Scenario | Iterable[Scenario]):
     sequence, as ``sep_rayleigh`` does; a sequence evaluates each group of
     points on one (rows x variances x nodes x points) table.
     """
-    return _closed_form(scenarios, _peak_exact, collapse=True)
+    return _closed_form(scenarios, _peak_exact)

@@ -35,7 +35,7 @@ from .analytic import (
     sep_rayleigh,
     sep_upper_bound,
 )
-from .mathcore import GaussianMixture, _check_integer
+from .mathcore import GaussianMixture, _check_integer, _check_positive, _in_noise_span
 from .modulation import ConstellationSpec
 from .sensing import ConditioningError, SensingModel
 from .simulation import (
@@ -322,8 +322,11 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
     changes, and each object's constructor still checks its rules the first
     time. The specs carry the explicit powers, the OSA cap or the peak power;
     the last is the peak policy's cap and, for SSS under the average limit, a
-    placeholder the optimizer ignores. Assumes the config-wide rules of
-    ``_build`` hold. Raises ConfigError with one argument per violated rule.
+    placeholder the optimizer ignores. Each dB value and mixture variance
+    must lie within ``mathcore._in_noise_span`` of the noise variance, or
+    only be finite where the noise variance is itself refused. Assumes the
+    config-wide rules of ``_build`` hold. Raises ConfigError with one
+    argument per violated rule.
     """
     diags: list[str] = []
     built = {} if built is None else built
@@ -338,24 +341,33 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
             return None
         return built[key]
 
+    def check_range(name, value):
+        """Within ``_in_noise_span`` of a valid noise variance, else finite."""
+        if not (_in_noise_span(value, noise) if noise else math.isfinite(value)):
+            diags.append(f"{name} is out of range")
+
+    noise = (built.get(key := (_check_positive, "noise_variance", config.noise_variance))
+             or made(key))
     powers = built.get(_linear)  # the config's dB values, converted once
     if powers is None:
         powers = built[_linear] = {key: _linear(getattr(config, key)) for key in _DB_KEYS}
     if swept in powers:
         powers = {**powers, swept: _linear(value)}
     for key, power in powers.items():
-        if power is not None and not math.isfinite(power):
+        if power is not None:
             name, db = ((f"sweep value {key}", value) if key == swept
                         else (f"{_DB_KEYS[key]}.{key}", getattr(config, key)))
-            diags.append(f"{name} = {db:g} dB is out of range")
+            check_range(f"{name} = {db:g} dB", power)
     p_pk, q_avg, q_pk, p0, p1 = powers.values()
-    # the constraints and the powers need every dB value as a finite float
+    # the constraints and the powers need every dB value in range
     converted = not diags
     p_d = value if swept == "p_detect" else config.p_detect
     p_f = value if swept == "p_false_alarm" else config.p_false_alarm
     sensing = built.get(key := (SensingModel, p_d, p_f, config.prior_busy)) or made(key)
     mixture = built.get(key := (GaussianMixture.from_lists, tuple(config.mixture_weights),
                                 tuple(config.mixture_variances))) or made(key)
+    for variance in mixture.variances.tolist() if mixture and noise else ():
+        check_range(f"mixture.variances = {variance:g}", variance)
     # unit power: the grid is checked here, each transmit power in the Scenario
     grid = ConstellationSpec, config.m_inphase, config.m_quadrature
     built.get(key := (*grid, 1.0)) or made(key)

@@ -12,7 +12,9 @@ array holding the nodes of every open panel of all of them, so an oracle
 written over numpy arrays costs one call per round, not one per node.
 
 It is also the one home of the model-input rules, each with its one message:
-the ``_check_*`` functions, which every model class and entry point calls.
+the ``_check_*`` functions, which every model class and entry point calls,
+and the span of a config's powers, limits and variances around its noise
+variance (``_in_noise_span``), which ``experiment`` applies.
 
 This is the one module that touches scipy. It imports only ``scipy.special``,
 and only on first use: it is a large part of the time of ``import cogsep``,
@@ -111,6 +113,22 @@ def _check_integer(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+# How far a power, a limit or a mixture variance may lie from the noise
+# variance, as a factor either way (``_in_noise_span``). The model reads them
+# only through their ratios, and within 10^+-100 the kernels' largest ratios
+# stay finite for any grid with K = M_I^2 + M_Q^2 - 2 < 1e96: the Rayleigh
+# term's x = 2 K v / (3 P) at the optimizer's floor P = 1e-12 P_pk is at most
+# (2/3) K 1e212, the peak policy's b1 = Q_pk / P_pk at most 1e200, and its
+# gamma = 3 Q_pk / (2 K v) at most 1.5e100. A span of 10^+-150 overflows x.
+_NOISE_SPAN = 1e100
+
+
+def _in_noise_span(value: float, noise_variance: float) -> bool:
+    """Whether ``value`` lies within a factor ``_NOISE_SPAN`` of the positive,
+    finite ``noise_variance``, either way; 0, inf and NaN do not."""
+    return 1.0 / _NOISE_SPAN <= value / noise_variance <= _NOISE_SPAN
 
 
 @functools.cache

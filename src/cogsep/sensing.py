@@ -45,29 +45,18 @@ class SensingModel:
     def prior_idle(self) -> float:
         return 1.0 - self.prior_busy
 
-    def prior(self, state: Occupancy) -> float:
-        return self.prior_busy if state == Occupancy.BUSY else self.prior_idle
-
-    def decision_given_state(self, decision: Occupancy, state: Occupancy) -> float:
-        """Pr{decision | true state} from (P_d, P_f)."""
-        p_busy_decision = self.p_detect if state == Occupancy.BUSY else self.p_false_alarm
-        return p_busy_decision if decision == Occupancy.BUSY else 1.0 - p_busy_decision
-
-    def decision_prob(self, decision: Occupancy) -> float:
-        """Marginal probability of a sensing decision.
-
-        Pr{busy decision} = prior_busy * P_d + prior_idle * P_f.
-        """
-        p_busy = self.prior_busy * self.p_detect + self.prior_idle * self.p_false_alarm
-        return p_busy if decision == Occupancy.BUSY else 1.0 - p_busy
-
     def posteriors(self, decision: Occupancy) -> tuple[float, float, float]:
         """Pr{decision} and the Bayes posteriors Pr{idle | decision} and
-        Pr{busy | decision}, all from one evaluation of Pr{decision}."""
-        denom = self.decision_prob(decision)
+        Pr{busy | decision}, from Pr{busy decision} = prior_busy P_d +
+        prior_idle P_f and its complement: the one statement of Bayes' rule."""
+        p_busy = self.prior_busy * self.p_detect + self.prior_idle * self.p_false_alarm
+        if decision == Occupancy.BUSY:
+            denom, given_idle, given_busy = p_busy, self.p_false_alarm, self.p_detect
+        else:
+            denom, given_idle, given_busy = (1.0 - p_busy, 1.0 - self.p_false_alarm,
+                                             1.0 - self.p_detect)
         if denom <= 0.0:
             raise ConditioningError(
                 f"decision {decision.name} has probability 0; posterior undefined"
             )
-        return denom, *(self.prior(state) * self.decision_given_state(decision, state) / denom
-                        for state in Occupancy)
+        return denom, self.prior_idle * given_idle / denom, self.prior_busy * given_busy / denom

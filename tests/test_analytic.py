@@ -33,9 +33,10 @@ from cogsep.analytic import (_branches, _powers, _q_term, _rayleigh_term, _regio
                              _sep)
 from cogsep.mathcore import QuadratureError
 from cogsep.presets import figure_preset
-from cogsep.sensing import Occupancy
+from cogsep.sensing import ConditioningError, Occupancy
 
 from conftest import P_4DB, make_scenario
+from mp_reference import branch_table, joint
 
 
 class TestScenarioValidation:
@@ -96,6 +97,76 @@ class TestScenarioValidation:
             Scenario(Scheme.SSS, ConstellationSpec(2, 2, 1.0),
                      ConstellationSpec(2, 2, 1.0), sensing, 0.01, mixture,
                      constraints, power_policy="peak_interference")
+
+    @pytest.mark.parametrize("scheme,powers", [
+        (Scheme.SSS, (1.0, P_4DB)), (Scheme.SSS, (P_4DB, 1.0)), (Scheme.OSA, (1.0, None))],
+        ids=["sss-idle", "sss-busy", "osa"])
+    def test_peak_policy_needs_the_peak_power_in_its_specs(self, scheme, powers):
+        """Every form reads one table under the peak policy, so a spec power
+        other than P_pk would be ignored by some and read by others."""
+        constraints = ConstraintSet(peak_power=P_4DB, peak_interference=1.0)
+        with pytest.raises(ValueError, match="^the peak_interference policy needs spec "
+                                             "powers equal to peak_power$"):
+            make_scenario(scheme, p0=powers[0], p1=powers[1], constraints=constraints,
+                          power_policy="peak_interference")
+
+
+# P_d and P_f at the ends of [0, 1] and next to them, on a few priors, and the
+# point where Pr{idle decision} = 1 - Pr{busy decision} cancels (CHANGES.md)
+WITNESS_PROBABILITIES = (0.0, 1e-12, 0.5, 1 - 1e-12, 1.0)
+WITNESS_MODELS = [SensingModel(p_d, p_f, prior)
+                  for p_d in WITNESS_PROBABILITIES for p_f in WITNESS_PROBABILITIES
+                  for prior in (0.0, 1e-12, 0.4, 0.48165299593553446, 1 - 1e-12, 1.0)]
+WITNESS_MODELS.append(SensingModel(0.9999999999998485, 0.9999999999998236, 0.48165299593553446))
+
+
+def _rows(build, scenario) -> dict:
+    """A branch table's rows by decision; none where OSA's idle decision is impossible."""
+    try:
+        return {row[3]: row for row in build(scenario).rows}
+    except ConditioningError:
+        return {}
+
+
+@pytest.mark.parametrize("policy", ["fixed", "peak_interference"])
+@pytest.mark.parametrize("scheme", [Scheme.SSS, Scheme.OSA])
+def test_branch_table_matches_the_bayes_witness(scheme, policy):
+    """``_branches`` entry by entry against ``mp_reference.branch_table``,
+    which applies Bayes' rule in mpmath to the SensingModel's fields.
+
+    Each entry is within 1e-15 relative. An entry that conditions on the idle
+    decision gets 3 2^-53 Pr{busy} / Pr{idle} more: Pr{idle decision} is
+    computed as 1 - Pr{busy decision}, whose rounding error of up to
+    3 2^-53 Pr{busy} is relative to Pr{idle} (the FOUND in CHANGES.md).
+    Where that bound reaches 1, it admits a computed Pr{idle decision} of 0,
+    so the idle row may be missing (OSA: a ConditioningError); on this grid
+    that happens only where Pr{idle decision} is ~1e-24. Every other row is
+    present in both tables, in the same order, and the mixture weights and
+    variances match to 1e-15.
+    """
+    IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
+    constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1, peak_interference=1.0)
+    collapsed = policy == "peak_interference" and scheme is Scheme.SSS
+    for model in WITNESS_MODELS:
+        scenario = make_scenario(scheme, (4, 2), sensing=model, constraints=constraints,
+                                 power_policy=policy)
+        cells = joint(model)
+        p_idle = cells[IDLE, IDLE] + cells[BUSY, IDLE]
+        ratio = (cells[IDLE, BUSY] + cells[BUSY, BUSY]) / p_idle if p_idle else math.inf
+        got, want = _rows(_branches, scenario), _rows(branch_table, scenario)
+        assert list(got) == [decision for decision in want if decision in got], model
+        for decision, expected in want.items():
+            rel = 1e-15 + (3 * 2.0**-53 * ratio if decision is IDLE and not collapsed else 0.0)
+            if decision not in got:
+                assert rel >= 1.0, (model, decision)
+                continue
+            for value, exact in zip(got[decision][:3], expected[:3]):
+                assert abs(value - exact) <= rel * abs(exact), (model, got[decision], expected)
+    scenario = make_scenario(scheme, (4, 2), constraints=constraints, power_policy=policy)
+    table, witness = _branches(scenario), branch_table(scenario)
+    for value, exact in zip((*table.lam, *table.variances.tolist()),
+                            (*witness.lam, *witness.variances)):
+        assert abs(value - exact) <= 1e-15 * abs(exact)
 
 
 class TestSepClassConditional:
@@ -736,6 +807,15 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="SSS"):
             optimize_powers_sss([make_scenario(Scheme.OSA, p0=1.0)])
 
+    def test_rejects_peak_policy_scenario(self):
+        # its table is the peak policy's one collapsed row, which no P0/P1 split moves
+        constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1,
+                                    peak_interference=1.0)
+        scenario = make_scenario(constraints=constraints, power_policy="peak_interference")
+        with pytest.raises(ValueError, match="^the power optimizer needs an SSS scenario "
+                                             "under the fixed power policy$"):
+            optimize_powers_sss([scenario])
+
     def test_ignores_the_spec_powers(self, sensing):
         constraints = ConstraintSet(peak_power=P_4DB, avg_interference=0.1)
         a = make_scenario(p0=P_4DB, sensing=sensing, constraints=constraints)
@@ -1007,10 +1087,34 @@ class TestPeakInterference:
         b = self._scenario(Scheme.OSA, (2, 2), sensing=SensingModel(0.9, 0.05, 0.4))
         assert sep_peak_interference(a) < sep_peak_interference(b)
 
-    def test_requires_peak_constraint(self):
+    @pytest.mark.parametrize("form", [sep_peak_interference, sep_peak_interference_oracle,
+                                      sep_peak_interference_exact],
+                             ids=["bound", "oracle", "exact"])
+    def test_requires_peak_constraint(self, form):
         scenario = make_scenario()
-        with pytest.raises(ValueError):
-            sep_peak_interference(scenario)
+        message = "^scenario needs the peak_interference power policy$"
+        with pytest.raises(ValueError, match=message):
+            form(scenario)
+        if form is not sep_peak_interference_oracle:  # the closed forms also take a sweep
+            with pytest.raises(ValueError, match=message):
+                form([scenario, scenario])
+
+    @pytest.mark.parametrize("form,args", [
+        (sep_rayleigh, ()), (sep_upper_bound, ()), (sep_conditional, (0.8,)),
+        (sep_rayleigh_numeric, ())], ids=["rayleigh", "upper-bound", "conditional", "numeric"])
+    def test_sss_fixed_forms_collapse_under_the_peak_policy(self, form, args):
+        """Under the peak policy an SSS Scenario's table is the priors' one
+        row, so the fixed-power forms do not depend on (P_d, P_f), bit for
+        bit, and match the same Scenario under the fixed policy, whose two
+        decision rows carry P0 = P1 = P_pk, to rounding."""
+        values = []
+        for sensing in (SensingModel(1.0, 0.0, 0.4), SensingModel(0.9, 0.05, 0.4),
+                        SensingModel(0.3, 0.6, 0.4), SensingModel(1e-12, 1 - 1e-12, 0.4)):
+            scenario = self._scenario(Scheme.SSS, (4, 2), sensing=sensing)
+            values.append(form(scenario, *args))
+            fixed = form(replace(scenario, power_policy="fixed"), *args)
+            assert values[-1] == pytest.approx(fixed, rel=1e-14, abs=0.0)
+        assert len({value.hex() for value in values}) == 1
 
 
 class TestMixtureVersusGaussian:

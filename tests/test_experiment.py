@@ -189,15 +189,47 @@ class TestValidate:
         ("fig1", {"p0_db": 4000.0, "p1_db": 0.0}, "scenario.p0_db = 4000 dB"),
         ("fig1", {"p0_db": 0.0, "p1_db": 4000.0}, "scenario.p1_db = 4000 dB"),
         ("fig1", {"p_pk_db": float("inf")}, "constraints.p_pk_db = inf dB"),
-        ("fig1", {"sweep": SweepSpec("q_avg_db", 3080.0, 3090.0, 1.0)},
-         "sweep value q_avg_db = 3083 dB"),
-        ("fig5", {"sweep": SweepSpec("p_pk_db", 0.0, 4000.0, 1000.0)},
-         "sweep value p_pk_db = 4000 dB"),
+        ("fig1", {"sweep": SweepSpec("q_avg_db", 978.0, 988.0, 1.0)},
+         "sweep value q_avg_db = 981 dB"),
+        ("fig5", {"sweep": SweepSpec("p_pk_db", 0.0, 1500.0, 500.0)},
+         "sweep value p_pk_db = 1000 dB"),
     ], ids=["p_pk_db", "q_avg_db", "q_pk_db", "p0_db", "p1_db", "p_pk_db-inf",
             "sweep-q_avg_db", "sweep-p_pk_db"])
     def test_db_out_of_range_names_key_and_value(self, preset, updates, expected):
         config = replace(figure_preset(preset), **updates)
         assert validate(config) == [f"{expected} is out of range"]
+
+    @pytest.mark.parametrize("preset,updates,expected", [
+        ("fig5", {"q_pk_db": 3082.0}, ["constraints.q_pk_db = 3082 dB"]),
+        ("fig1", {"p_pk_db": -3100.0, "q_avg_db": -2970.0},
+         ["constraints.p_pk_db = -3100 dB", "constraints.q_avg_db = -2970 dB"]),
+        # the noise variance is 0.01 (-20 dB): the span is -1020..980 dB
+        ("fig1", {"q_avg_db": 980.5}, ["constraints.q_avg_db = 980.5 dB"]),
+        ("fig2", {"p_pk_db": -1020.5}, ["constraints.p_pk_db = -1020.5 dB"]),
+        ("fig1", {"mixture_variances": (0.2, 1e99, 0.6, 1e-103)},
+         ["mixture.variances = 1e+99", "mixture.variances = 1e-103"]),
+    ], ids=["q_pk_db-3082", "fig1-extreme", "above", "below", "mixture"])
+    def test_values_beyond_the_noise_span_are_out_of_range(self, preset, updates, expected):
+        """Each power, limit and mixture variance lies within a factor 1e100
+        of the noise variance, either way, or it is out of range."""
+        config = replace(figure_preset(preset), **updates)
+        assert validate(config) == [f"{name} is out of range" for name in expected]
+
+    @pytest.mark.parametrize("preset,updates", [
+        ("fig1", {"q_avg_db": 980.0, "p_pk_db": -1019.5}),
+        ("fig1", {"q_avg_db": -1019.5, "p_pk_db": 980.0}),
+        ("fig5", {"q_pk_db": 980.0, "sweep": SweepSpec("p_pk_db", -1019.5, 980.0, 999.75)}),
+        ("fig5", {"q_pk_db": -1019.5, "sweep": SweepSpec("p_pk_db", -1019.5, 980.0, 999.75)}),
+    ], ids=["fig1-high-limit", "fig1-low-limit", "fig5-high-limit", "fig5-low-limit"])
+    def test_noise_span_edges_run(self, preset, updates):
+        """Values just inside the span, mixture variances included, are
+        accepted and run warning-free (``filterwarnings = error``)."""
+        config = replace(figure_preset(preset), engines=("analytic", "bound"),
+                         mixture_variances=(0.2, 1e97, 0.6, 1e-101), output_path=None,
+                         json_path=None, **updates)
+        assert validate(config) == []
+        for row in run_experiment(config):
+            assert 0.0 < row.sep_analytic <= row.sep_bound <= 1.0 + 1e-15
 
     @pytest.mark.parametrize("edits,expected", [
         ({"constraint": ""}, ["one of constraints.q_avg_db / q_pk_db is required"]),
@@ -475,9 +507,9 @@ class TestSweepPointsBuiltOnce:
         builds = []
         branches = analytic._branches
 
-        def counted(scenario, collapse=False):
-            builds.append(collapse)
-            return branches(scenario, collapse)
+        def counted(scenario):
+            builds.append(scenario.power_policy)
+            return branches(scenario)
 
         monkeypatch.setattr(analytic, "_branches", counted)
         counts, points = {}, {}
@@ -486,7 +518,7 @@ class TestSweepPointsBuiltOnce:
             rows = run_experiment(replace(figure_preset(preset), engines=("analytic", "bound"),
                                           output_path=None, json_path=None))
             counts[preset], points[preset] = len(builds), len(rows)
-            assert len(set(builds)) == 1  # one collapse mode per sweep
+            assert len(set(builds)) == 1  # one power policy per sweep
         assert counts == {"fig1": 1, "fig2": 1, "fig3": points["fig3"], "fig4": points["fig4"],
                           "fig5": 1, "fig6": 1, "fig7": points["fig7"], "fig8": points["fig8"]}
 

@@ -14,6 +14,7 @@ from cogsep import (
 from cogsep.sensing import ConditioningError
 
 from conftest import make_scenario
+from mp_reference import joint
 
 IDLE, BUSY = Occupancy.IDLE, Occupancy.BUSY
 
@@ -44,11 +45,11 @@ class TestValidation:
 class TestDecisionProb:
     def test_perfect_sensing(self):
         model = SensingModel(1.0, 0.0, 0.4)
-        assert model.decision_prob(BUSY) == pytest.approx(0.4)
+        assert model.posteriors(BUSY)[0] == pytest.approx(0.4)
 
     def test_default_model(self, sensing):
-        assert sensing.decision_prob(BUSY) == pytest.approx(0.39, abs=1e-15)
-        assert sensing.decision_prob(IDLE) == pytest.approx(0.61, abs=1e-15)
+        assert sensing.posteriors(BUSY)[0] == pytest.approx(0.39, abs=1e-15)
+        assert sensing.posteriors(IDLE)[0] == pytest.approx(0.61, abs=1e-15)
 
 
 class TestPosterior:
@@ -80,11 +81,12 @@ class TestPosterior:
             for state in (IDLE, BUSY):
                 total = 0.0
                 for decision in (IDLE, BUSY):
-                    weight = model.decision_prob(decision)
-                    if weight == 0.0:
+                    try:
+                        weight, *posterior = model.posteriors(decision)
+                    except ConditioningError:  # a decision of probability 0
                         continue
-                    total += weight * model.posteriors(decision)[1 + state]
-                assert abs(total - model.prior(state)) <= 1e-12
+                    total += weight * posterior[state]
+                assert abs(total - (model.prior_idle, model.prior_busy)[state]) <= 1e-12
 
     def test_zero_probability_decision_raises(self):
         model = SensingModel(p_detect=0.9, p_false_alarm=0.0, prior_busy=0.0)
@@ -121,7 +123,7 @@ class TestSampling:
         n = 1_000_000
         estimate = self._run(Scheme.OSA, sensing, trials=n, seed=12)
         # skips are the busy decisions; errors are half the (busy, idle-decided) cell
-        missed = sensing.prior(BUSY) * sensing.decision_given_state(IDLE, BUSY)
-        for count, p in ((estimate.skipped, sensing.decision_prob(BUSY)),
-                         (estimate.errors, missed / 2)):
+        cells = {cell: float(p) for cell, p in joint(sensing).items()}
+        for count, p in ((estimate.skipped, cells[IDLE, BUSY] + cells[BUSY, BUSY]),
+                         (estimate.errors, cells[BUSY, IDLE] / 2)):
             assert abs(count / n - p) < 3 * math.sqrt(p * (1 - p) / n)

@@ -41,6 +41,7 @@ from cogsep.simulation import (
 )
 
 from conftest import P_4DB, make_scenario
+from mp_reference import joint
 
 
 class TestConfigValidation:
@@ -270,7 +271,7 @@ class TestEstimate:
         assert estimate.trials + estimate.skipped == 123_457
         assert estimate.sep == estimate.errors / estimate.trials
         # OSA skips exactly on busy decisions
-        p_skip = scenario.sensing.decision_prob(1)
+        p_skip = scenario.sensing.posteriors(BUSY)[0]
         sigma = math.sqrt(p_skip * (1 - p_skip) / 123_457)
         assert abs(estimate.skip_fraction - p_skip) < 3 * sigma
 
@@ -405,8 +406,7 @@ class TestDrawContract:
         rng = np.random.default_rng(4242)
         models = [sensing] + [SensingModel(*rng.uniform(0, 1, 3)) for _ in range(30)]
         for model in models:
-            pi = np.array([model.prior(state) * model.decision_given_state(decision, state)
-                           for state, decision in CELLS])
+            pi = np.array([float(joint(model)[cell]) for cell in CELLS])
             uses = np.array([_cell_uses(model, m) for m in range(600)])
             assert (np.abs(uses - np.outer(np.arange(600), pi)) <= 1 + 1e-9).all()
             assert (uses.sum(axis=1) == np.arange(600)).all()

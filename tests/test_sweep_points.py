@@ -5,8 +5,9 @@ the very Scenarios that validation built, so either ``validate`` reports a
 problem and the run stops with a ConfigError before it writes anything, or
 every point yields a feasible row with a finite bound. A prior in (0, 1) and
 P_f < 1 keep the idle decision possible, so no row may be infeasible. Noise
-and mixture values include NaN and inf, and an example sets q_avg_db = -3100,
-where the interference budget 1e-310 is a subnormal float.
+and mixture values include NaN and inf, and dB values reach past the span of
+10^+-100 around the noise variance that ``validate`` accepts; under
+``filterwarnings = error`` an overflow in a kernel fails the run.
 
 The closed forms evaluate a whole sweep in one call, bit for bit as one
 Scenario at a time, an infeasible point included.
@@ -37,7 +38,7 @@ PROBABILITIES = st.sampled_from([0.0, 1e-12, 0.05, 0.5, 0.9, 1 - 1e-12, 1.0])
 PROB_STEPS = st.sampled_from([1e-13, 0.07, 0.3, 0.5])
 DECIBELS = st.one_of(
     st.sampled_from([-200.0, -20.0, 0.0, 4.0, 300.0]),
-    st.sampled_from([-4000.0, -3240.0, 3082.0, 3083.0, float("inf")]),
+    st.sampled_from([-4000.0, -3240.0, -3100.0, 3082.0, 3083.0, float("inf")]),
 )
 DB_STEPS = st.sampled_from([0.5, 1.0, 150.0, 1000.0])
 NOISE = st.sampled_from([0.01, 1e-300, math.nan, math.inf])
@@ -112,6 +113,10 @@ def _preset(name, **updates):
 @example(config=_preset("fig1", mixture_weights=(0.25, 0.25, 0.25, math.nan)))
 @example(config=_preset("fig1", mixture_variances=(0.2, 0.4, math.nan, 0.8)))
 @example(config=_preset("fig3", q_avg_db=-3100.0))
+# the span rule refuses both; run, the first writes NaN bounds and the second
+# overflows in the Rayleigh term
+@example(config=_preset("fig5", q_pk_db=3082.0))
+@example(config=_preset("fig1", p_pk_db=-3100.0, q_avg_db=-2970.0))
 def test_validated_config_runs_at_every_point(config):
     assume(config.sweep.axis != "p_false_alarm" or 1.0 not in config.sweep.values())
     diags = validate(config)
@@ -280,9 +285,9 @@ def test_iterables_are_read_once():
 @example(config=_preset("fig7"))
 @example(config=_preset("fig8"))
 def test_built_sweeps_share_all_but_the_sensing_model(config):
-    """``_tables`` keys a ``_Sweep``'s tables by the sensing model and the
-    collapse flag alone, so every ``_Sweep`` that ``_build`` (and with it
-    ``_resolve_powers``) returns must share the other table inputs."""
+    """``_tables`` keys a ``_Sweep``'s tables by the sensing model alone, so
+    every ``_Sweep`` that ``_build`` (and with it ``_resolve_powers``)
+    returns must share the other table inputs."""
     scenarios, diags = experiment._build(config)
     if diags:
         return  # nothing built to run
