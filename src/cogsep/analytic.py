@@ -14,6 +14,7 @@ All per-axis variances follow the pdf convention of
 :class:`~cogsep.mathcore.GaussianMixture`.
 """
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -165,20 +166,24 @@ class _Table(NamedTuple):
     s0 and mixture variances s_l, whose weights lambda_l are ``lam``. For an
     M_I x M_Q grid, ``k_mod`` is K = M_I^2 + M_Q^2 - 2 and ``c1``, ``c2`` are
     the Q and Q^2 coefficients 2 - 1/M_I - 1/M_Q and 2(1 - 1/M_I)(1 - 1/M_Q).
-    A table stacked over points (``_stack``) holds an array over the points
-    in place of each number, and ``variances`` has shape (variance, point).
+    ``shape``, the row decisions and the mixture size, is what tables must
+    share to be stacked (``_stack``). A stacked table holds an array over the
+    points in place of each number, and ``variances`` has shape (variance,
+    point). A table is shared by every caller with its inputs (``_table``),
+    so it is immutable: its rows are a tuple and its array is read-only.
     """
 
-    rows: list
+    rows: tuple
     lam: tuple
     variances: np.ndarray
     k_mod: int | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
+    shape: tuple
 
 
 def _branches(scenario: Scenario) -> _Table:
-    """Branch table of a scenario; build it once per sweep (``_tables``).
+    """Branch table of a scenario, built once per distinct table input (``_table``).
 
     For SSS the weights are the sensing-decision probabilities; for OSA only
     the idle decision transmits and the (conditional) weight is 1. Under the
@@ -188,9 +193,24 @@ def _branches(scenario: Scenario) -> _Table:
     conditions on an idle decision. Raises ConditioningError where OSA's idle
     decision has probability 0.
     """
-    s = scenario.sensing
-    osa = scenario.scheme is Scheme.OSA
-    if scenario.power_policy == "peak_interference" and not osa:
+    return _table(scenario.sensing, scenario.scheme, scenario.power_policy,
+                  scenario.noise_variance, scenario.interference,
+                  scenario.m_inphase, scenario.m_quadrature)
+
+
+# Branch tables the cache keeps: at least experiment.MAX_SWEEP_POINTS, so
+# that a sweep of distinct tables builds each once for its optimizer and
+# closed forms together (the presets have ~90 between them).
+_TABLES_KEPT = 2 ** 14
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _table(s: SensingModel, scheme: Scheme, policy: str, noise: float, mix: GaussianMixture,
+           mi: int, mq: int) -> _Table:
+    """The branch table of these inputs (``_branches``). Equal inputs get the
+    one table the first built; a ConditioningError is raised again each call."""
+    osa = scheme is Scheme.OSA
+    if policy == "peak_interference" and not osa:
         rows = [(1.0, s.prior_idle, s.prior_busy, Occupancy.IDLE)]
     else:
         rows = []
@@ -202,24 +222,12 @@ def _branches(scenario: Scenario) -> _Table:
                     raise
                 continue  # an SSS decision of probability 0 has no row
             rows.append((1.0 if osa else weight, post_idle, post_busy, decision))
-    mix, noise = scenario.interference, scenario.noise_variance
-    mi, mq = scenario.m_inphase, scenario.m_quadrature
-    return _Table(rows, tuple(mix.weights.tolist()),
-                  np.concatenate(([noise], mix.variances + noise)),
+    variances = np.concatenate(([noise], mix.variances + noise))
+    variances.flags.writeable = False
+    return _Table(tuple(rows), tuple(mix.weights.tolist()), variances,
                   mi * mi + mq * mq - 2, 2.0 - 1.0 / mi - 1.0 / mq,
-                  2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq))
-
-
-class _Sweep(list):
-    """A sweep's Scenarios and the branch tables ``_tables`` built for them,
-    shared by its optimizer and closed forms and kept at resolved powers. In a
-    sweep only the SensingModel varies a table: its points share one scheme,
-    power policy, noise, mixture and grid, so ``_tables`` keys its tables by
-    the SensingModel alone."""
-
-    def __init__(self, scenarios=(), tables: dict | None = None):
-        super().__init__(scenarios)
-        self.tables = {} if tables is None else tables
+                  2.0 * (1.0 - 1.0 / mi) * (1.0 - 1.0 / mq),
+                  (tuple(row[3] for row in rows), len(mix.components)))
 
 
 def _sequence(scenarios) -> Sequence:
@@ -235,46 +243,32 @@ def _sequence(scenarios) -> Sequence:
 
 
 def _tables(scenarios: Sequence[Scenario]) -> list:
-    """Each scenario's branch table, or its ConditioningError, in order: one
-    build per distinct table input, which a ``_Sweep`` keeps for later calls."""
-    sweep = isinstance(scenarios, _Sweep)
-    kept = scenarios.tables if sweep else {}
+    """Each scenario's branch table, or its ConditioningError, in order."""
     tables = []
     for scenario in scenarios:
-        key = (scenario.sensing if sweep else
-               (scenario.sensing, scenario.scheme, scenario.power_policy,
-                scenario.noise_variance, scenario.interference.components,
-                scenario.m_inphase, scenario.m_quadrature))
-        if key not in kept:
-            try:
-                kept[key] = _branches(scenario)
-            except ConditioningError as exc:
-                kept[key] = exc
-        tables.append(kept[key])
+        try:
+            tables.append(_branches(scenario))
+        except ConditioningError as exc:
+            tables.append(exc)
     return tables
 
 
-def _shape(table: _Table) -> tuple:
-    """What tables must share to be stacked: the row decisions and the mixture size."""
-    return tuple(decision for *_, decision in table.rows), len(table.lam)
-
-
 def _stack(tables: list[_Table]) -> _Table:
-    """One table over points whose tables share their ``_shape``. Each number
+    """One table over points whose tables share their ``shape``. Each number
     becomes the array of its values over the points, so one ``_sep`` call
     evaluates every point. Points that share one table get it back as it is:
     the powers alone carry the point axis, and each number broadcasts over
     it to the same values, bit for bit."""
     if all(table is tables[0] for table in tables):
         return tables[0]
-    rows, lam, variances, k_mod, c1, c2 = zip(*tables)
+    rows, lam, variances, k_mod, c1, c2, _ = zip(*tables)
     stacked = []
     for row in zip(*rows):  # one row across the points
         weight, post_idle, post_busy, decisions = zip(*row)
         stacked.append((np.array(weight), np.array(post_idle), np.array(post_busy),
                         decisions[0]))
-    return _Table(stacked, tuple(map(np.array, zip(*lam))), np.stack(variances, axis=1),
-                  np.array(k_mod), np.array(c1), np.array(c2))
+    return _Table(tuple(stacked), tuple(map(np.array, zip(*lam))), np.stack(variances, axis=1),
+                  np.array(k_mod), np.array(c1), np.array(c2), tables[0].shape)
 
 
 def _sep(table: _Table, term, x, *args):
@@ -347,7 +341,7 @@ def _closed_form(scenarios, evaluate, *args):
     groups: dict = {}
     for index, (scenario, table) in enumerate(zip(scenarios, results)):
         if not isinstance(table, ConditioningError):
-            groups.setdefault(_shape(table), []).append((index, scenario, table))
+            groups.setdefault(table.shape, []).append((index, scenario, table))
     for members in groups.values():
         for start in range(0, len(members), _STACK_POINTS):
             indices, points, tables = zip(*members[start:start + _STACK_POINTS])
@@ -819,7 +813,7 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
     scenarios = _sequence(scenarios)
     results: list = [None] * len(scenarios)
     groups: dict = {}
-    for index, (scenario, table) in enumerate(zip(scenarios, _tables(scenarios))):
+    for index, scenario in enumerate(scenarios):
         if scenario.scheme is not Scheme.SSS or scenario.power_policy != "fixed":
             raise ValueError("the power optimizer needs an SSS scenario under the fixed "
                              "power policy")
@@ -839,7 +833,8 @@ def optimize_powers_sss(scenarios: Iterable[Scenario]) -> list[OptimalPowers]:
 
         floor = min(ppk * _POWER_FLOOR_REL, budget / 2.0)
         p0_at_ppk = (budget - p_d * ppk) / (1.0 - p_d)
-        groups.setdefault(_shape(table), []).append(
+        table = _branches(scenario)
+        groups.setdefault(table.shape, []).append(
             (index, table, (ppk, budget, p_d, floor, p0_at_ppk), max(floor, p0_at_ppk),
              min(ppk, (budget - p_d * floor) / (1.0 - p_d))))
 

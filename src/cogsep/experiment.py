@@ -27,7 +27,6 @@ from .analytic import (
     ConstraintSet,
     Scenario,
     Scheme,
-    _Sweep,
     max_power_osa,
     optimize_powers_sss,
     sep_peak_interference,
@@ -35,7 +34,8 @@ from .analytic import (
     sep_rayleigh,
     sep_upper_bound,
 )
-from .mathcore import GaussianMixture, _check_integer, _check_positive, _in_noise_span
+from .mathcore import (GaussianMixture, _check_integer, _check_positive, _in_noise_span,
+                       _noise_in_range)
 from .modulation import ConstellationSpec
 from .sensing import ConditioningError, SensingModel
 from .simulation import (
@@ -322,11 +322,11 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
     changes, and each object's constructor still checks its rules the first
     time. The specs carry the explicit powers, the OSA cap or the peak power;
     the last is the peak policy's cap and, for SSS under the average limit, a
-    placeholder the optimizer ignores. Each dB value and mixture variance
-    must lie within ``mathcore._in_noise_span`` of the noise variance, or
-    only be finite where the noise variance is itself refused. Assumes the
-    config-wide rules of ``_build`` hold. Raises ConfigError with one
-    argument per violated rule.
+    placeholder the optimizer ignores. The noise variance must lie in
+    ``mathcore._noise_in_range``, and each dB value and mixture variance
+    within ``mathcore._in_noise_span`` of it, or only be finite where the
+    noise variance is itself refused. Assumes the config-wide rules of
+    ``_build`` hold. Raises ConfigError with one argument per violated rule.
     """
     diags: list[str] = []
     built = {} if built is None else built
@@ -348,6 +348,9 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
 
     noise = (built.get(key := (_check_positive, "noise_variance", config.noise_variance))
              or made(key))
+    if noise and not _noise_in_range(noise):
+        diags.append(f"scenario.noise_variance = {noise:g} is out of range")
+        noise = None
     powers = built.get(_linear)  # the config's dB values, converted once
     if powers is None:
         powers = built[_linear] = {key: _linear(getattr(config, key)) for key in _DB_KEYS}
@@ -411,7 +414,7 @@ def _scenario(config: ExperimentConfig, swept: str | None, value: float | None =
 # Validation (structural + invariants, no execution)
 # ---------------------------------------------------------------------------
 
-def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
+def _build(config: ExperimentConfig) -> tuple[list[Scenario], list[str]]:
     """Build every sweep point; return their Scenarios and every violation found.
 
     The config-wide rules are checked first. When they hold, the config as
@@ -422,7 +425,7 @@ def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
     swept value and builds only the objects that value changes: the mixture,
     which is never swept, and the grid check are built once, and e.g. a
     ``p_detect`` sweep shares one ConstraintSet. The run uses the Scenarios,
-    one ``_Sweep`` in sweep order, only when nothing was found.
+    a list in sweep order, only when nothing was found.
     """
     diags: list[str] = []
     if config.q_avg_db is None and config.q_pk_db is None:
@@ -448,7 +451,7 @@ def _build(config: ExperimentConfig) -> tuple[_Sweep, list[str]]:
     if axis == "q_avg_db" and config.q_pk_db is not None:
         diags.append("sweeping q_avg_db requires the average-interference mode")
 
-    scenarios = _Sweep()
+    scenarios = []
     if not diags:
         built: dict = {}
         try:
@@ -481,21 +484,20 @@ def validate(config: ExperimentConfig) -> list[str]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _resolve_powers(config: ExperimentConfig, scenarios: _Sweep) -> _Sweep:
+def _resolve_powers(config: ExperimentConfig, scenarios: list[Scenario]) -> list[Scenario]:
     """The sweep's Scenarios with the SSS powers under the average limit
     solved, by one ``optimize_powers_sss`` call for the whole sweep.
 
     The need is config-wide (SSS, average limit, no explicit powers), so the
-    optimizer runs at every point or at none. The tables it built stay.
+    optimizer runs at every point or at none.
     """
     if config.scheme is not Scheme.SSS or config.q_pk_db is not None or config.p0_db is not None:
         return scenarios
     mi, mq = config.m_inphase, config.m_quadrature
-    return _Sweep((Scenario(s.scheme, ConstellationSpec(mi, mq, best.p0),
-                            ConstellationSpec(mi, mq, best.p1), s.sensing, s.noise_variance,
-                            s.interference, s.constraints, s.power_policy)
-                   for s, best in zip(scenarios, optimize_powers_sss(scenarios))),
-                  scenarios.tables)
+    return [Scenario(s.scheme, ConstellationSpec(mi, mq, best.p0),
+                     ConstellationSpec(mi, mq, best.p1), s.sensing, s.noise_variance,
+                     s.interference, s.constraints, s.power_policy)
+            for s, best in zip(scenarios, optimize_powers_sss(scenarios))]
 
 
 def _closed_form_rows(config: ExperimentConfig, values: list[float],

@@ -13,8 +13,9 @@ written over numpy arrays costs one call per round, not one per node.
 
 It is also the one home of the model-input rules, each with its one message:
 the ``_check_*`` functions, which every model class and entry point calls,
-and the span of a config's powers, limits and variances around its noise
-variance (``_in_noise_span``), which ``experiment`` applies.
+the span of a config's powers, limits and variances around its noise
+variance (``_in_noise_span``), and the range of the noise variance itself
+(``_noise_in_range``), which ``experiment`` applies.
 
 This is the one module that touches scipy. It imports only ``scipy.special``,
 and only on first use: it is a large part of the time of ``import cogsep``,
@@ -92,17 +93,18 @@ def _check_positive(name: str, value) -> float:
 
 
 def _check_nonnegative(name: str, value) -> float:
-    """``value`` as a nonnegative, finite Python float; text and bools are refused."""
+    """``value`` as a nonnegative, finite Python float, -0.0 as +0.0; text and
+    bools are refused."""
     if isinstance(value, (str, bool, np.bool_)) or not 0 <= float(value) < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is +0.0: equal inputs keep equal bits
 
 
 def _check_prob(name: str, value) -> float:
-    """``value`` as a Python float in [0, 1]; text and bools are refused."""
+    """``value`` as a Python float in [0, 1], -0.0 as +0.0; text and bools are refused."""
     if isinstance(value, (str, bool, np.bool_)) or not 0.0 <= float(value) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def _check_integer(name: str, value, minimum: int) -> int:
@@ -122,6 +124,14 @@ def _check_integer(name: str, value, minimum: int) -> int:
 # term's x = 2 K v / (3 P) at the optimizer's floor P = 1e-12 P_pk is at most
 # (2/3) K 1e212, the peak policy's b1 = Q_pk / P_pk at most 1e200, and its
 # gamma = 3 Q_pk / (2 K v) at most 1.5e100. A span of 10^+-150 overflows x.
+#
+# The kernels also form products before they divide, so the noise variance
+# itself lies within the same factor of 1 (``_noise_in_range``). Then every
+# power, limit and variance lies within 10^+-200, and every product stays
+# finite and normal: 3 Q_pk <= 3e200; 2 K v < 2e296, since v <= s0 + max s_l
+# <= 1e100 + 1e200; at the optimizer's floor 3 P >= 3e-212, so x is finite;
+# and gamma >= 3e-100 / (2 K (1 + 1e100)) > 1.4e-296, above the normal
+# float minimum of 2.2e-308.
 _NOISE_SPAN = 1e100
 
 
@@ -129,6 +139,12 @@ def _in_noise_span(value: float, noise_variance: float) -> bool:
     """Whether ``value`` lies within a factor ``_NOISE_SPAN`` of the positive,
     finite ``noise_variance``, either way; 0, inf and NaN do not."""
     return 1.0 / _NOISE_SPAN <= value / noise_variance <= _NOISE_SPAN
+
+
+def _noise_in_range(noise_variance: float) -> bool:
+    """Whether the positive, finite ``noise_variance`` lies within a factor
+    ``_NOISE_SPAN`` of 1, either way."""
+    return _in_noise_span(noise_variance, 1.0)
 
 
 @functools.cache
@@ -279,7 +295,7 @@ class GaussianMixture:
         components = tuple(self.components)
         if not components:
             raise ValueError("mixture needs at least one component")
-        weights = np.array([float(w) for w, _ in components])
+        weights = np.array([float(w) for w, _ in components]) + 0.0  # -0.0 as +0.0
         # written so that NaN fails every check
         if not np.all(weights >= 0):
             raise ValueError("mixture weights must be nonnegative")

@@ -910,7 +910,9 @@ class TestScanAndStop:
         assert grid.tobytes() == scan.tobytes()
         full = _sep(table, _rayleigh_term, _powers(table, grid, analytic._p1(grid, *segment)),
                     False)
-        stacked = analytic._stack([table, _branches(scenario)])  # two points, one table each
+        # two points, one table each: the cache gives equal inputs one table,
+        # so the second is a copy, and _stack stacks rather than passing one through
+        stacked = analytic._stack([table, table._replace()])
         best = analytic._scan_best(stacked, tuple(np.array([x, x]) for x in segment),
                                    np.array([p0_min, p0_min]), np.array([p0_max, p0_max]))
         assert best.tolist() == [np.argmin(full)] * 2
@@ -1005,8 +1007,8 @@ class TestScanAndStop:
         """At Q_avg >= P_pk (fig1's P_pk is 4 dB) both powers sit at the peak:
         a 10 000-point sweep of such points evaluates no SEP."""
         config = figure_preset("fig1")
-        scenarios = analytic._Sweep(experiment._scenario(config, "q_avg_db", 4.0 + 0.0026 * i)
-                                    for i in range(10_000))
+        scenarios = [experiment._scenario(config, "q_avg_db", 4.0 + 0.0026 * i)
+                     for i in range(10_000)]
         calls = counting_sep(monkeypatch)
         out = optimize_powers_sss(scenarios)
         assert calls == []
@@ -1017,8 +1019,8 @@ class TestScanAndStop:
         """A 10 000-point fig1-style sweep is scanned ``_STACK_POINTS`` points
         at a time, so the scan's temporaries do not grow with the sweep."""
         config = figure_preset("fig1")
-        scenarios = analytic._Sweep(experiment._scenario(config, "q_avg_db", -20.0 + 0.0026 * i)
-                                    for i in range(10_000))
+        scenarios = [experiment._scenario(config, "q_avg_db", -20.0 + 0.0026 * i)
+                     for i in range(10_000)]
         sizes = []
         scan = analytic._scan_best
 

@@ -208,10 +208,18 @@ class TestValidate:
         ("fig2", {"p_pk_db": -1020.5}, ["constraints.p_pk_db = -1020.5 dB"]),
         ("fig1", {"mixture_variances": (0.2, 1e99, 0.6, 1e-103)},
          ["mixture.variances = 1e+99", "mixture.variances = 1e-103"]),
-    ], ids=["q_pk_db-3082", "fig1-extreme", "above", "below", "mixture"])
+        # a refused noise variance leaves the other values checked for finiteness only
+        ("fig5", {"noise_variance": 1e300, "mixture_variances": (2e301, 4e301, 6e301, 8e301),
+                  "p_pk_db": 3040.0, "q_pk_db": 3080.0,
+                  "sweep": SweepSpec("p_pk_db", 3030.0, 3040.0, 1.0)},
+         ["scenario.noise_variance = 1e+300"]),
+        ("fig1", {"noise_variance": 1e-101}, ["scenario.noise_variance = 1e-101"]),
+    ], ids=["q_pk_db-3082", "fig1-extreme", "above", "below", "mixture", "noise-above",
+            "noise-below"])
     def test_values_beyond_the_noise_span_are_out_of_range(self, preset, updates, expected):
-        """Each power, limit and mixture variance lies within a factor 1e100
-        of the noise variance, either way, or it is out of range."""
+        """The noise variance lies within a factor 1e100 of 1, and each power,
+        limit and mixture variance within a factor 1e100 of the noise
+        variance, either way, or it is out of range."""
         config = replace(figure_preset(preset), **updates)
         assert validate(config) == [f"{name} is out of range" for name in expected]
 
@@ -500,27 +508,27 @@ class TestSweepPointsBuiltOnce:
         assert validate(_analytic_fig1()) == []
         assert calls == [None] + ["q_avg_db"] * 27
 
-    def test_branch_tables_built_once_per_sensing_model(self, monkeypatch):
-        # a sweep's optimizer and closed forms share one table per distinct
-        # sensing model: one for the q_avg_db and p_pk_db sweeps, one per point
-        # for the p_detect and p_false_alarm sweeps
-        builds = []
-        branches = analytic._branches
-
-        def counted(scenario):
-            builds.append(scenario.power_policy)
-            return branches(scenario)
-
-        monkeypatch.setattr(analytic, "_branches", counted)
-        counts, points = {}, {}
-        for preset in PRESET_NAMES:
-            builds.clear()
-            rows = run_experiment(replace(figure_preset(preset), engines=("analytic", "bound"),
-                                          output_path=None, json_path=None))
-            counts[preset], points[preset] = len(builds), len(rows)
-            assert len(set(builds)) == 1  # one power policy per sweep
-        assert counts == {"fig1": 1, "fig2": 1, "fig3": points["fig3"], "fig4": points["fig4"],
-                          "fig5": 1, "fig6": 1, "fig7": points["fig7"], "fig8": points["fig8"]}
+    def test_branch_tables_built_once_per_distinct_input(self):
+        # counted from a cleared cache: each run's optimizer and closed forms
+        # build one table per table input no earlier run built: fig1 and fig5
+        # build one, fig3 and fig7 one per point but that of P_d = 0.9, which
+        # fig1 and fig5 built, and a second pass over the presets builds none
+        analytic._table.cache_clear()
+        built, counts = set(), {}
+        for preset in PRESET_NAMES * 2:
+            config = replace(figure_preset(preset), engines=("analytic", "bound"),
+                             output_path=None, json_path=None)
+            before = analytic._table.cache_info().misses
+            run_experiment(config)
+            inputs = {(s.sensing, s.scheme, s.power_policy, s.noise_variance,
+                       s.interference.components, s.m_inphase, s.m_quadrature)
+                      for s in experiment._build(config)[0]}
+            counts.setdefault(preset, []).append(analytic._table.cache_info().misses - before)
+            assert counts[preset][-1] == len(inputs - built)
+            built |= inputs
+        assert counts["fig1"] == counts["fig5"] == [1, 0]
+        assert counts["fig3"] == counts["fig7"] == [20, 0]
+        assert analytic._table.cache_info().currsize == len(built)
 
     def test_rows_formatted_once_for_both_writers(self, monkeypatch, tmp_path):
         formatted = []

@@ -5,12 +5,15 @@ the very Scenarios that validation built, so either ``validate`` reports a
 problem and the run stops with a ConfigError before it writes anything, or
 every point yields a feasible row with a finite bound. A prior in (0, 1) and
 P_f < 1 keep the idle decision possible, so no row may be infeasible. Noise
-and mixture values include NaN and inf, and dB values reach past the span of
-10^+-100 around the noise variance that ``validate`` accepts; under
-``filterwarnings = error`` an overflow in a kernel fails the run.
+and mixture values include NaN and inf, the noise variance reaches past the
+range of 10^+-100 and dB values past the span of 10^+-100 around the noise
+variance that ``validate`` accepts; under ``filterwarnings = error`` an
+overflow in a kernel fails the run.
 
 The closed forms evaluate a whole sweep in one call, bit for bit as one
-Scenario at a time, an infeasible point included.
+Scenario at a time, an infeasible point included, and every form, oracle and
+Monte Carlo count is invariant to scaling every variance, power and limit by
+a power of four.
 """
 
 import math
@@ -23,15 +26,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cogsep import analytic, experiment
 from cogsep.analytic import (
+    ConstraintSet,
     Scheme,
+    sep_conditional,
+    sep_general_numeric,
     sep_peak_interference,
     sep_peak_interference_exact,
+    sep_peak_interference_oracle,
     sep_rayleigh,
+    sep_rayleigh_numeric,
     sep_upper_bound,
 )
 from cogsep.experiment import SWEEP_AXES, ConfigError, SweepSpec, run_experiment, validate
+from cogsep.mathcore import GaussianMixture, QuadratureError
 from cogsep.presets import PRESET_NAMES, figure_preset
-from cogsep.sensing import ConditioningError
+from cogsep.sensing import ConditioningError, Occupancy
+from cogsep.simulation import InsufficientDataError, MonteCarloConfig, run_monte_carlo
 
 # values near the ends of [0, 1], and dB values near the float limits of 10^(x/10)
 PROBABILITIES = st.sampled_from([0.0, 1e-12, 0.05, 0.5, 0.9, 1 - 1e-12, 1.0])
@@ -117,6 +127,12 @@ def _preset(name, **updates):
 # overflows in the Rayleigh term
 @example(config=_preset("fig5", q_pk_db=3082.0))
 @example(config=_preset("fig1", p_pk_db=-3100.0, q_avg_db=-2970.0))
+# every ratio in the span, but the noise variance beyond 1e100: run, the peak
+# tail's 3 Q_pk overflows
+@example(config=_preset("fig5", noise_variance=1e300,
+                        mixture_variances=(2e301, 4e301, 6e301, 8e301),
+                        p_pk_db=3040.0, q_pk_db=3080.0,
+                        sweep=SweepSpec("p_pk_db", 3030.0, 3040.0, 1.0)))
 def test_validated_config_runs_at_every_point(config):
     assume(config.sweep.axis != "p_false_alarm" or 1.0 not in config.sweep.values())
     diags = validate(config)
@@ -142,7 +158,7 @@ SWEPT_DECIBELS = st.floats(-20.0, 30.0)
 
 def sweep_of(config, axis, values):
     """The Scenarios the runner evaluates at ``values`` of ``axis``, powers resolved."""
-    scenarios = analytic._Sweep(experiment._scenario(config, axis, value) for value in values)
+    scenarios = [experiment._scenario(config, axis, value) for value in values]
     return experiment._resolve_powers(config, scenarios)
 
 
@@ -274,29 +290,6 @@ def test_iterables_are_read_once():
         sep_rayleigh(3)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(config=configs())
-@example(config=_preset("fig1"))
-@example(config=_preset("fig2"))
-@example(config=_preset("fig3"))
-@example(config=_preset("fig4"))
-@example(config=_preset("fig5"))
-@example(config=_preset("fig6"))
-@example(config=_preset("fig7"))
-@example(config=_preset("fig8"))
-def test_built_sweeps_share_all_but_the_sensing_model(config):
-    """``_tables`` keys a ``_Sweep``'s tables by the sensing model alone, so
-    every ``_Sweep`` that ``_build`` (and with it ``_resolve_powers``)
-    returns must share the other table inputs."""
-    scenarios, diags = experiment._build(config)
-    if diags:
-        return  # nothing built to run
-    for sweep in (scenarios, experiment._resolve_powers(config, scenarios)):
-        assert isinstance(sweep, analytic._Sweep)
-        assert len({(s.scheme, s.power_policy, s.noise_variance, s.interference.components,
-                     s.m_inphase, s.m_quadrature) for s in sweep}) == 1
-
-
 def test_plain_list_keeps_the_full_table_key():
     """A plain list whose points share one sensing model but differ in grid,
     mixture or noise gives each point its own value, bit for bit."""
@@ -317,3 +310,123 @@ def test_shared_table_is_not_stacked():
     """Points that share one table are evaluated on it: ``_stack`` gives it back."""
     [table] = analytic._tables([experiment._scenario(figure_preset("fig1"), None)])
     assert analytic._stack([table] * 3) is table
+
+
+def test_equal_inputs_share_one_table():
+    """Scenarios built apart, with equal but distinct model objects, get the
+    one table the first built."""
+    first, second = (experiment._scenario(figure_preset("fig3"), None) for _ in range(2))
+    assert first.sensing is not second.sensing
+    assert first.interference is not second.interference
+    assert analytic._branches(first) is analytic._branches(second)
+
+
+def test_cached_table_is_read_only():
+    table = analytic._branches(experiment._scenario(figure_preset("fig1"), None))
+    with pytest.raises(ValueError, match="read-only"):
+        table.variances[0] = 1.0
+    with pytest.raises(TypeError):
+        table.rows[0] = table.rows[-1]
+    with pytest.raises(AttributeError):
+        table.rows.append(table.rows[0])
+
+
+def test_table_cache_holds_the_longest_sweep():
+    """A sweep of ``MAX_SWEEP_POINTS`` distinct tables builds each once for
+    its optimizer and both closed forms."""
+    assert analytic._table.cache_info().maxsize >= experiment.MAX_SWEEP_POINTS
+
+
+def _float_bits(values):
+    return [value.hex() if isinstance(value, float) else value for value in values]
+
+
+def test_negative_zero_gives_the_bits_of_zero():
+    """-0.0 equals 0.0, so the cache may give either input the other's table:
+    the model checks store it as +0.0, and both give the same bits."""
+    outcomes = []
+    for zero in (-0.0, 0.0):
+        config = replace(figure_preset("fig3"), p_detect=zero,
+                         mixture_weights=(zero, 0.5, 0.25, 0.25))
+        scenario = experiment._scenario(config, None)
+        analytic._table.cache_clear()  # each table built from its own inputs
+        table = analytic._branches(scenario)
+        outcomes.append((
+            _float_bits(value for decision in Occupancy
+                        for value in scenario.sensing.posteriors(decision)),
+            _float_bits(value for row in table.rows for value in row),
+            _float_bits(table.lam), table.variances.tobytes(),
+            sep_conditional(scenario, zero).hex()))
+    assert outcomes[0] == outcomes[1]
+
+
+def scaled(scenario, c):
+    """``scenario`` with its noise variance, every mixture variance, spec
+    power and limit multiplied by ``c``."""
+    limits = scenario.constraints
+    busy = scenario.spec_busy
+    return replace(
+        scenario,
+        spec_idle=replace(scenario.spec_idle, power=scenario.spec_idle.power * c),
+        spec_busy=busy and replace(busy, power=busy.power * c),
+        noise_variance=scenario.noise_variance * c,
+        interference=GaussianMixture(tuple((w, v * c)
+                                           for w, v in scenario.interference.components)),
+        constraints=ConstraintSet(*(limit and limit * c for limit in (
+            limits.peak_power, limits.avg_interference, limits.peak_interference))))
+
+
+def outcome(form, *args):
+    """A form's float by its bits, a Monte Carlo estimate by its counts, an
+    error by its type and message."""
+    try:
+        value = form(*args)
+    except (ConditioningError, QuadratureError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else (value.errors, value.trials)
+
+
+def preset_points(name):
+    """Three points of a preset's sweep: its first, middle and last values."""
+    config = figure_preset(name)
+    values = config.sweep.values()
+    return sweep_of(config, config.sweep.axis, values[::(len(values) - 1) // 2])
+
+
+def monte_carlo(scenario):
+    return run_monte_carlo(scenario, MonteCarloConfig(trials=2000, master_seed=7))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(scenarios=CLOSED_FORM_SWEEPS, k=st.sampled_from([-3, 1, 5]))
+@example(scenarios=preset_points("fig1"), k=-3)
+@example(scenarios=preset_points("fig2"), k=1)
+@example(scenarios=preset_points("fig3"), k=5)
+@example(scenarios=preset_points("fig4"), k=-3)
+@example(scenarios=preset_points("fig5"), k=1)
+@example(scenarios=preset_points("fig6"), k=5)
+@example(scenarios=preset_points("fig7"), k=-3)
+@example(scenarios=preset_points("fig8"), k=1)
+def test_scaling_by_a_power_of_four_changes_no_bit(scenarios, k):
+    """The model reads its variances, powers and limits only through their
+    ratios, and 4^k and its square root 2^k are exact in binary: scaling
+    every one of them by 4^k leaves every closed form, oracle and Monte
+    Carlo count the same bit for bit, and scales the optimal powers by
+    exactly 4^k."""
+    c = 4.0 ** k
+    images = [scaled(scenario, c) for scenario in scenarios]
+    forms = [sep_rayleigh, sep_upper_bound]
+    point_forms = [(sep_conditional, 0.8), (sep_rayleigh_numeric,),
+                   (sep_general_numeric, 0.8), (monte_carlo,)]
+    if scenarios[0].power_policy == "peak_interference":
+        forms += [sep_peak_interference, sep_peak_interference_exact]
+        point_forms.append((sep_peak_interference_oracle,))
+    for form in forms:
+        assert bits(form(images)) == bits(form(scenarios))
+    for scenario, image in zip(scenarios, images):
+        for form, *args in point_forms:
+            assert outcome(form, image, *args) == outcome(form, scenario, *args)
+    if scenarios[0].power_policy == "fixed" and scenarios[0].scheme is Scheme.SSS:
+        base = analytic.optimize_powers_sss(scenarios)
+        assert analytic.optimize_powers_sss(images) == [
+            analytic.OptimalPowers(powers.p0 * c, powers.p1 * c) for powers in base]
